@@ -1,0 +1,325 @@
+"""dpb: experiment runner for the privacy wrappers and their substrates.
+
+    dpb <command> --config <file> [--seed N] [--trials N] [--out path]
+                  [--debug-trace]
+
+Commands: wrap (run a wrapped mechanism, emit CSV), audit (empirical epsilon
+report, JSON), coverage (Monte-Carlo check of the accuracy interval, JSON),
+bench (resource counters and budget assertions, JSON). Configuration is a
+JSON object; command-line flags override config keys of the same meaning.
+Every run is reproducible byte-for-byte from (config, seed): trial t draws
+from the rng stream (seed, t).
+
+Presets (config key "preset") bundle a substrate with the parameter choices
+the corresponding accuracy statements use; explicit config keys override
+preset values. Data-dependent preset values are derived from the loaded
+dataset: the cc preset, for instance, turns the fractional additive knob
+kappa_frac into kappa = kappa_frac*n, tau_override = kappa_frac*n/ln(n),
+delta = 1/n, and gamma = gamma_scale*ln(n).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+
+from .audit import estimate_epsilon
+from .graphs import load_graph, toggle_edge
+from .knapsack import load_knapsack
+from .mechanisms import (WrapConfig, boost_replicas, lemma_fptas_bounds,
+                         theorem_main_bounds, tune_rho_cauchy, tune_rho_laplace,
+                         wrap_cauchy, wrap_laplace)
+from .graph_estimators import CcEstimateParams
+from .noise import make_rng
+from .streams import load_stream, stream_neighbor
+from .substrates import dataset_kind, exact_value, make_substrate
+
+__all__ = ["main"]
+
+_STATIC_PRESETS = {
+    "cc": {"substrate": "cc_estimate", "route": "laplace", "alpha": 0.5,
+           "kappa_frac": 0.1, "gamma_scale": 1.0, "delta_f": 2.0},
+    "mst": {"substrate": "mst_estimate", "route": "laplace", "alpha": 0.2,
+            "kappa": 0.0, "gamma_scale": 1.0},
+    "l2": {"substrate": "l2_ams", "route": "laplace", "alpha": 0.2,
+           "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+    "f0": {"substrate": "f0_kmv", "route": "laplace", "alpha": 0.2,
+           "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+    "sw-de": {"substrate": "sw_de", "route": "laplace", "alpha": 0.2,
+              "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+}
+
+_LOADERS = {"graph": load_graph, "stream": load_stream, "knapsack": load_knapsack}
+
+
+class CliError(Exception):
+    pass
+
+
+def _apply_preset(config: dict) -> dict:
+    name = config.get("preset")
+    if name is None:
+        return dict(config)
+    if name not in _STATIC_PRESETS:
+        raise CliError(f"unknown preset {name!r}; known: {', '.join(sorted(_STATIC_PRESETS))}")
+    merged = dict(_STATIC_PRESETS[name])
+    merged.update(config)
+    return merged
+
+
+def _derive_preset_values(config: dict, dataset):
+    """Fill data-dependent preset defaults for keys the user left unset."""
+    name = config.get("preset")
+    if name in ("cc", "mst"):
+        n = dataset.n
+        log_n = math.log(max(n, 3))
+        config.setdefault("delta", 1.0 / n)
+        config.setdefault("gamma", config.get("gamma_scale", 1.0) * log_n)
+        if name == "cc":
+            frac = config.get("kappa_frac", 0.1)
+            config.setdefault("kappa", frac * n)
+            config.setdefault("tau_override", frac * n / log_n)
+        else:
+            config.setdefault("delta_f", float(dataset.max_weight))
+    elif name in ("l2", "f0", "sw-de"):
+        config.setdefault("gamma", math.log(max(dataset.length, 3)))
+
+
+def _default_delta_f(substrate: str, dataset):
+    if substrate in ("cc_exact", "cc_estimate", "l2_exact", "l2_ams",
+                     "f0_exact", "f0_kmv", "sw_de"):
+        return 2.0
+    if substrate in ("mst_exact", "mst_estimate"):
+        return float(dataset.max_weight)
+    return None
+
+
+def _build_run(config: dict):
+    """Resolve (substrate, dataset, WrapConfig, route) from a merged config."""
+    if "substrate" not in config:
+        raise CliError("config needs a 'substrate' (or a 'preset' that sets one)")
+    name = config["substrate"]
+    kind = dataset_kind(name)
+    if "input" not in config:
+        raise CliError("config needs an 'input' dataset path")
+    try:
+        dataset = _LOADERS[kind](config["input"])
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file {config['input']!r}: {exc}") from exc
+    _derive_preset_values(config, dataset)
+    if "epsilon" not in config:
+        raise CliError("config needs 'epsilon'")
+    delta_f = config.get("delta_f", _default_delta_f(name, dataset))
+    if delta_f is None:
+        raise CliError(f"substrate {name!r} has no default sensitivity; set 'delta_f'")
+    wrap_cfg = WrapConfig(
+        epsilon=float(config["epsilon"]),
+        delta=float(config.get("delta", 1e-6)),
+        alpha=float(config.get("alpha", 0.0)),
+        kappa=float(config.get("kappa", 0.0)),
+        delta_f=float(delta_f),
+        gamma=float(config.get("gamma", 1.0)),
+        tau_override=(None if config.get("tau_override") is None
+                      else float(config["tau_override"])),
+    )
+    route = config.get("route", "laplace")
+    if route not in ("laplace", "cauchy"):
+        raise CliError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    substrate = make_substrate(name, config)
+    return substrate, dataset, wrap_cfg, route
+
+
+def _wrap_once(substrate, dataset, wrap_cfg, route, rng):
+    fn = wrap_laplace if route == "laplace" else wrap_cauchy
+    return fn(substrate, dataset, wrap_cfg, rng)
+
+
+def _emit(text: str, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def run_wrap(config: dict) -> int:
+    substrate, dataset, wrap_cfg, route = _build_run(config)
+    trials = int(config.get("trials", 1))
+    seed = int(config.get("seed", 0))
+    debug = bool(config.get("debug_trace", False))
+    rows = ["trial,substrate_value,output,noise_scale,rho,tau" if debug
+            else "trial,output"]
+    for t in range(trials):
+        rng = make_rng(seed, t)
+        output, trace = _wrap_once(substrate, dataset, wrap_cfg, route, rng)
+        if debug:
+            rows.append(f"{t},{trace.substrate_value!r},{output!r},"
+                        f"{trace.noise_scale!r},{trace.rho!r},{trace.tau!r}")
+        else:
+            rows.append(f"{t},{output!r}")
+    _emit("\n".join(rows) + "\n", config.get("out"))
+    return 0
+
+
+def _neighbor_dataset(config: dict, dataset, kind, seed: int):
+    if "input_prime" in config:
+        return _LOADERS[kind](config["input_prime"])
+    if kind == "graph":
+        u, v = config.get("toggle", (0, 1))
+        weight = int(config.get("toggle_weight", 1))
+        return toggle_edge(dataset, int(u), int(v), weight)
+    if kind == "stream":
+        return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
+    raise CliError("audit of a knapsack substrate needs an explicit 'input_prime' file")
+
+
+def run_audit(config: dict) -> int:
+    substrate, dataset, wrap_cfg, route = _build_run(config)
+    trials = int(config.get("trials", 1000))
+    seed = int(config.get("seed", 0))
+    bins = int(config.get("bins", 40))
+    delta_slack = float(config.get("delta_slack", 0.0))
+    kind = dataset_kind(config["substrate"])
+    neighbor = _neighbor_dataset(config, dataset, kind, seed)
+
+    def mech(d, rng):
+        return _wrap_once(substrate, d, wrap_cfg, route, rng)[0]
+
+    report = estimate_epsilon(mech, dataset, neighbor, trials, bins,
+                              delta_slack=delta_slack, seed=seed)
+    _emit(report.to_json() + "\n", config.get("out"))
+    limit = config.get("epsilon_limit")
+    if limit is not None and report.epsilon_hat > float(limit):
+        print(f"audit: epsilon_hat {report.epsilon_hat:.4f} exceeds limit {limit}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def run_coverage(config: dict) -> int:
+    substrate, dataset, wrap_cfg, route = _build_run(config)
+    trials = int(config.get("trials", 1000))
+    seed = int(config.get("seed", 0))
+    exact = exact_value(config["substrate"], dataset, config)
+    if route == "laplace":
+        alpha_p, kappa_p, additive = theorem_main_bounds(wrap_cfg)
+        lo = (1.0 - alpha_p) * exact - kappa_p - additive
+        hi = (1.0 + alpha_p) * exact + kappa_p + additive
+        target = 1.0 - wrap_cfg.delta - math.exp(-wrap_cfg.gamma)
+    else:
+        rho = tune_rho_cauchy(wrap_cfg.alpha, wrap_cfg.epsilon)
+        mult, add_kappa, add_sens = lemma_fptas_bounds(
+            rho, wrap_cfg.tau(), wrap_cfg.delta_f, wrap_cfg.epsilon, wrap_cfg.gamma)
+        lo = (1.0 - mult) * exact - add_kappa - add_sens
+        hi = (1.0 + mult) * exact + add_kappa + add_sens
+        target = 0.9
+    inside = 0
+    for t in range(trials):
+        output, _ = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
+        if lo <= output <= hi:
+            inside += 1
+    coverage = inside / trials
+    sigma = math.sqrt(target * (1.0 - target) / trials)
+    threshold = target - 3.0 * sigma
+    passed = coverage >= threshold
+    _emit(json.dumps({
+        "coverage": coverage, "target": target, "threshold": threshold,
+        "passed": passed, "trials": trials, "exact": exact,
+        "interval": [lo, hi],
+    }) + "\n", config.get("out"))
+    return 0 if passed else 1
+
+
+def _query_budget(config: dict, dataset, wrap_cfg, route) -> float:
+    """Worst-case query budget for the graph estimator substrates, recomputed
+    from the same knob values the wrapper will hand them. Substrates without
+    a query-count claim get an infinite budget (nothing to assert)."""
+    if route != "laplace":
+        return math.inf
+    name = config["substrate"]
+    fail = wrap_cfg.delta / 2.0
+    if name == "cc_estimate":
+        tau = wrap_cfg.tau()
+        if tau <= 0:
+            return math.inf
+        p = CcEstimateParams(kappa=min(tau / dataset.n, 1.0))
+        replicas = 1 if fail >= 1.0 / 3.0 else boost_replicas(fail)
+        return replicas * p.sample_count * p.bfs_cap * (p.bfs_cap + 1)
+    if name == "mst_estimate":
+        rho = tune_rho_laplace(wrap_cfg.alpha, wrap_cfg.epsilon, wrap_cfg.delta)
+        w = dataset.max_weight
+        if rho <= 0 or w is None:
+            return math.inf
+        if w < 2:
+            return 0.0
+        level_fail = min(max(fail, 1e-12), 1.0 / 3.0) / w
+        p = CcEstimateParams(kappa=rho / (2.0 * w))
+        replicas = 1 if level_fail >= 1.0 / 3.0 else boost_replicas(level_fail)
+        return (w - 1) * replicas * p.sample_count * p.bfs_cap * (p.bfs_cap + 1)
+    return math.inf
+
+
+def run_bench(config: dict) -> int:
+    substrate, dataset, wrap_cfg, route = _build_run(config)
+    trials = int(config.get("trials", 1))
+    seed = int(config.get("seed", 0))
+    budget = _query_budget(config, dataset, wrap_cfg, route)
+    per_trial = []
+    ok = True
+    for t in range(trials):
+        before = dict(substrate.meter)
+        output, _ = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
+        deltas = {k: substrate.meter[k] - before.get(k, 0) for k in substrate.meter}
+        deltas = {k: v for k, v in deltas.items() if v}
+        if deltas.get("queries", 0) > budget:
+            ok = False
+        per_trial.append({"trial": t, "output": output, **deltas})
+    _emit(json.dumps({
+        "substrate": config["substrate"], "trials": trials,
+        "query_budget": None if math.isinf(budget) else budget,
+        "within_budget": ok, "per_trial": per_trial,
+    }) + "\n", config.get("out"))
+    return 0 if ok else 1
+
+
+_COMMANDS = {"wrap": run_wrap, "audit": run_audit,
+             "coverage": run_coverage, "bench": run_bench}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="dpb", description="Differentially private approximation experiments")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.add_argument("--debug-trace", action="store_true", default=None)
+    args = parser.parse_args(argv)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"dpb: cannot load config {args.config!r}: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(config, dict):
+        print("dpb: config must be a JSON object", file=sys.stderr)
+        return 2
+    try:
+        config = _apply_preset(config)
+        for key, value in (("seed", args.seed), ("trials", args.trials),
+                           ("out", args.out), ("debug_trace", args.debug_trace)):
+            if value is not None:
+                config[key] = value
+        return _COMMANDS[args.command](config)
+    except (CliError, ValueError) as exc:
+        print(f"dpb: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,188 @@
+"""Sublinear graph estimators with query accounting, plus their exact oracles.
+
+cc_estimate approximates the number of connected components to additive
+kappa*n by bounded-depth BFS from sampled vertices; mst_weight_estimate
+reduces MST weight on integer-weighted graphs to component counts of
+bounded-weight subgraphs. Both record how much of the graph they touched
+through a QueryGraph, whose counter is the substance of the sublinearity
+claims: the budget depends only on the accuracy knobs, never on n or m.
+
+cc_exact and mst_weight_exact are the ground-truth counterparts used for
+calibration and testing.
+"""
+
+from __future__ import annotations
+
+import math
+import statistics
+from collections import deque
+from dataclasses import dataclass, field
+
+from .graphs import Graph, connected_components_exact, kruskal_mst_weight
+from .mechanisms import boost_replicas
+
+__all__ = [
+    "QueryGraph",
+    "CcEstimateParams",
+    "cc_exact",
+    "cc_estimate",
+    "mst_weight_exact",
+    "mst_weight_estimate",
+]
+
+
+class QueryGraph:
+    """Adjacency-query view of a Graph that counts every probe.
+
+    The estimators see the graph only through degree(u) and neighbor(u, i),
+    each of which costs one query. The counter persists across calls so a
+    trial harness can difference it around a run.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.queries = 0
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def max_weight(self):
+        return self.graph.max_weight
+
+    def degree(self, u: int) -> int:
+        self.queries += 1
+        return self.graph.degree(u)
+
+    def neighbor(self, u: int, i: int) -> int:
+        self.queries += 1
+        return self.graph.neighbors(u)[i]
+
+
+def _as_query_graph(g) -> QueryGraph:
+    return g if isinstance(g, QueryGraph) else QueryGraph(g)
+
+
+def _plain_graph(g) -> Graph:
+    return g.graph if isinstance(g, QueryGraph) else g
+
+
+@dataclass
+class CcEstimateParams:
+    """Knobs for cc_estimate: additive error kappa*n, base failure <= 1/3.
+
+    kappa is a fraction of n in (0, 1]. sample_count and bfs_cap are derived:
+    s = ceil(4/kappa^2) sampled start vertices and a BFS truncation threshold
+    of ceil(2/kappa) discovered vertices. fail_prob is carried for callers
+    that replicate the estimator (median_boost); a single run already achieves
+    failure <= 1/3 by Chebyshev, and nothing here reads fail_prob beyond
+    validation.
+    """
+
+    kappa: float
+    fail_prob: float = 1.0 / 3.0
+    sample_count: int = field(init=False)
+    bfs_cap: int = field(init=False)
+
+    def __post_init__(self):
+        if not (0.0 < self.kappa <= 1.0):
+            raise ValueError(f"kappa must lie in (0, 1], got {self.kappa!r}")
+        if not (0.0 < self.fail_prob < 1.0):
+            raise ValueError(f"fail_prob must lie in (0, 1), got {self.fail_prob!r}")
+        self.sample_count = int(math.ceil(4.0 / self.kappa ** 2))
+        self.bfs_cap = int(math.ceil(2.0 / self.kappa))
+
+
+def cc_exact(g) -> int:
+    """Exact number of connected components (full traversal, not counted)."""
+    return len(connected_components_exact(_plain_graph(g)))
+
+
+def mst_weight_exact(g) -> int:
+    """Exact MST weight via Kruskal; raises ValueError when disconnected."""
+    return kruskal_mst_weight(_plain_graph(g))
+
+
+def _truncated_component_size(qg: QueryGraph, start: int, cap: int) -> int:
+    """Discovered-vertex count of BFS from start, truncated at cap.
+
+    Every degree(u) and neighbor(u, i) probe costs one query on qg. The scan
+    stops dead the moment cap vertices are discovered, so a single BFS costs
+    at most cap^2 + cap - 1 queries: <= cap degree probes, <= cap - 1 probes
+    that discover a new vertex, and <= cap*(cap-1) probes landing on an
+    already-seen vertex (one per ordered pair).
+    """
+    if cap <= 1:
+        return 1
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        deg = qg.degree(u)
+        for i in range(deg):
+            v = qg.neighbor(u, i)
+            if v not in seen:
+                seen.add(v)
+                if len(seen) >= cap:
+                    return cap
+                queue.append(v)
+    return len(seen)
+
+
+def cc_estimate(g, params: CcEstimateParams, rng) -> float:
+    """Estimate the component count to additive kappa*n, sublinearly.
+
+    Samples s = params.sample_count start vertices uniformly with
+    replacement; for each, a BFS truncated at bfs_cap discovered vertices
+    yields c_i = min(|component(u_i)|, bfs_cap). Returns (n/s) * sum(1/c_i),
+    which always lies in [n/bfs_cap, n] and satisfies |estimate - C| <= kappa*n
+    with probability >= 2/3 (drive it lower with median_boost). Total query
+    cost is < s * bfs_cap * (bfs_cap + 1) regardless of the graph.
+    """
+    qg = _as_query_graph(g)
+    if qg.n == 0:
+        return 0.0
+    starts = rng.integers(0, qg.n, size=params.sample_count)
+    inv_sum = 0.0
+    for u in starts:
+        inv_sum += 1.0 / _truncated_component_size(qg, int(u), params.bfs_cap)
+    return qg.n * inv_sum / params.sample_count
+
+
+def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
+    """Estimate MST weight on a connected graph with integer weights in [1, w].
+
+    Uses the identity MST = n - w + sum_{i=1}^{w-1} C^(i), where C^(i) counts
+    components of the subgraph keeping edges of weight <= i. Each C^(i) is
+    cc_estimate at per-level additive target kappa_i = alpha/(2w), median
+    boosted to per-level failure fail_prob/w, so the total is a (1 +/- alpha)
+    approximation with probability >= 1 - fail_prob. Rejects disconnected
+    inputs and out-of-range weights. w = 1 forces weight n - 1 with no
+    queries.
+    """
+    qg = _as_query_graph(g)
+    graph = qg.graph
+    if graph.max_weight is None:
+        raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (0.0 < fail_prob < 1.0):
+        raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
+    if len(connected_components_exact(graph)) != 1:
+        raise ValueError("graph is disconnected, MST weight is undefined")
+    w = graph.max_weight
+    n = graph.n
+    if w == 1:
+        return float(n - 1)
+    level_kappa = alpha / (2.0 * w)
+    level_fail = fail_prob / w
+    replicas = 1 if level_fail >= 1.0 / 3.0 else boost_replicas(level_fail)
+    params = CcEstimateParams(kappa=level_kappa, fail_prob=level_fail)
+    total = float(n - w)
+    for i in range(1, w):
+        sub = QueryGraph(graph.subgraph_weight_at_most(i))
+        vals = [cc_estimate(sub, params, rng) for _ in range(replicas)]
+        total += statistics.median(vals)
+        qg.queries += sub.queries
+    return total

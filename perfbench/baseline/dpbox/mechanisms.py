@@ -1,0 +1,432 @@
+"""Black-box differential privacy wrappers for tunable approximation algorithms.
+
+A substrate is any algorithm that, handed accuracy knobs (alpha, kappa,
+fail_prob), returns a value inside [(1-alpha)f - kappa, (1+alpha)f + kappa]
+with probability at least 1 - fail_prob, where f is the true quantity. The
+wrappers here re-tune those knobs from the privacy budget, run the substrate
+once, and add noise whose scale is a smooth upper bound on local sensitivity
+computed from the substrate's own output:
+
+    bound(x) = 4*rho*x + 4*tau + delta_f
+
+wrap_laplace adds Laplace(2*bound/epsilon) and tolerates randomized
+substrates at an additive delta cost; wrap_cauchy adds Cauchy(6*bound/epsilon)
+and is pure epsilon-DP but requires a deterministic substrate. median_boost
+shrinks a substrate's failure probability by replication, and to_pure_dp
+post-processes an (epsilon, delta) output onto a finite grid so the overall
+release is pure epsilon-DP.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+
+from .noise import sample_cauchy, sample_laplace
+
+__all__ = [
+    "ApproxParams",
+    "WrapConfig",
+    "TunableSubstrate",
+    "MechanismTrace",
+    "GridSpec",
+    "tune_rho_laplace",
+    "tune_rho_cauchy",
+    "smooth_bound",
+    "wrap_laplace",
+    "wrap_cauchy",
+    "boost_replicas",
+    "median_boost",
+    "pure_dp_fallback_prob",
+    "to_pure_dp",
+    "theorem_main_bounds",
+    "lemma_fptas_bounds",
+]
+
+
+@dataclass
+class ApproxParams:
+    """Accuracy request handed to a substrate.
+
+    alpha is the multiplicative error in [0,1), kappa the additive error in
+    the substrate's output units (>= 0), and fail_prob the probability the
+    substrate may miss its interval, in [0,1).
+    """
+
+    alpha: float
+    kappa: float
+    fail_prob: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+        if not (self.kappa >= 0.0):
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
+        if not (0.0 <= self.fail_prob < 1.0):
+            raise ValueError(f"fail_prob must lie in [0, 1), got {self.fail_prob!r}")
+
+
+@dataclass
+class WrapConfig:
+    """Privacy and accuracy targets for one wrapped release.
+
+    epsilon, delta: the privacy budget. alpha, kappa: the end-to-end accuracy
+    targets the tuning formulas start from. delta_f: global sensitivity of the
+    exact quantity. gamma: tail parameter trading failure probability
+    (exp(-gamma)) against noise width. tau_override, when set, replaces the
+    default additive request tau = kappa handed to the substrate.
+    """
+
+    epsilon: float
+    delta: float
+    alpha: float
+    kappa: float
+    delta_f: float
+    gamma: float
+    tau_override: Optional[float] = None
+
+    def __post_init__(self):
+        if not (self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if not (0.0 <= self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+        if not (self.kappa >= 0.0):
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
+        if not (self.delta_f >= 0.0):
+            raise ValueError(f"delta_f must be nonnegative, got {self.delta_f!r}")
+        if not (self.gamma > 0.0):
+            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if self.tau_override is not None and not (self.tau_override >= 0.0):
+            raise ValueError(f"tau_override must be nonnegative, got {self.tau_override!r}")
+
+    def tau(self) -> float:
+        """Additive request handed to the substrate (kappa unless overridden)."""
+        return self.kappa if self.tau_override is None else self.tau_override
+
+
+@dataclass
+class MechanismTrace:
+    """Diagnostic record of one wrapper invocation.
+
+    For tests and audits only: substrate_value carries unnoised information,
+    so releasing a trace next to the output voids the privacy guarantee.
+    output == substrate_value + noise_draw always holds, and noise_scale is
+    recomputable from (rho, tau, delta_f, substrate_value, epsilon).
+    """
+
+    substrate_value: float
+    rho: float
+    tau: float
+    noise_scale: float
+    noise_draw: float
+    output: float
+    clamped: bool = False
+
+
+class TunableSubstrate:
+    """Uniform handle around a tunable approximation algorithm.
+
+    fn(dataset, params, rng) must return the estimate, or (estimate, cost)
+    where cost is a dict of resource counters to accumulate into the meter
+    (e.g. {"queries": 123}). Deterministic substrates ignore the rng, have
+    fail_prob 0 by definition, and must say so via is_deterministic.
+    """
+
+    def __init__(self, fn: Callable, is_deterministic: bool = False,
+                 base_fail_prob: float = 1.0 / 3.0, label: str = "substrate"):
+        if is_deterministic:
+            base_fail_prob = 0.0
+        if not (0.0 <= base_fail_prob < 1.0):
+            raise ValueError(f"base_fail_prob must lie in [0, 1), got {base_fail_prob!r}")
+        self.fn = fn
+        self.is_deterministic = bool(is_deterministic)
+        self.base_fail_prob = float(base_fail_prob)
+        self.label = str(label)
+        self.meter = {"queries": 0, "space_words": 0, "items": 0}
+        self.calls = 0
+
+    def evaluate(self, dataset, params: ApproxParams, rng) -> float:
+        out = self.fn(dataset, params, rng)
+        if isinstance(out, tuple):
+            value, cost = out
+            for key, amount in cost.items():
+                self.meter[key] = self.meter.get(key, 0) + amount
+        else:
+            value = out
+        self.calls += 1
+        return float(value)
+
+    def __repr__(self):
+        det = "deterministic" if self.is_deterministic else f"fail<={self.base_fail_prob:g}"
+        return f"TunableSubstrate({self.label}, {det})"
+
+
+def tune_rho_laplace(alpha: float, epsilon: float, delta: float) -> float:
+    """Multiplicative accuracy knob for the Laplace route.
+
+    rho = epsilon * alpha / (12 * ln(4/delta)). With alpha < 1 this keeps
+    6*rho within epsilon / (2*ln(4/delta)), the growth budget the smooth
+    bound needs for Laplace noise.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return epsilon * alpha / (12.0 * math.log(4.0 / delta))
+
+
+def tune_rho_cauchy(alpha: float, epsilon: float) -> float:
+    """Multiplicative accuracy knob for the Cauchy route.
+
+    rho = epsilon * alpha / 36, which keeps 6*rho within epsilon/6.
+    """
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    return epsilon * alpha / 36.0
+
+
+def smooth_bound(x: float, rho: float, tau: float, delta_f: float) -> float:
+    """Smooth upper bound on local sensitivity anchored at output value x:
+
+    4*rho*x + 4*tau + delta_f. All arguments must be nonnegative.
+    """
+    for name, v in (("x", x), ("rho", rho), ("tau", tau), ("delta_f", delta_f)):
+        if not (v >= 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {v!r}")
+    return 4.0 * rho * x + 4.0 * tau + delta_f
+
+
+def _noised(value: float, rho: float, tau: float, cfg: WrapConfig, rng, route: str):
+    if not math.isfinite(value):
+        raise ValueError(f"substrate returned a non-finite value: {value!r}")
+    # Substrate outputs are clamped at 0 from below before noising; the target
+    # quantity is nonnegative, and an abort here would depend on the data.
+    clamped = value < 0.0
+    x = 0.0 if clamped else float(value)
+    bound = smooth_bound(x, rho, tau, cfg.delta_f)
+    if route == "laplace":
+        scale = 2.0 * bound / cfg.epsilon
+        draw = sample_laplace(scale, rng)
+    else:
+        scale = 6.0 * bound / cfg.epsilon
+        draw = sample_cauchy(scale, rng)
+    output = x + draw
+    trace = MechanismTrace(substrate_value=x, rho=rho, tau=tau, noise_scale=scale,
+                           noise_draw=draw, output=output, clamped=clamped)
+    return output, trace
+
+
+def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
+    """Release the substrate's value plus Laplace noise calibrated to it.
+
+    Tunes rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta) and
+    tau = cfg.tau(), invokes the substrate exactly once with
+    ApproxParams(rho, tau, cfg.delta/2), and returns
+
+        x + Laplace(2 * (4*rho*x + 4*tau + delta_f) / epsilon)
+
+    together with a MechanismTrace. When the substrate honors its contract the
+    released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
+    trace is for testing only and must not be released.
+    """
+    rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
+    tau = cfg.tau()
+    params = ApproxParams(alpha=rho, kappa=tau, fail_prob=cfg.delta / 2.0)
+    value = substrate.evaluate(dataset, params, rng)
+    return _noised(value, rho, tau, cfg, rng, route="laplace")
+
+
+def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
+    """Release the substrate's value plus Cauchy noise calibrated to it.
+
+    Requires a deterministic substrate (fail_prob 0); randomized substrates
+    would break the pure-DP argument and are rejected. Tunes
+    rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon) and tau = cfg.tau(), and
+    returns x + Cauchy(6 * (4*rho*x + 4*tau + delta_f) / epsilon) with a
+    trace. The released output is epsilon-DP when the contract holds.
+    """
+    if not substrate.is_deterministic:
+        raise ValueError(
+            f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
+    rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon)
+    tau = cfg.tau()
+    params = ApproxParams(alpha=rho, kappa=tau, fail_prob=0.0)
+    value = substrate.evaluate(dataset, params, rng)
+    return _noised(value, rho, tau, cfg, rng, route="cauchy")
+
+
+def boost_replicas(target_fail: float) -> int:
+    """Replica count the median trick needs to push failure from 1/3 to target_fail.
+
+    r = ceil(18 * ln(2/target_fail)); the constant comes from a Chernoff bound
+    for base success 2/3 and is validated empirically in the tests.
+    """
+    if not (0.0 < target_fail < 1.0):
+        raise ValueError(f"target_fail must lie in (0, 1), got {target_fail!r}")
+    return int(math.ceil(18.0 * math.log(2.0 / target_fail)))
+
+
+def median_boost(substrate: TunableSubstrate, target_fail: float) -> TunableSubstrate:
+    """Replicate a substrate and take the median to shrink its failure probability.
+
+    Runs r = boost_replicas(target_fail) independent copies per evaluate and
+    outputs their median, so the boosted failure probability is at most
+    target_fail whenever the base failure probability is at most 1/3. Returns
+    the substrate unchanged when target_fail already >= its failure
+    probability. The boosted handle shares the inner meter, so resource
+    counters accumulate r-fold per call.
+    """
+    if not (0.0 < target_fail < 1.0):
+        raise ValueError(f"target_fail must lie in (0, 1), got {target_fail!r}")
+    if substrate.base_fail_prob > 1.0 / 3.0 + 1e-12:
+        raise ValueError(
+            f"median boosting needs base fail_prob <= 1/3, got {substrate.base_fail_prob!r}")
+    if target_fail >= substrate.base_fail_prob:
+        return substrate
+    r = boost_replicas(target_fail)
+
+    def boosted_fn(dataset, params, rng):
+        vals = [substrate.evaluate(dataset, params, rng) for _ in range(r)]
+        return float(np.median(vals))
+
+    boosted = TunableSubstrate(boosted_fn, is_deterministic=False,
+                               base_fail_prob=target_fail,
+                               label=f"median{r}x:{substrate.label}")
+    boosted.meter = substrate.meter
+    boosted.replicas = r
+    return boosted
+
+
+@dataclass
+class GridSpec:
+    """Rounding grid for the approximate-to-pure post-processing step.
+
+    range_max is an a-priori upper bound on the mechanism's output and spacing
+    the grid pitch; the grid points are {0, spacing, ..., floor(M/g)*g}.
+    num_points is derived when omitted and validated when given.
+    """
+
+    range_max: float
+    spacing: float
+    num_points: Optional[int] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.range_max) and self.range_max > 0.0):
+            raise ValueError(f"range_max must be a positive real, got {self.range_max!r}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        expected = int(math.floor(self.range_max / self.spacing + 1e-9)) + 1
+        if self.num_points is None:
+            self.num_points = expected
+        elif int(self.num_points) != expected:
+            raise ValueError(
+                f"num_points must equal floor(range_max/spacing)+1 = {expected}, "
+                f"got {self.num_points!r}")
+
+    def point(self, i: int) -> float:
+        return i * self.spacing
+
+
+def pure_dp_fallback_prob(epsilon: float, delta: float, num_points: int) -> float:
+    """Resample probability p = delta*|R| / (e^epsilon - 1 + delta*|R|).
+
+    Mixing a uniformly random grid point in with this probability converts an
+    upstream (epsilon, delta) guarantee over the grid into pure epsilon-DP;
+    p satisfies delta = (e^epsilon - 1) * p / (|R| * (1 - p)) with equality.
+    """
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (0.0 <= delta < 1.0):
+        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
+    if num_points < 1:
+        raise ValueError(f"num_points must be >= 1, got {num_points!r}")
+    dr = delta * num_points
+    return dr / (math.expm1(epsilon) + dr)
+
+
+def to_pure_dp(value: float, grid: GridSpec, epsilon: float, delta: float, rng,
+               trace: Optional[dict] = None) -> float:
+    """Round a private output up onto the grid, occasionally resampling uniformly.
+
+    Clamps value into [0, range_max], rounds up to the nearest grid point, and
+    with probability pure_dp_fallback_prob(...) replaces the result with a
+    uniformly random grid point. |returned - value| <= spacing unless the
+    fallback fired. delta = 0 gives deterministic rounding. Pass a dict as
+    trace to capture the {"clamped", "fallback"} flags.
+    """
+    p = pure_dp_fallback_prob(epsilon, delta, grid.num_points)
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"value must be finite, got {value!r}")
+    clamped_neg = v < 0.0
+    v = min(max(v, 0.0), grid.range_max)
+    idx = int(math.ceil(v / grid.spacing - 1e-9))
+    if idx < 0:
+        idx = 0
+    if idx > grid.num_points - 1:
+        idx = grid.num_points - 1
+    fallback = False
+    if p > 0.0 and rng.random() < p:
+        idx = int(rng.integers(grid.num_points))
+        fallback = True
+    if trace is not None:
+        trace["clamped"] = clamped_neg
+        trace["fallback"] = fallback
+    return idx * grid.spacing
+
+
+def theorem_main_bounds(cfg: WrapConfig):
+    """Accuracy interval half-widths for the Laplace route.
+
+    Returns (alpha_prime, kappa_prime, additive) with
+
+        alpha_prime = alpha * (epsilon + 16*gamma) / (12 * ln(4/delta))
+        kappa_prime = kappa * (2*gamma*alpha / (3*ln(4/delta)) + 8*gamma/epsilon + 1)
+        additive    = 2 * delta_f * gamma / epsilon
+
+    With probability at least 1 - delta - exp(-gamma) the wrapped output lies
+    inside [(1-a')f - k' - additive, (1+a')f + k' + additive].
+    """
+    big_l = math.log(4.0 / cfg.delta)
+    alpha_prime = cfg.alpha * (cfg.epsilon + 16.0 * cfg.gamma) / (12.0 * big_l)
+    kappa_prime = cfg.kappa * (2.0 * cfg.gamma * cfg.alpha / (3.0 * big_l)
+                               + 8.0 * cfg.gamma / cfg.epsilon + 1.0)
+    additive = 2.0 * cfg.delta_f * cfg.gamma / cfg.epsilon
+    return alpha_prime, kappa_prime, additive
+
+
+def lemma_fptas_bounds(rho: float, tau: float, delta_f: float, epsilon: float,
+                       gamma: float):
+    """Accuracy interval for the Cauchy route, valid for gamma >= 6.5.
+
+    Returns (mult, add_kappa, add_sens) with
+
+        mult      = rho * (1 + 48*gamma/epsilon)
+        add_kappa = 24 * (rho + 1) * gamma * tau / epsilon
+        add_sens  = 6 * delta_f * gamma / epsilon
+
+    With probability at least 9/10 the wrapped output lies inside
+    [(1-mult)f - add_kappa - add_sens, (1+mult)f + add_kappa + add_sens].
+    gamma below 6.5 leaves the Cauchy tail above 1/10 and is rejected.
+    """
+    for name, v in (("rho", rho), ("tau", tau), ("delta_f", delta_f)):
+        if not (v >= 0.0):
+            raise ValueError(f"{name} must be nonnegative, got {v!r}")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if gamma < 6.5:
+        raise ValueError(
+            f"gamma must be at least 6.5 so the tail stays below 1/10, got {gamma!r}")
+    mult = rho * (1.0 + 48.0 * gamma / epsilon)
+    add_kappa = 24.0 * (rho + 1.0) * gamma * tau / epsilon
+    add_sens = 6.0 * delta_f * gamma / epsilon
+    return mult, add_kappa, add_sens
