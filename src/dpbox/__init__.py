@@ -13,7 +13,7 @@ them against, and an empirical privacy auditor.
 from .noise import make_rng, sample_cauchy, sample_laplace
 from .mechanisms import (ApproxParams, GridSpec, MechanismTrace, TunableSubstrate,
                          WrapConfig, boost_replicas, lemma_fptas_bounds,
-                         median_boost, pure_dp_fallback_prob, smooth_bound,
+                         median_replicas, pure_dp_fallback_prob, smooth_bound,
                          theorem_main_bounds, to_pure_dp, tune_rho_cauchy,
                          tune_rho_laplace, wrap_cauchy, wrap_laplace)
 from .graphs import (Graph, connected_components_exact, format_graph,
@@ -27,13 +27,13 @@ from .knapsack import (KnapsackInstance, format_knapsack, knapsack_exact,
 from .streams import (UpdateStream, exact_distinct, exact_f2, exact_frequencies,
                       exact_l2, format_stream, load_stream, parse_stream,
                       save_stream, stream_neighbor)
-from .sketches import (AmsSketch, KmvSketch, ams_estimate, ams_update,
-                       kmv_estimate, kmv_update)
+from .sketches import AmsSketch, KmvSketch
 from .windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
-                      SmoothHistogram, SmoothnessParams, sh_query, sh_update,
+                      SmoothHistogram, SmoothnessParams,
                       smooth_histogram_distinct, smooth_histogram_f2,
                       smoothness_check_de, smoothness_check_f2)
 from .audit import AuditReport, estimate_epsilon
-from .substrates import SUBSTRATE_NAMES, dataset_kind, exact_value, make_substrate
+from .substrates import (SUBSTRATE_NAMES, dataset_kind, default_delta_f, exact_value,
+                         make_substrate, query_budget)
 
 __version__ = "0.1.0"

@@ -28,27 +28,27 @@ import sys
 from .audit import estimate_epsilon
 from .graphs import load_graph, toggle_edge
 from .knapsack import load_knapsack
-from .mechanisms import (WrapConfig, boost_replicas, lemma_fptas_bounds,
-                         theorem_main_bounds, tune_rho_cauchy, tune_rho_laplace,
-                         wrap_cauchy, wrap_laplace)
-from .graph_estimators import CcEstimateParams
+from .mechanisms import (WrapConfig, laplace_params, lemma_fptas_bounds,
+                         theorem_main_bounds, tune_rho_cauchy, wrap_cauchy,
+                         wrap_laplace)
 from .noise import make_rng
 from .streams import load_stream, stream_neighbor
-from .substrates import dataset_kind, exact_value, make_substrate
+from .substrates import (dataset_kind, default_delta_f, exact_value, make_substrate,
+                         query_budget)
 
 __all__ = ["main"]
 
 _STATIC_PRESETS = {
     "cc": {"substrate": "cc_estimate", "route": "laplace", "alpha": 0.5,
-           "kappa_frac": 0.1, "gamma_scale": 1.0, "delta_f": 2.0},
+           "kappa_frac": 0.1, "gamma_scale": 1.0},
     "mst": {"substrate": "mst_estimate", "route": "laplace", "alpha": 0.2,
             "kappa": 0.0, "gamma_scale": 1.0},
     "l2": {"substrate": "l2_ams", "route": "laplace", "alpha": 0.2,
-           "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+           "kappa": 0.0, "delta": 0.01},
     "f0": {"substrate": "f0_kmv", "route": "laplace", "alpha": 0.2,
-           "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+           "kappa": 0.0, "delta": 0.01},
     "sw-de": {"substrate": "sw_de", "route": "laplace", "alpha": 0.2,
-              "kappa": 0.0, "delta": 0.01, "delta_f": 2.0},
+              "kappa": 0.0, "delta": 0.01},
 }
 
 _LOADERS = {"graph": load_graph, "stream": load_stream, "knapsack": load_knapsack}
@@ -81,19 +81,8 @@ def _derive_preset_values(config: dict, dataset):
             frac = config.get("kappa_frac", 0.1)
             config.setdefault("kappa", frac * n)
             config.setdefault("tau_override", frac * n / log_n)
-        else:
-            config.setdefault("delta_f", float(dataset.max_weight))
     elif name in ("l2", "f0", "sw-de"):
         config.setdefault("gamma", math.log(max(dataset.length, 3)))
-
-
-def _default_delta_f(substrate: str, dataset):
-    if substrate in ("cc_exact", "cc_estimate", "l2_exact", "l2_ams",
-                     "f0_exact", "f0_kmv", "sw_de"):
-        return 2.0
-    if substrate in ("mst_exact", "mst_estimate"):
-        return float(dataset.max_weight)
-    return None
 
 
 def _build_run(config: dict):
@@ -111,7 +100,7 @@ def _build_run(config: dict):
     _derive_preset_values(config, dataset)
     if "epsilon" not in config:
         raise CliError("config needs 'epsilon'")
-    delta_f = config.get("delta_f", _default_delta_f(name, dataset))
+    delta_f = config["delta_f"] if "delta_f" in config else default_delta_f(name, dataset)
     if delta_f is None:
         raise CliError(f"substrate {name!r} has no default sensitivity; set 'delta_f'")
     wrap_cfg = WrapConfig(
@@ -172,7 +161,7 @@ def _neighbor_dataset(config: dict, dataset, kind, seed: int):
         return toggle_edge(dataset, int(u), int(v), weight)
     if kind == "stream":
         return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
-    raise CliError("audit of a knapsack substrate needs an explicit 'input_prime' file")
+    raise CliError("audit of a knapsack instance needs an explicit 'input_prime' file")
 
 
 def run_audit(config: dict) -> int:
@@ -232,50 +221,22 @@ def run_coverage(config: dict) -> int:
     return 0 if passed else 1
 
 
-def _query_budget(config: dict, dataset, wrap_cfg, route) -> float:
-    """Worst-case query budget for the graph estimator substrates, recomputed
-    from the same knob values the wrapper will hand them. Substrates without
-    a query-count claim get an infinite budget (nothing to assert)."""
-    if route != "laplace":
-        return math.inf
-    name = config["substrate"]
-    fail = wrap_cfg.delta / 2.0
-    if name == "cc_estimate":
-        tau = wrap_cfg.tau()
-        if tau <= 0:
-            return math.inf
-        p = CcEstimateParams(kappa=min(tau / dataset.n, 1.0))
-        replicas = 1 if fail >= 1.0 / 3.0 else boost_replicas(fail)
-        return replicas * p.sample_count * p.bfs_cap * (p.bfs_cap + 1)
-    if name == "mst_estimate":
-        rho = tune_rho_laplace(wrap_cfg.alpha, wrap_cfg.epsilon, wrap_cfg.delta)
-        w = dataset.max_weight
-        if rho <= 0 or w is None:
-            return math.inf
-        if w < 2:
-            return 0.0
-        level_fail = min(max(fail, 1e-12), 1.0 / 3.0) / w
-        p = CcEstimateParams(kappa=rho / (2.0 * w))
-        replicas = 1 if level_fail >= 1.0 / 3.0 else boost_replicas(level_fail)
-        return (w - 1) * replicas * p.sample_count * p.bfs_cap * (p.bfs_cap + 1)
-    return math.inf
-
-
 def run_bench(config: dict) -> int:
     substrate, dataset, wrap_cfg, route = _build_run(config)
     trials = int(config.get("trials", 1))
     seed = int(config.get("seed", 0))
-    budget = _query_budget(config, dataset, wrap_cfg, route)
+    # Only the Laplace route runs randomized substrates, whose query counts
+    # carry a claim.
+    budget = (query_budget(config["substrate"], dataset, laplace_params(wrap_cfg))
+              if route == "laplace" else math.inf)
     per_trial = []
     ok = True
     for t in range(trials):
-        before = dict(substrate.meter)
-        output, _ = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
-        deltas = {k: substrate.meter[k] - before.get(k, 0) for k in substrate.meter}
-        deltas = {k: v for k, v in deltas.items() if v}
-        if deltas.get("queries", 0) > budget:
+        output, trace = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
+        cost = {k: v for k, v in trace.cost.items() if v}
+        if cost.get("queries", 0) > budget:
             ok = False
-        per_trial.append({"trial": t, "output": output, **deltas})
+        per_trial.append({"trial": t, "output": output, **cost})
     _emit(json.dumps({
         "substrate": config["substrate"], "trials": trials,
         "query_budget": None if math.isinf(budget) else budget,

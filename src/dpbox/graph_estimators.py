@@ -19,13 +19,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import Graph, connected_components_exact, kruskal_mst_weight
-from .mechanisms import boost_replicas
+from .mechanisms import median_replicas
 
 __all__ = [
     "QueryGraph",
     "CcEstimateParams",
     "cc_exact",
     "cc_estimate",
+    "mst_level_knobs",
     "mst_weight_exact",
     "mst_weight_estimate",
 ]
@@ -70,28 +71,29 @@ def _plain_graph(g) -> Graph:
 
 @dataclass
 class CcEstimateParams:
-    """Knobs for cc_estimate: additive error kappa*n, base failure <= 1/3.
+    """Knobs for cc_estimate: additive error kappa*n, failure <= 1/3.
 
     kappa is a fraction of n in (0, 1]. sample_count and bfs_cap are derived:
     s = ceil(4/kappa^2) sampled start vertices and a BFS truncation threshold
-    of ceil(2/kappa) discovered vertices. fail_prob is carried for callers
-    that replicate the estimator (median_boost); a single run already achieves
-    failure <= 1/3 by Chebyshev, and nothing here reads fail_prob beyond
-    validation.
+    of ceil(2/kappa) discovered vertices. A single run fails with probability
+    at most 1/3 by Chebyshev; callers that need less take the median of
+    median_replicas(fail_prob) runs.
     """
 
     kappa: float
-    fail_prob: float = 1.0 / 3.0
     sample_count: int = field(init=False)
     bfs_cap: int = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa!r}")
-        if not (0.0 < self.fail_prob < 1.0):
-            raise ValueError(f"fail_prob must lie in (0, 1), got {self.fail_prob!r}")
         self.sample_count = int(math.ceil(4.0 / self.kappa ** 2))
         self.bfs_cap = int(math.ceil(2.0 / self.kappa))
+
+    @property
+    def max_queries(self) -> int:
+        """Worst-case query count of one cc_estimate run: s * cap * (cap + 1)."""
+        return self.sample_count * self.bfs_cap * (self.bfs_cap + 1)
 
 
 def cc_exact(g) -> int:
@@ -137,8 +139,9 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     replacement; for each, a BFS truncated at bfs_cap discovered vertices
     yields c_i = min(|component(u_i)|, bfs_cap). Returns (n/s) * sum(1/c_i),
     which always lies in [n/bfs_cap, n] and satisfies |estimate - C| <= kappa*n
-    with probability >= 2/3 (drive it lower with median_boost). Total query
-    cost is < s * bfs_cap * (bfs_cap + 1) regardless of the graph.
+    with probability >= 2/3 (the median of median_replicas(fail) runs drives
+    it lower). Total query cost is < params.max_queries regardless of the
+    graph.
     """
     qg = _as_query_graph(g)
     if qg.n == 0:
@@ -150,16 +153,23 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     return qg.n * inv_sum / params.sample_count
 
 
+def mst_level_knobs(max_weight: int, alpha: float, fail_prob: float):
+    """Per-level cc_estimate knobs of mst_weight_estimate, and the replica
+    count whose median meets the per-level failure fail_prob/max_weight."""
+    return (CcEstimateParams(kappa=alpha / (2.0 * max_weight)),
+            median_replicas(fail_prob / max_weight))
+
+
 def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     """Estimate MST weight on a connected graph with integer weights in [1, w].
 
     Uses the identity MST = n - w + sum_{i=1}^{w-1} C^(i), where C^(i) counts
     components of the subgraph keeping edges of weight <= i. Each C^(i) is
-    cc_estimate at per-level additive target kappa_i = alpha/(2w), median
-    boosted to per-level failure fail_prob/w, so the total is a (1 +/- alpha)
-    approximation with probability >= 1 - fail_prob. Rejects disconnected
-    inputs and out-of-range weights. w = 1 forces weight n - 1 with no
-    queries.
+    cc_estimate at per-level additive target kappa_i = alpha/(2w), the median
+    of enough runs for per-level failure fail_prob/w (mst_level_knobs), so
+    the total is a (1 +/- alpha) approximation with probability
+    >= 1 - fail_prob. Rejects disconnected inputs and out-of-range weights.
+    w = 1 forces weight n - 1 with no queries.
     """
     qg = _as_query_graph(g)
     graph = qg.graph
@@ -175,10 +185,7 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     n = graph.n
     if w == 1:
         return float(n - 1)
-    level_kappa = alpha / (2.0 * w)
-    level_fail = fail_prob / w
-    replicas = 1 if level_fail >= 1.0 / 3.0 else boost_replicas(level_fail)
-    params = CcEstimateParams(kappa=level_kappa, fail_prob=level_fail)
+    params, replicas = mst_level_knobs(w, alpha, fail_prob)
     total = float(n - w)
     for i in range(1, w):
         sub = QueryGraph(graph.subgraph_weight_at_most(i))

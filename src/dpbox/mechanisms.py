@@ -11,10 +11,11 @@ computed from the substrate's own output:
 
 wrap_laplace adds Laplace(2*bound/epsilon) and tolerates randomized
 substrates at an additive delta cost; wrap_cauchy adds Cauchy(6*bound/epsilon)
-and is pure epsilon-DP but requires a deterministic substrate. median_boost
-shrinks a substrate's failure probability by replication, and to_pure_dp
-post-processes an (epsilon, delta) output onto a finite grid so the overall
-release is pure epsilon-DP.
+and is pure epsilon-DP but requires a deterministic substrate.
+median_replicas is the one rule by which randomized substrates shrink their
+failure probability by replication, and to_pure_dp post-processes an
+(epsilon, delta) output onto a finite grid so the overall release is pure
+epsilon-DP.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import numpy as np
 
 from .noise import sample_cauchy, sample_laplace
 
@@ -36,10 +35,11 @@ __all__ = [
     "tune_rho_laplace",
     "tune_rho_cauchy",
     "smooth_bound",
+    "laplace_params",
     "wrap_laplace",
     "wrap_cauchy",
     "boost_replicas",
-    "median_boost",
+    "median_replicas",
     "pure_dp_fallback_prob",
     "to_pure_dp",
     "theorem_main_bounds",
@@ -116,7 +116,9 @@ class MechanismTrace:
     For tests and audits only: substrate_value carries unnoised information,
     so releasing a trace next to the output voids the privacy guarantee.
     output == substrate_value + noise_draw always holds, and noise_scale is
-    recomputable from (rho, tau, delta_f, substrate_value, epsilon).
+    recomputable from (rho, tau, delta_f, substrate_value, epsilon). cost holds
+    the resource counters of this one substrate call (e.g. {"queries": 123});
+    they depend on the data and are not releasable either.
     """
 
     substrate_value: float
@@ -126,43 +128,32 @@ class MechanismTrace:
     noise_draw: float
     output: float
     clamped: bool = False
+    cost: dict = field(default_factory=dict)
 
 
 class TunableSubstrate:
     """Uniform handle around a tunable approximation algorithm.
 
     fn(dataset, params, rng) must return the estimate, or (estimate, cost)
-    where cost is a dict of resource counters to accumulate into the meter
-    (e.g. {"queries": 123}). Deterministic substrates ignore the rng, have
+    where cost is a dict of the resources that call used (e.g.
+    {"queries": 123}). Deterministic substrates ignore the rng, have
     fail_prob 0 by definition, and must say so via is_deterministic.
     """
 
     def __init__(self, fn: Callable, is_deterministic: bool = False,
-                 base_fail_prob: float = 1.0 / 3.0, label: str = "substrate"):
-        if is_deterministic:
-            base_fail_prob = 0.0
-        if not (0.0 <= base_fail_prob < 1.0):
-            raise ValueError(f"base_fail_prob must lie in [0, 1), got {base_fail_prob!r}")
+                 label: str = "substrate"):
         self.fn = fn
         self.is_deterministic = bool(is_deterministic)
-        self.base_fail_prob = float(base_fail_prob)
         self.label = str(label)
-        self.meter = {"queries": 0, "space_words": 0, "items": 0}
-        self.calls = 0
 
-    def evaluate(self, dataset, params: ApproxParams, rng) -> float:
+    def evaluate(self, dataset, params: ApproxParams, rng):
+        """Run fn once; returns (estimate, cost of this call)."""
         out = self.fn(dataset, params, rng)
-        if isinstance(out, tuple):
-            value, cost = out
-            for key, amount in cost.items():
-                self.meter[key] = self.meter.get(key, 0) + amount
-        else:
-            value = out
-        self.calls += 1
-        return float(value)
+        value, cost = out if isinstance(out, tuple) else (out, {})
+        return float(value), cost
 
     def __repr__(self):
-        det = "deterministic" if self.is_deterministic else f"fail<={self.base_fail_prob:g}"
+        det = "deterministic" if self.is_deterministic else "randomized"
         return f"TunableSubstrate({self.label}, {det})"
 
 
@@ -205,7 +196,8 @@ def smooth_bound(x: float, rho: float, tau: float, delta_f: float) -> float:
     return 4.0 * rho * x + 4.0 * tau + delta_f
 
 
-def _noised(value: float, rho: float, tau: float, cfg: WrapConfig, rng, route: str):
+def _noised(value: float, cost: dict, rho: float, tau: float, cfg: WrapConfig, rng,
+            route: str):
     if not math.isfinite(value):
         raise ValueError(f"substrate returned a non-finite value: {value!r}")
     # Substrate outputs are clamped at 0 from below before noising; the target
@@ -221,16 +213,23 @@ def _noised(value: float, rho: float, tau: float, cfg: WrapConfig, rng, route: s
         draw = sample_cauchy(scale, rng)
     output = x + draw
     trace = MechanismTrace(substrate_value=x, rho=rho, tau=tau, noise_scale=scale,
-                           noise_draw=draw, output=output, clamped=clamped)
+                           noise_draw=draw, output=output, clamped=clamped, cost=cost)
     return output, trace
+
+
+def laplace_params(cfg: WrapConfig) -> ApproxParams:
+    """The request wrap_laplace hands its substrate: ApproxParams(rho, tau,
+    cfg.delta/2) with rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
+    and tau = cfg.tau()."""
+    rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
+    return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=cfg.delta / 2.0)
 
 
 def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     """Release the substrate's value plus Laplace noise calibrated to it.
 
-    Tunes rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta) and
-    tau = cfg.tau(), invokes the substrate exactly once with
-    ApproxParams(rho, tau, cfg.delta/2), and returns
+    Invokes the substrate exactly once with params = laplace_params(cfg),
+    rho = params.alpha and tau = params.kappa, and returns
 
         x + Laplace(2 * (4*rho*x + 4*tau + delta_f) / epsilon)
 
@@ -238,11 +237,9 @@ def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
     trace is for testing only and must not be released.
     """
-    rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
-    tau = cfg.tau()
-    params = ApproxParams(alpha=rho, kappa=tau, fail_prob=cfg.delta / 2.0)
-    value = substrate.evaluate(dataset, params, rng)
-    return _noised(value, rho, tau, cfg, rng, route="laplace")
+    params = laplace_params(cfg)
+    value, cost = substrate.evaluate(dataset, params, rng)
+    return _noised(value, cost, params.alpha, params.kappa, cfg, rng, route="laplace")
 
 
 def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -260,8 +257,8 @@ def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon)
     tau = cfg.tau()
     params = ApproxParams(alpha=rho, kappa=tau, fail_prob=0.0)
-    value = substrate.evaluate(dataset, params, rng)
-    return _noised(value, rho, tau, cfg, rng, route="cauchy")
+    value, cost = substrate.evaluate(dataset, params, rng)
+    return _noised(value, cost, rho, tau, cfg, rng, route="cauchy")
 
 
 def boost_replicas(target_fail: float) -> int:
@@ -275,35 +272,11 @@ def boost_replicas(target_fail: float) -> int:
     return int(math.ceil(18.0 * math.log(2.0 / target_fail)))
 
 
-def median_boost(substrate: TunableSubstrate, target_fail: float) -> TunableSubstrate:
-    """Replicate a substrate and take the median to shrink its failure probability.
-
-    Runs r = boost_replicas(target_fail) independent copies per evaluate and
-    outputs their median, so the boosted failure probability is at most
-    target_fail whenever the base failure probability is at most 1/3. Returns
-    the substrate unchanged when target_fail already >= its failure
-    probability. The boosted handle shares the inner meter, so resource
-    counters accumulate r-fold per call.
-    """
-    if not (0.0 < target_fail < 1.0):
-        raise ValueError(f"target_fail must lie in (0, 1), got {target_fail!r}")
-    if substrate.base_fail_prob > 1.0 / 3.0 + 1e-12:
-        raise ValueError(
-            f"median boosting needs base fail_prob <= 1/3, got {substrate.base_fail_prob!r}")
-    if target_fail >= substrate.base_fail_prob:
-        return substrate
-    r = boost_replicas(target_fail)
-
-    def boosted_fn(dataset, params, rng):
-        vals = [substrate.evaluate(dataset, params, rng) for _ in range(r)]
-        return float(np.median(vals))
-
-    boosted = TunableSubstrate(boosted_fn, is_deterministic=False,
-                               base_fail_prob=target_fail,
-                               label=f"median{r}x:{substrate.label}")
-    boosted.meter = substrate.meter
-    boosted.replicas = r
-    return boosted
+def median_replicas(fail_prob: float) -> int:
+    """How many runs of a substrate that fails with probability at most 1/3
+    the median needs to fail with probability at most fail_prob: one run when
+    fail_prob >= 1/3, else boost_replicas(fail_prob)."""
+    return 1 if fail_prob >= 1.0 / 3.0 else boost_replicas(fail_prob)
 
 
 @dataclass

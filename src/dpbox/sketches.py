@@ -25,11 +25,7 @@ from .streams import UpdateStream
 
 __all__ = [
     "AmsSketch",
-    "ams_update",
-    "ams_estimate",
     "KmvSketch",
-    "kmv_update",
-    "kmv_estimate",
 ]
 
 # Signs come from degree-3 polynomials over the Mersenne prime 2^31 - 1,
@@ -134,14 +130,6 @@ class AmsSketch:
         return float(np.median(row_means))
 
 
-def ams_update(sk: AmsSketch, item: int, delta: int):
-    sk.update(item, delta)
-
-
-def ams_estimate(sk: AmsSketch) -> float:
-    return sk.estimate()
-
-
 # splitmix64 finalizer; uint64 in, uint64 out, all arithmetic mod 2^64.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -235,11 +223,3 @@ class KmvSketch:
 
     def estimate(self) -> float:
         return float(statistics.median(self.copy_estimate(r) for r in range(self.reps)))
-
-
-def kmv_update(sk: KmvSketch, item: int):
-    sk.update(item)
-
-
-def kmv_estimate(sk: KmvSketch) -> float:
-    return sk.estimate()

@@ -1,26 +1,33 @@
 """Named substrates: tunable estimators packaged for the privacy wrappers.
 
-Each maker returns a TunableSubstrate whose fn translates the wrapper's
-ApproxParams into the estimator's own knobs and reports resource costs into
-the meter. Additive targets (ApproxParams.kappa) are in absolute output
-units throughout; the component-count substrate divides by n internally to
-reach the estimator's fractional knob.
-
-The registry at the bottom maps substrate names to (dataset kind, maker,
-exact oracle); exact oracles back the coverage harness and tests.
+Each substrate is described once, by its entry in the registry at the
+bottom: the dataset kind its loader reads, its evaluate function and whether
+it is deterministic, the exact oracle of the quantity it estimates, its
+default global sensitivity delta_f, and, for the sublinear graph estimators,
+the worst-case query count of one evaluation. evaluate(dataset, params, rng,
+config) translates the wrapper's ApproxParams into the estimator's own knobs
+and returns (estimate, cost), cost counting what that one call used.
+Additive targets (ApproxParams.kappa) are in absolute output units
+throughout; the component-count substrate divides by n internally to reach
+the estimator's fractional knob. Exact oracles back the coverage harness,
+the tests and the sketches' alpha = 0 answers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate,
-                               cc_exact, mst_weight_estimate, mst_weight_exact)
+from .graph_estimators import (CcEstimateParams, _as_query_graph, cc_estimate,
+                               cc_exact, mst_level_knobs, mst_weight_estimate,
+                               mst_weight_exact)
 from .knapsack import knapsack_exact, knapsack_fptas
-from .mechanisms import ApproxParams, TunableSubstrate, boost_replicas
+from .mechanisms import ApproxParams, TunableSubstrate, median_replicas
 from .sketches import AmsSketch, KmvSketch
-from .streams import exact_distinct, exact_f2, exact_l2
+from .streams import exact_distinct, exact_l2
 from .windows import smooth_histogram_distinct
 
 __all__ = [
@@ -28,200 +35,232 @@ __all__ = [
     "make_substrate",
     "dataset_kind",
     "exact_value",
+    "default_delta_f",
+    "query_budget",
 ]
 
 
-def _as_query_graph(dataset) -> QueryGraph:
-    return dataset if isinstance(dataset, QueryGraph) else QueryGraph(dataset)
+# Exact oracles: (dataset, config) -> the true value.
+
+def _component_count(graph, config) -> float:
+    return float(cc_exact(graph))
 
 
-def substrate_cc_exact() -> TunableSubstrate:
-    """Exact component count as a zero-error deterministic substrate."""
-
-    def fn(dataset, params: ApproxParams, rng):
-        return float(cc_exact(dataset))
-
-    return TunableSubstrate(fn, is_deterministic=True, label="cc_exact")
+def _mst_weight(graph, config) -> float:
+    return float(mst_weight_exact(graph))
 
 
-def substrate_cc_estimate() -> TunableSubstrate:
-    """Sublinear component count honoring an absolute additive budget.
-
-    params.kappa is the absolute additive target; it is converted to the
-    estimator's fraction-of-n knob (capped at 1), and a median over
-    boost_replicas(params.fail_prob) runs drives the failure probability
-    down from the single-run 1/3. Queries are metered.
-    """
-
-    def fn(dataset, params: ApproxParams, rng):
-        qg = _as_query_graph(dataset)
-        if params.kappa <= 0.0:
-            raise ValueError("cc_estimate needs a positive additive budget kappa")
-        frac = min(params.kappa / qg.n, 1.0)
-        cc_params = CcEstimateParams(kappa=frac)
-        replicas = 1 if params.fail_prob >= 1.0 / 3.0 else boost_replicas(params.fail_prob)
-        before = qg.queries
-        vals = [cc_estimate(qg, cc_params, rng) for _ in range(replicas)]
-        return statistics.median(vals), {"queries": qg.queries - before}
-
-    return TunableSubstrate(fn, base_fail_prob=1.0 / 3.0, label="cc_estimate")
+def _knapsack_optimum(instance, config) -> float:
+    return knapsack_exact(instance)
 
 
-def substrate_mst_exact() -> TunableSubstrate:
-    def fn(dataset, params: ApproxParams, rng):
-        return float(mst_weight_exact(dataset))
-
-    return TunableSubstrate(fn, is_deterministic=True, label="mst_exact")
+def _l2_norm(stream, config) -> float:
+    return exact_l2(stream)
 
 
-def substrate_mst_estimate() -> TunableSubstrate:
-    """Sublinear MST weight; multiplicative only, so params.kappa is slack."""
-
-    def fn(dataset, params: ApproxParams, rng):
-        qg = _as_query_graph(dataset)
-        if params.alpha <= 0.0:
-            raise ValueError("mst_weight_estimate needs a positive alpha")
-        fail = min(max(params.fail_prob, 1e-12), 1.0 / 3.0)
-        before = qg.queries
-        value = mst_weight_estimate(qg, params.alpha, fail, rng)
-        return value, {"queries": qg.queries - before}
-
-    return TunableSubstrate(fn, base_fail_prob=1.0 / 3.0, label="mst_estimate")
+def _distinct_count(stream, config) -> float:
+    return float(exact_distinct(stream))
 
 
-def substrate_knapsack() -> TunableSubstrate:
+def _window_distinct_count(stream, config) -> float:
+    return float(len(set(stream.items()[-int(config["window"]):])))
+
+
+def _recount(stream, config, oracle):
+    """An exact stream answer, metering the updates read."""
+    return oracle(stream, config), {"items": stream.length}
+
+
+def _clamped_fail(params: ApproxParams) -> float:
+    return min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
+
+
+# Evaluate functions: (dataset, params, rng, config) -> estimate or (estimate, cost).
+
+def _cc_exact(graph, params, rng, config):
+    return _component_count(graph, config)
+
+
+def _cc_knobs(n: int, params: ApproxParams):
+    """cc_estimate's knobs for the absolute additive target params.kappa on n
+    vertices (as a fraction of n, capped at 1), and the replica count whose
+    median meets params.fail_prob."""
+    return (CcEstimateParams(kappa=min(params.kappa / n, 1.0)),
+            median_replicas(params.fail_prob))
+
+
+def _cc_estimate(graph, params, rng, config):
+    qg = _as_query_graph(graph)
+    if params.kappa <= 0.0:
+        raise ValueError("cc_estimate needs a positive additive budget kappa")
+    cc_params, replicas = _cc_knobs(qg.n, params)
+    before = qg.queries
+    vals = [cc_estimate(qg, cc_params, rng) for _ in range(replicas)]
+    return statistics.median(vals), {"queries": qg.queries - before}
+
+
+def _cc_estimate_queries(graph, params) -> float:
+    if params.kappa <= 0.0:
+        return math.inf
+    cc_params, replicas = _cc_knobs(graph.n, params)
+    return replicas * cc_params.max_queries
+
+
+def _mst_exact(graph, params, rng, config):
+    return _mst_weight(graph, config)
+
+
+def _mst_fail(params: ApproxParams) -> float:
+    return min(max(params.fail_prob, 1e-12), 1.0 / 3.0)
+
+
+def _mst_estimate(graph, params, rng, config):
+    """Multiplicative only, so params.kappa is slack."""
+    qg = _as_query_graph(graph)
+    if params.alpha <= 0.0:
+        raise ValueError("mst_weight_estimate needs a positive alpha")
+    before = qg.queries
+    value = mst_weight_estimate(qg, params.alpha, _mst_fail(params), rng)
+    return value, {"queries": qg.queries - before}
+
+
+def _mst_estimate_queries(graph, params) -> float:
+    w = graph.max_weight
+    if params.alpha <= 0.0 or w is None:
+        return math.inf
+    if w < 2:
+        return 0.0
+    level_params, replicas = mst_level_knobs(w, params.alpha, _mst_fail(params))
+    return (w - 1) * replicas * level_params.max_queries
+
+
+def _knapsack(instance, params, rng, config):
     """Profit-scaling FPTAS; deterministic, hence Cauchy-route eligible."""
-
-    def fn(dataset, params: ApproxParams, rng):
-        return knapsack_fptas(dataset, params.alpha)
-
-    return TunableSubstrate(fn, is_deterministic=True, label="knapsack_fptas")
+    return knapsack_fptas(instance, params.alpha)
 
 
-def substrate_l2_exact() -> TunableSubstrate:
-    def fn(dataset, params: ApproxParams, rng):
-        return exact_l2(dataset), {"items": dataset.length}
-
-    return TunableSubstrate(fn, is_deterministic=True, label="l2_exact")
+def _l2_exact(stream, params, rng, config):
+    return _recount(stream, config, _l2_norm)
 
 
-def substrate_l2_ams() -> TunableSubstrate:
+def _l2_ams(stream, params, rng, config):
     """L2 norm via an AMS second-moment sketch.
 
     A (1 +/- alpha') factor on F2 becomes (1 +/- alpha) on its square root
     when alpha' = 2*alpha - alpha^2, with equality on the low side, so the
-    sketch is sized at that widened target. alpha = 0 falls back to the exact
-    recount.
+    sketch is sized at that widened target.
     """
-
-    def fn(dataset, params: ApproxParams, rng):
-        if params.alpha == 0.0:
-            return exact_l2(dataset), {"items": dataset.length}
-        alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
-        fail = min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
-        sk = AmsSketch.from_accuracy(alpha_f2, fail, dataset.universe_size, rng)
-        sk.consume(dataset)
-        return math.sqrt(max(sk.estimate(), 0.0)), \
-            {"space_words": sk.space_words, "items": dataset.length}
-
-    return TunableSubstrate(fn, base_fail_prob=1.0 / 3.0, label="l2_ams")
+    if params.alpha == 0.0:
+        return _recount(stream, config, _l2_norm)
+    alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
+    sk = AmsSketch.from_accuracy(alpha_f2, _clamped_fail(params), stream.universe_size, rng)
+    sk.consume(stream)
+    return math.sqrt(max(sk.estimate(), 0.0)), \
+        {"space_words": sk.space_words, "items": stream.length}
 
 
-def substrate_f0_exact() -> TunableSubstrate:
-    def fn(dataset, params: ApproxParams, rng):
-        return float(exact_distinct(dataset)), {"items": dataset.length}
-
-    return TunableSubstrate(fn, is_deterministic=True, label="f0_exact")
+def _f0_exact(stream, params, rng, config):
+    return _recount(stream, config, _distinct_count)
 
 
-def substrate_f0_kmv() -> TunableSubstrate:
+def _f0_kmv(stream, params, rng, config):
     """Distinct count via KMV; insertion-only streams."""
-
-    def fn(dataset, params: ApproxParams, rng):
-        if params.alpha == 0.0:
-            return float(exact_distinct(dataset)), {"items": dataset.length}
-        fail = min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
-        sk = KmvSketch.from_accuracy(params.alpha, fail, rng)
-        sk.consume(dataset)
-        return sk.estimate(), {"space_words": sk.space_words, "items": dataset.length}
-
-    return TunableSubstrate(fn, base_fail_prob=1.0 / 3.0, label="f0_kmv")
+    if params.alpha == 0.0:
+        return _recount(stream, config, _distinct_count)
+    sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
+    sk.consume(stream)
+    return sk.estimate(), {"space_words": sk.space_words, "items": stream.length}
 
 
-def substrate_sw_de(window: int) -> TunableSubstrate:
-    """Distinct count over the last `window` updates via a smooth histogram.
+def _sw_de(stream, params, rng, config):
+    """Distinct count over the last config["window"] updates via a smooth histogram.
 
     The end-to-end relative target params.alpha is split three ways:
     histogram rho = sketch alpha = alpha/3, leaving
-    rho + alpha + rho*alpha <= 7*alpha/9 of slack used. alpha = 0 answers by
-    brute-force recount of the window.
+    rho + alpha + rho*alpha <= 7*alpha/9 of slack used.
     """
-
-    def fn(dataset, params: ApproxParams, rng):
-        if dataset.mode != "insert":
-            raise ValueError("sliding-window distinct count needs an insertion-only stream")
-        items = dataset.items()
-        if params.alpha == 0.0:
-            return float(len(set(items[-window:]))), {"items": dataset.length}
-        third = params.alpha / 3.0
-        fail = min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
-        hist = smooth_histogram_distinct(window, third, third, fail, rng)
-        for item in items:
-            hist.update(item)
-        space = sum(hist.family.sketch_at(i).space_words
-                    for i in range(hist.instance_count()))
-        return hist.query(), {"space_words": space, "items": dataset.length}
-
-    return TunableSubstrate(fn, base_fail_prob=1.0 / 3.0, label="sw_de")
+    window = int(config["window"])
+    if stream.mode != "insert":
+        raise ValueError("sliding-window distinct count needs an insertion-only stream")
+    if params.alpha == 0.0:
+        return _recount(stream, config, _window_distinct_count)
+    third = params.alpha / 3.0
+    hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
+    for item in stream.items():
+        hist.update(item)
+    space = sum(hist.family.sketch_at(i).space_words
+                for i in range(hist.instance_count()))
+    return hist.query(), {"space_words": space, "items": stream.length}
 
 
-def _window_distinct_exact(stream, window: int) -> float:
-    return float(len(set(stream.items()[-window:])))
+def _two(dataset) -> float:
+    return 2.0
 
 
-# name -> (dataset kind, maker(config) -> substrate, exact(dataset, config) -> value)
+def _max_weight(graph) -> Optional[float]:
+    return None if graph.max_weight is None else float(graph.max_weight)
+
+
+@dataclass(frozen=True)
+class _Entry:
+    kind: str                   # which loader reads the dataset: graph, stream, knapsack
+    evaluate: Callable          # (dataset, params, rng, config) -> estimate[, cost]
+    is_deterministic: bool
+    exact: Callable             # (dataset, config) -> true value
+    delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
+    max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
+
+
 _REGISTRY = {
-    "cc_exact": ("graph", lambda cfg: substrate_cc_exact(),
-                 lambda d, cfg: float(cc_exact(d))),
-    "cc_estimate": ("graph", lambda cfg: substrate_cc_estimate(),
-                    lambda d, cfg: float(cc_exact(d))),
-    "mst_exact": ("graph", lambda cfg: substrate_mst_exact(),
-                  lambda d, cfg: float(mst_weight_exact(d))),
-    "mst_estimate": ("graph", lambda cfg: substrate_mst_estimate(),
-                     lambda d, cfg: float(mst_weight_exact(d))),
-    "knapsack": ("knapsack", lambda cfg: substrate_knapsack(),
-                 lambda d, cfg: knapsack_exact(d)),
-    "l2_exact": ("stream", lambda cfg: substrate_l2_exact(),
-                 lambda d, cfg: exact_l2(d)),
-    "l2_ams": ("stream", lambda cfg: substrate_l2_ams(),
-               lambda d, cfg: exact_l2(d)),
-    "f0_exact": ("stream", lambda cfg: substrate_f0_exact(),
-                 lambda d, cfg: float(exact_distinct(d))),
-    "f0_kmv": ("stream", lambda cfg: substrate_f0_kmv(),
-               lambda d, cfg: float(exact_distinct(d))),
-    "sw_de": ("stream", lambda cfg: substrate_sw_de(int(cfg["window"])),
-              lambda d, cfg: _window_distinct_exact(d, int(cfg["window"]))),
+    "cc_exact": _Entry("graph", _cc_exact, True, _component_count, _two),
+    "cc_estimate": _Entry("graph", _cc_estimate, False, _component_count, _two,
+                          _cc_estimate_queries),
+    "mst_exact": _Entry("graph", _mst_exact, True, _mst_weight, _max_weight),
+    "mst_estimate": _Entry("graph", _mst_estimate, False, _mst_weight, _max_weight,
+                           _mst_estimate_queries),
+    "knapsack": _Entry("knapsack", _knapsack, True, _knapsack_optimum, None),
+    "l2_exact": _Entry("stream", _l2_exact, True, _l2_norm, _two),
+    "l2_ams": _Entry("stream", _l2_ams, False, _l2_norm, _two),
+    "f0_exact": _Entry("stream", _f0_exact, True, _distinct_count, _two),
+    "f0_kmv": _Entry("stream", _f0_kmv, False, _distinct_count, _two),
+    "sw_de": _Entry("stream", _sw_de, False, _window_distinct_count, _two),
 }
 
 SUBSTRATE_NAMES = tuple(sorted(_REGISTRY))
 
 
-def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
-    """Build a registered substrate; config supplies extras (e.g. window)."""
+def _entry(name: str) -> _Entry:
     if name not in _REGISTRY:
         raise ValueError(f"unknown substrate {name!r}; known: {', '.join(SUBSTRATE_NAMES)}")
-    return _REGISTRY[name][1](config or {})
+    return _REGISTRY[name]
+
+
+def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
+    """Build a registered substrate; config supplies extras (e.g. window)."""
+    entry = _entry(name)
+    fn = functools.partial(entry.evaluate, config=config or {})
+    return TunableSubstrate(fn, is_deterministic=entry.is_deterministic, label=name)
 
 
 def dataset_kind(name: str) -> str:
     """Which loader the substrate's dataset needs: graph, stream, or knapsack."""
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown substrate {name!r}; known: {', '.join(SUBSTRATE_NAMES)}")
-    return _REGISTRY[name][0]
+    return _entry(name).kind
 
 
 def exact_value(name: str, dataset, config: dict = None) -> float:
     """Ground-truth value of the quantity the named substrate estimates."""
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown substrate {name!r}; known: {', '.join(SUBSTRATE_NAMES)}")
-    return _REGISTRY[name][2](dataset, config or {})
+    return _entry(name).exact(dataset, config or {})
+
+
+def default_delta_f(name: str, dataset) -> Optional[float]:
+    """The substrate's default global sensitivity on dataset; None when it has none."""
+    delta_f = _entry(name).delta_f
+    return None if delta_f is None else delta_f(dataset)
+
+
+def query_budget(name: str, dataset, params: ApproxParams) -> float:
+    """Worst-case query count of one evaluation at params, computed by the
+    same knob translation the evaluation uses; math.inf for substrates
+    without a query-count claim."""
+    max_queries = _entry(name).max_queries
+    return math.inf if max_queries is None else max_queries(dataset, params)

@@ -32,8 +32,6 @@ __all__ = [
     "F2ExactFamily",
     "SketchFamily",
     "SmoothHistogram",
-    "sh_update",
-    "sh_query",
     "smooth_histogram_distinct",
     "smooth_histogram_f2",
 ]
@@ -237,14 +235,6 @@ class SmoothHistogram:
         if idx >= len(self.starts):
             idx = len(self.starts) - 1
         return float(self.family.estimates()[idx])
-
-
-def sh_update(h: SmoothHistogram, item: int):
-    h.update(item)
-
-
-def sh_query(h: SmoothHistogram) -> float:
-    return h.query()
 
 
 def smooth_histogram_distinct(window: int, rho: float, sketch_alpha: float,

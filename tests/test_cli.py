@@ -228,3 +228,50 @@ def test_bench_without_query_claim_has_null_budget(tmp_path):
     assert payload["query_budget"] is None
     assert payload["within_budget"] is True
     assert len(payload["per_trial"]) == 2
+
+
+def _debug_rows(text):
+    header, *rows = text.strip().split("\n")
+    assert header == "trial,substrate_value,output,noise_scale,rho,tau"
+    return [[float(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("substrate,path,delta_f", [
+    ("mst_exact", "data/demo_mst.graph", 3.0),
+    ("f0_exact", "data/demo_stream_insert.txt", 2.0),
+])
+def test_default_delta_f_sets_the_noise_scale(tmp_path, substrate, path, delta_f):
+    # Without a delta_f key the substrate's default sensitivity applies: the
+    # declared weight bound w = 3 for MST weight, 2 for a count.
+    cfg = write_config(tmp_path, {
+        "substrate": substrate, "input": path, "epsilon": 1.0, "delta": 0.01,
+        "alpha": 0.5, "kappa": 1.0, "gamma": 3.0, "trials": 3,
+    })
+    out = tmp_path / "trace.csv"
+    assert main(["wrap", "--config", cfg, "--debug-trace", "--out", str(out)]) == 0
+    for _, x, _, scale, rho, tau in _debug_rows(out.read_text()):
+        assert scale == pytest.approx(2.0 * (4.0 * rho * x + 4.0 * tau + delta_f) / 1.0)
+
+
+def test_knapsack_without_delta_f_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "substrate": "knapsack", "input": "data/demo_knapsack.txt",
+        "epsilon": 1.0, "alpha": 0.1,
+    })
+    assert main(["wrap", "--config", cfg]) == 2
+    assert "delta_f" in capsys.readouterr().err
+
+
+def test_bench_mst_estimate_query_budget(tmp_path):
+    cfg = write_config(tmp_path, {
+        "substrate": "mst_estimate", "input": "data/demo_mst.graph",
+        "epsilon": 10.0, "delta": 0.5, "alpha": 0.9, "gamma": 1.0, "trials": 1,
+    })
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    # rho = 10*0.9/(12 ln 8) and w = 3 give per-level kappa rho/6: 1107 scans
+    # capped at 34, 58 replicas for level failure (0.5/2)/3, over w - 1 = 2 levels.
+    assert payload["query_budget"] == 2 * 58 * 1107 * 34 * 35
+    assert payload["within_budget"] is True
+    assert 0 < payload["per_trial"][0]["queries"] <= payload["query_budget"]

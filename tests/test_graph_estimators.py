@@ -143,11 +143,10 @@ def test_cc_params_validation():
         CcEstimateParams(kappa=0.0)
     with pytest.raises(ValueError):
         CcEstimateParams(kappa=1.5)
-    with pytest.raises(ValueError):
-        CcEstimateParams(kappa=0.5, fail_prob=0.0)
     p = CcEstimateParams(kappa=0.1)
     assert p.sample_count == 400
     assert p.bfs_cap == 20
+    assert p.max_queries == 400 * 20 * 21
 
 
 # ---------------------------------------------------------------- mst

@@ -5,7 +5,7 @@ import pytest
 
 from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
                               TunableSubstrate, WrapConfig, boost_replicas,
-                              lemma_fptas_bounds, median_boost,
+                              lemma_fptas_bounds, median_replicas,
                               pure_dp_fallback_prob, smooth_bound,
                               theorem_main_bounds, to_pure_dp,
                               tune_rho_cauchy, tune_rho_laplace, wrap_cauchy,
@@ -183,16 +183,21 @@ def test_nonfinite_substrate_output_raises():
         wrap_laplace(const_substrate(math.inf), None, cfg, make_rng(4))
 
 
-def test_substrate_meter_and_cost_dicts():
+def test_substrate_returns_its_call_cost():
     def fn(dataset, params, rng):
-        return 2.0, {"queries": 7, "space_words": 3}
+        return 2, {"queries": 7, "space_words": 3}
 
     sub = TunableSubstrate(fn)
-    sub.evaluate(None, ApproxParams(0.1, 0.0, 0.1), make_rng(0))
-    sub.evaluate(None, ApproxParams(0.1, 0.0, 0.1), make_rng(0))
-    assert sub.meter["queries"] == 14
-    assert sub.meter["space_words"] == 6
-    assert sub.calls == 2
+    params = ApproxParams(0.1, 0.0, 0.1)
+    assert sub.evaluate(None, params, make_rng(0)) == (2.0, {"queries": 7, "space_words": 3})
+    # Each call reports its own cost; nothing accumulates on the handle.
+    assert sub.evaluate(None, params, make_rng(0))[1] == {"queries": 7, "space_words": 3}
+    assert const_substrate(5.0).evaluate(None, params, make_rng(0)) == (5.0, {})
+    cfg = WrapConfig(epsilon=1.0, delta=0.01, alpha=0.5, kappa=0.0, delta_f=1.0, gamma=2.0)
+    _, trace = wrap_laplace(sub, None, cfg, make_rng(1))
+    assert trace.cost == {"queries": 7, "space_words": 3}
+    _, trace = wrap_cauchy(const_substrate(5.0), None, cfg, make_rng(1))
+    assert trace.cost == {}
 
 
 # ---------------------------------------------------------------- boosting
@@ -210,35 +215,14 @@ def test_boost_replicas_values():
         boost_replicas(1.0)
 
 
-def test_median_boost_returns_unchanged_when_target_loose():
-    sub = TunableSubstrate(lambda d, p, r: 1.0, base_fail_prob=0.2)
-    assert median_boost(sub, 0.5) is sub
-    assert median_boost(sub, 0.2) is sub
-
-
-def test_median_boost_rejects_weak_base():
-    weak = TunableSubstrate(lambda d, p, r: 1.0, base_fail_prob=0.4)
+def test_median_replicas_rule():
+    # A single run already fails with probability <= 1/3.
+    assert median_replicas(0.9) == 1
+    assert median_replicas(1.0 / 3.0) == 1
+    assert median_replicas(0.05) == boost_replicas(0.05) == 67
+    assert median_replicas(0.005) == 108
     with pytest.raises(ValueError):
-        median_boost(weak, 0.1)
-
-
-def test_median_boost_takes_median_and_shares_meter():
-    calls = {"i": 0}
-
-    def fn(dataset, params, rng):
-        calls["i"] += 1
-        return float(calls["i"]), {"queries": 1}
-
-    sub = TunableSubstrate(fn, base_fail_prob=1.0 / 3.0)
-    boosted = median_boost(sub, 0.05)
-    r = boosted.replicas
-    assert r == 67
-    out = boosted.evaluate(None, ApproxParams(0.1, 0.0, 0.05), make_rng(0))
-    # The inner runs returned 1..r; their median is (r+1)/2.
-    assert out == pytest.approx((r + 1) / 2.0)
-    assert boosted.meter is sub.meter
-    assert sub.meter["queries"] == r
-    assert boosted.base_fail_prob == 0.05
+        median_replicas(0.0)
 
 
 # ---------------------------------------------------------------- pure-DP grid

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dpbox.noise import make_rng
-from dpbox.sketches import (AmsSketch, KmvSketch, ams_estimate, ams_update,
-                            kmv_estimate, kmv_update)
+from dpbox.sketches import AmsSketch, KmvSketch
 from dpbox.streams import UpdateStream, exact_distinct, exact_f2
 from helpers import random_stream
 
@@ -116,8 +115,9 @@ def test_ams_accuracy_on_random_stream():
 
 def test_ams_wrappers():
     sk = AmsSketch(4, 4, 10, make_rng(11))
-    ams_update(sk, 3, 1)
-    assert ams_estimate(sk) == sk.estimate()
+    sk.update(3, 1)
+    # Every counter holds +/-1 after one unit update, so F2 reads exactly 1.
+    assert sk.estimate() == 1.0
 
 
 # ---------------------------------------------------------------- KMV
@@ -214,5 +214,5 @@ def test_kmv_hash_deterministic_in_salt():
 
 def test_kmv_wrappers():
     sk = KmvSketch(k=4, reps=3, rng=make_rng(23))
-    kmv_update(sk, 9)
-    assert kmv_estimate(sk) == sk.estimate() == 1.0
+    sk.update(9)
+    assert sk.estimate() == 1.0

@@ -1,5 +1,9 @@
+import math
+import statistics
+
 import pytest
 
+from dpbox.graph_estimators import CcEstimateParams, QueryGraph, cc_estimate
 from dpbox.graphs import load_graph
 from dpbox.knapsack import knapsack_exact, load_knapsack
 from dpbox.mechanisms import ApproxParams, WrapConfig, wrap_cauchy
@@ -8,8 +12,10 @@ from dpbox.streams import exact_distinct, exact_l2, load_stream
 from dpbox.substrates import (
     SUBSTRATE_NAMES,
     dataset_kind,
+    default_delta_f,
     exact_value,
     make_substrate,
+    query_budget,
 )
 
 PARAMS = ApproxParams(alpha=0.3, kappa=0.0, fail_prob=1 / 3)
@@ -72,39 +78,41 @@ def test_dataset_kinds():
 def test_cc_exact_substrate(demo_cc):
     sub = make_substrate("cc_exact")
     assert sub.is_deterministic
-    value = sub.evaluate(demo_cc, PARAMS, make_rng(0))
-    assert value == 3.0
-    assert sub.calls == 1
+    assert sub.evaluate(demo_cc, PARAMS, make_rng(0)) == (3.0, {})
 
 
 def test_cc_estimate_substrate_uses_kappa(demo_cc):
     sub = make_substrate("cc_estimate")
     assert not sub.is_deterministic
     params = ApproxParams(alpha=0.0, kappa=6.0, fail_prob=1 / 3)
-    value = sub.evaluate(demo_cc, params, make_rng(3))
+    value, cost = sub.evaluate(demo_cc, params, make_rng(3))
     assert 0.0 < value <= demo_cc.n
-    assert sub.meter["queries"] > 0
+    assert cost["queries"] > 0
     with pytest.raises(ValueError):
         sub.evaluate(demo_cc, ApproxParams(0.0, 0.0, 1 / 3), make_rng(0))
 
 
 def test_cc_estimate_boosts_on_small_fail_prob(demo_cc):
-    relaxed = make_substrate("cc_estimate")
-    relaxed.evaluate(demo_cc, ApproxParams(0.0, 6.0, 1 / 3), make_rng(5))
-    boosted = make_substrate("cc_estimate")
-    boosted.evaluate(demo_cc, ApproxParams(0.0, 6.0, 0.05), make_rng(5))
-    # 0.05 needs 67 replicas, so the probe meter grows accordingly.
-    assert boosted.meter["queries"] >= 50 * relaxed.meter["queries"]
+    sub = make_substrate("cc_estimate")
+    _, relaxed = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 1 / 3), make_rng(5))
+    value, boosted = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 0.05), make_rng(5))
+    # 0.05 needs 67 replicas, so the probe count grows accordingly.
+    assert boosted["queries"] >= 50 * relaxed["queries"]
+    # The value is the median of 67 runs at kappa 6/12 drawn from the same rng.
+    rng = make_rng(5)
+    runs = [cc_estimate(QueryGraph(demo_cc), CcEstimateParams(kappa=0.5), rng)
+            for _ in range(67)]
+    assert value == statistics.median(runs)
 
 
 def test_mst_substrates(demo_mst):
     exact = make_substrate("mst_exact")
-    assert exact.evaluate(demo_mst, PARAMS, make_rng(0)) == 10.0
+    assert exact.evaluate(demo_mst, PARAMS, make_rng(0)) == (10.0, {})
     est = make_substrate("mst_estimate")
     truth = 10.0
-    value = est.evaluate(demo_mst, ApproxParams(0.5, 0.0, 0.7), make_rng(2))
+    value, cost = est.evaluate(demo_mst, ApproxParams(0.5, 0.0, 0.7), make_rng(2))
     assert abs(value - truth) <= 0.5 * truth
-    assert est.meter["queries"] > 0
+    assert cost["queries"] > 0
     with pytest.raises(ValueError):
         est.evaluate(demo_mst, ApproxParams(0.0, 0.0, 0.7), make_rng(0))
 
@@ -113,36 +121,38 @@ def test_knapsack_substrate(demo_knapsack):
     sub = make_substrate("knapsack")
     assert sub.is_deterministic
     opt = knapsack_exact(demo_knapsack)
-    value = sub.evaluate(demo_knapsack, ApproxParams(0.1, 0.0, 1 / 3),
-                         make_rng(0))
+    value, _ = sub.evaluate(demo_knapsack, ApproxParams(0.1, 0.0, 1 / 3),
+                            make_rng(0))
     assert (1 - 0.1) * opt <= value <= opt
 
 
 def test_l2_substrates(demo_turnstile):
     truth = exact_l2(demo_turnstile)
     exact = make_substrate("l2_exact")
-    assert exact.evaluate(demo_turnstile, PARAMS, make_rng(0)) == truth
+    items = {"items": demo_turnstile.length}
+    assert exact.evaluate(demo_turnstile, PARAMS, make_rng(0)) == (truth, items)
     sketched = make_substrate("l2_ams")
-    value = sketched.evaluate(demo_turnstile,
-                              ApproxParams(0.3, 0.0, 0.05), make_rng(11))
+    value, cost = sketched.evaluate(demo_turnstile,
+                                    ApproxParams(0.3, 0.0, 0.05), make_rng(11))
     assert abs(value - truth) <= 0.3 * truth
-    assert sketched.meter["space_words"] > 0
-    # alpha=0 falls back to the exact accumulator and meters the items seen.
-    brute = make_substrate("l2_ams")
-    assert brute.evaluate(demo_turnstile, ApproxParams(0.0, 0.0, 0.05),
-                          make_rng(0)) == truth
-    assert brute.meter["items"] == demo_turnstile.length
+    assert cost["space_words"] > 0
+    # alpha=0 falls back to the exact recount and meters the items seen.
+    assert sketched.evaluate(demo_turnstile, ApproxParams(0.0, 0.0, 0.05),
+                             make_rng(0)) == (truth, items)
 
 
 def test_f0_substrates(demo_insert):
     truth = float(exact_distinct(demo_insert))
     exact = make_substrate("f0_exact")
-    assert exact.evaluate(demo_insert, PARAMS, make_rng(0)) == truth
+    items = {"items": demo_insert.length}
+    assert exact.evaluate(demo_insert, PARAMS, make_rng(0)) == (truth, items)
     sketched = make_substrate("f0_kmv")
-    value = sketched.evaluate(demo_insert, ApproxParams(0.3, 0.0, 0.05),
-                              make_rng(4))
+    value, cost = sketched.evaluate(demo_insert, ApproxParams(0.3, 0.0, 0.05),
+                                    make_rng(4))
     assert abs(value - truth) <= 0.3 * truth
-    assert sketched.meter["space_words"] > 0
+    assert cost["space_words"] > 0
+    assert sketched.evaluate(demo_insert, ApproxParams(0.0, 0.0, 0.05),
+                             make_rng(0)) == (truth, items)
 
 
 def test_sw_de_substrate(demo_insert):
@@ -150,9 +160,9 @@ def test_sw_de_substrate(demo_insert):
     truth = float(len(set(demo_insert.items()[-50:])))
     brute = sub.evaluate(demo_insert, ApproxParams(0.0, 0.0, 0.05),
                          make_rng(0))
-    assert brute == truth
-    approx = sub.evaluate(demo_insert, ApproxParams(0.5, 0.0, 0.05),
-                          make_rng(8))
+    assert brute == (truth, {"items": demo_insert.length})
+    approx, _ = sub.evaluate(demo_insert, ApproxParams(0.5, 0.0, 0.05),
+                             make_rng(8))
     assert abs(approx - truth) <= 0.5 * truth
 
 
@@ -173,6 +183,34 @@ def test_exact_values_match_demos(demo_cc, demo_mst, demo_knapsack,
     assert exact_value("f0_exact", demo_insert) == 30.0
     assert exact_value("sw_de", demo_insert, {"window": 50}) == float(
         len(set(demo_insert.items()[-50:])))
+
+
+def test_default_delta_f(demo_cc, demo_mst, demo_knapsack, demo_insert):
+    assert default_delta_f("cc_estimate", demo_cc) == 2.0
+    assert default_delta_f("sw_de", demo_insert) == 2.0
+    assert default_delta_f("mst_exact", demo_mst) == 3.0
+    assert default_delta_f("mst_exact", demo_cc) is None  # unweighted
+    assert default_delta_f("knapsack", demo_knapsack) is None
+
+
+def test_query_budget_bounds_every_evaluation(demo_cc, demo_mst, demo_insert):
+    params = ApproxParams(0.0, 6.0, 0.005)
+    budget = query_budget("cc_estimate", demo_cc, params)
+    # kappa 6 of 12 vertices: 16 scans capped at 4, 108 replicas.
+    assert budget == 108 * 16 * 4 * 5
+    sub = make_substrate("cc_estimate")
+    for seed in range(3):
+        assert sub.evaluate(demo_cc, params, make_rng(seed))[1]["queries"] <= budget
+    assert query_budget("cc_estimate", demo_cc, ApproxParams(0.0, 0.0, 0.005)) == math.inf
+    params = ApproxParams(0.5, 0.0, 0.7)
+    budget = query_budget("mst_estimate", demo_mst, params)
+    # w - 1 = 2 levels of kappa 0.5/6: 576 scans capped at 24, 53 replicas for
+    # level failure (1/3)/3, the fail probability being capped at 1/3.
+    assert budget == 2 * 53 * 576 * 24 * 25
+    assert make_substrate("mst_estimate").evaluate(
+        demo_mst, params, make_rng(2))[1]["queries"] <= budget
+    assert query_budget("f0_kmv", demo_insert, params) == math.inf
+    assert query_budget("cc_exact", demo_cc, params) == math.inf
 
 
 def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):

@@ -7,8 +7,8 @@ import pytest
 
 from dpbox.noise import make_rng
 from dpbox.windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
-                           SmoothHistogram, SmoothnessParams, sh_query,
-                           sh_update, smooth_histogram_distinct,
+                           SmoothHistogram, SmoothnessParams,
+                           smooth_histogram_distinct,
                            smooth_histogram_f2, smoothness_check_de,
                            smoothness_check_f2)
 
@@ -122,7 +122,6 @@ def test_first_update_and_query():
     h.update(4)
     assert h.instance_count() == 1
     assert h.query() == 1.0
-    assert sh_query(h) == 1.0
 
 
 def test_constant_stream_collapses_instances():
@@ -268,7 +267,7 @@ def test_exact_families_have_no_sketch_objects():
 
 def test_update_wrapper():
     h = smooth_histogram_distinct(10, 0.2, 0.2, 0.2, make_rng(0), exact=True)
-    sh_update(h, 3)
+    h.update(3)
     assert h.clock == 1
 
 
