@@ -74,6 +74,8 @@ def _derive_preset_values(config: dict, dataset):
     name = config.get("preset")
     if name in ("cc", "mst"):
         n = dataset.n
+        if n == 0:
+            raise CliError(f"preset {name!r} needs a graph with at least one vertex")
         log_n = math.log(max(n, 3))
         config.setdefault("delta", 1.0 / n)
         config.setdefault("gamma", config.get("gamma_scale", 1.0) * log_n)

@@ -8,14 +8,17 @@ updates are linear and deletions cancel insertions bitwise. The estimate
 with probability >= 1 - delta.
 
 KmvSketch retains the k = ceil(16/alpha^2) smallest distinct 64-bit hash
-values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Insertion-only:
-a deletion cannot be undone once a hash is retained, so turnstile streams are
-rejected. Below k distinct items the sketch is exact.
+values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Its whole state
+is one reps x w float array of per-copy ascending minima (w <= k, +inf pads
+shorter rows), and single and bulk inserts share one merge that hashes each
+item once under all copies' salts. space_words counts the words held, not
+the reps*k capacity. Insertion-only: a deletion cannot be undone once a hash
+is retained, so turnstile streams are rejected. Below k distinct items the
+sketch is exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import statistics
 
@@ -87,7 +90,7 @@ class AmsSketch:
         acc = (acc * x + c0) % _SIGN_PRIME
         return ((acc & np.uint64(1)).astype(np.int64) << 1) - 1
 
-    def update(self, item: int, delta: int):
+    def update(self, item: int, delta: int = 1):
         if not (0 <= item < self.universe_size):
             raise ValueError(f"item {item} outside universe [0, {self.universe_size})")
         self.counters += int(delta) * self._signs(np.array([item]))[:, :, 0]
@@ -134,6 +137,8 @@ class AmsSketch:
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# Distinct items hashed per merge step of KmvSketch.
+_KMV_CHUNK = 4096
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -160,10 +165,9 @@ class KmvSketch:
         self.k = int(k)
         self.reps = int(reps)
         self.salts = rng.integers(0, 2 ** 63, size=self.reps, dtype=np.uint64)
-        # Per copy: a set for O(1) dedup and a max-heap (negated values) so
-        # the largest retained hash is evictable in O(log k).
-        self._retained = [set() for _ in range(self.reps)]
-        self._heaps = [[] for _ in range(self.reps)]
+        # Row r: the smallest distinct hashes under salts[r], ascending, at
+        # most k; rows shorter than the widest are padded with +inf.
+        self.minima = np.empty((self.reps, 0), dtype=np.float64)
 
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, rng):
@@ -177,49 +181,37 @@ class KmvSketch:
 
     @property
     def space_words(self) -> int:
-        return self.reps * self.k + self.reps
+        return self.minima.size + self.reps
 
     def update(self, item: int):
-        for r in range(self.reps):
-            u = float(_kmv_hash(np.array([item]), self.salts[r])[0])
-            retained, heap = self._retained[r], self._heaps[r]
-            if u in retained:
-                continue
-            if len(retained) < self.k:
-                retained.add(u)
-                heapq.heappush(heap, -u)
-            elif u < -heap[0]:
-                retained.discard(-heapq.heappushpop(heap, -u))
-                retained.add(u)
+        self._merge(np.array([item], dtype=np.int64))
 
     def update_bulk(self, items):
-        """Insert many items at once; the retained sets come out identical to
-        the one-at-a-time loop because "k smallest distinct values" does not
+        """Insert many items at once; the rows come out identical to the
+        one-at-a-time loop because "k smallest distinct values" does not
         depend on arrival order."""
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return
-        uniq = np.unique(items)
-        for r in range(self.reps):
-            hashes = np.unique(_kmv_hash(uniq, self.salts[r]))
-            merged = np.unique(np.concatenate(
-                [np.fromiter(self._retained[r], dtype=np.float64, count=len(self._retained[r])),
-                 hashes]))
-            kept = np.partition(merged, self.k - 1)[:self.k] if merged.size > self.k else merged
-            self._retained[r] = set(kept.tolist())
-            self._heaps[r] = [-u for u in self._retained[r]]
-            heapq.heapify(self._heaps[r])
+        self._merge(np.unique(np.asarray(items, dtype=np.int64)))
+
+    def _merge(self, uniq: np.ndarray):
+        """Fold distinct items into every row, hashing each chunk under all
+        salts at once, so the buffer holds at most reps x (k + chunk) words."""
+        for lo in range(0, uniq.size, _KMV_CHUNK):
+            hashes = _kmv_hash(uniq[None, lo:lo + _KMV_CHUNK], self.salts[:, None])
+            rows = np.sort(np.concatenate([self.minima, hashes], axis=1), axis=1)
+            rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
+            rows.sort(axis=1)
+            width = min(self.k, int(np.isfinite(rows).sum(axis=1).max()))
+            self.minima = rows[:, :width].copy()
 
     def consume(self, stream: UpdateStream):
         if stream.mode != "insert":
             raise ValueError("KMV is insertion-only; turnstile streams are not supported")
         self.update_bulk(stream.items())
 
-    def copy_estimate(self, r: int) -> float:
-        retained = self._retained[r]
-        if len(retained) < self.k:
-            return float(len(retained))
-        return (self.k - 1) / -self._heaps[r][0]
-
     def estimate(self) -> float:
-        return float(statistics.median(self.copy_estimate(r) for r in range(self.reps)))
+        """Median over rows of the held count below k, else (k-1)/(k-th minimum)."""
+        copies = np.isfinite(self.minima).sum(axis=1).astype(np.float64)
+        if self.minima.shape[1] == self.k:
+            full = copies == self.k
+            copies[full] = (self.k - 1) / self.minima[full, -1]
+        return float(statistics.median(copies.tolist()))

@@ -62,8 +62,16 @@ def _distinct_count(stream, config) -> float:
     return float(exact_distinct(stream))
 
 
+def _window(config) -> int:
+    """The sliding-window length config["window"], an integer >= 1."""
+    window = config.get("window")
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValueError(f"sw_de needs an integer 'window' >= 1, got {window!r}")
+    return window
+
+
 def _window_distinct_count(stream, config) -> float:
-    return float(len(set(stream.items()[-int(config["window"]):])))
+    return float(len(set(stream.items()[-_window(config):])))
 
 
 def _recount(stream, config, oracle):
@@ -93,6 +101,8 @@ def _cc_estimate(graph, params, rng, config):
     qg = _as_query_graph(graph)
     if params.kappa <= 0.0:
         raise ValueError("cc_estimate needs a positive additive budget kappa")
+    if qg.n == 0:
+        return 0.0, {"queries": 0}
     cc_params, replicas = _cc_knobs(qg.n, params)
     before = qg.queries
     vals = [cc_estimate(qg, cc_params, rng) for _ in range(replicas)]
@@ -102,6 +112,8 @@ def _cc_estimate(graph, params, rng, config):
 def _cc_estimate_queries(graph, params) -> float:
     if params.kappa <= 0.0:
         return math.inf
+    if graph.n == 0:
+        return 0.0
     cc_params, replicas = _cc_knobs(graph.n, params)
     return replicas * cc_params.max_queries
 
@@ -179,7 +191,7 @@ def _sw_de(stream, params, rng, config):
     histogram rho = sketch alpha = alpha/3, leaving
     rho + alpha + rho*alpha <= 7*alpha/9 of slack used.
     """
-    window = int(config["window"])
+    window = _window(config)
     if stream.mode != "insert":
         raise ValueError("sliding-window distinct count needs an insertion-only stream")
     if params.alpha == 0.0:

@@ -11,7 +11,9 @@ estimator is itself (1 +/- alpha) accurate.
 
 Instances are backed by a family object owning per-instance state. Exact
 families (running distinct counts, running F2) support the rho -> 0 limit and
-fast large-stream testing; SketchFamily plugs in KMV or AMS instances.
+fast large-stream testing; SketchFamily plugs in bare KMV or AMS sketches,
+feeding each its item through update(item) (an AMS update's delta defaults
+to 1).
 """
 
 from __future__ import annotations
@@ -258,22 +260,7 @@ def smooth_histogram_f2(window: int, rho: float, sketch_alpha: float,
     params = SmoothnessParams(rho=rho, xi=smoothness_check_f2(rho))
     if exact:
         return SmoothHistogram(window, params, F2ExactFamily())
-
-    def factory(child):
-        return _AmsInsertAdapter(
-            AmsSketch.from_accuracy(sketch_alpha, sketch_fail, universe_size, child))
-
-    return SmoothHistogram(window, params, SketchFamily(factory, rng))
-
-
-class _AmsInsertAdapter:
-    """Insertion-only view of an AmsSketch for use inside a histogram."""
-
-    def __init__(self, sketch: AmsSketch):
-        self.sketch = sketch
-
-    def update(self, item: int):
-        self.sketch.update(item, 1)
-
-    def estimate(self) -> float:
-        return self.sketch.estimate()
+    family = SketchFamily(
+        lambda child: AmsSketch.from_accuracy(sketch_alpha, sketch_fail, universe_size, child),
+        rng)
+    return SmoothHistogram(window, params, family)

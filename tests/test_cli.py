@@ -275,3 +275,34 @@ def test_bench_mst_estimate_query_budget(tmp_path):
     assert payload["query_budget"] == 2 * 58 * 1107 * 34 * 35
     assert payload["within_budget"] is True
     assert 0 < payload["per_trial"][0]["queries"] <= payload["query_budget"]
+
+
+SW_DE_EXACT = {
+    "substrate": "sw_de", "input": "data/demo_stream_insert.txt", "epsilon": 1.0,
+    "delta": 0.05, "alpha": 0.0, "kappa": 0.0, "gamma": 3.0, "trials": 1,
+}
+
+
+@pytest.mark.parametrize("command", ["wrap", "coverage"])
+def test_sw_de_without_window_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SW_DE_EXACT)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb:") and "window" in err and err.count("\n") == 1
+
+
+def test_sw_de_window_0_exits_2(tmp_path, capsys):
+    # At alpha 0 a window of 0 used to release the count over the whole stream.
+    cfg = write_config(tmp_path, dict(SW_DE_EXACT, window=0))
+    assert main(["wrap", "--config", cfg]) == 2
+    assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["cc", "mst"])
+def test_graph_presets_on_empty_graph_exit_2(tmp_path, capsys, preset):
+    graph = tmp_path / "empty.graph"
+    graph.write_text("0 0\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"preset": preset, "input": str(graph), "epsilon": 1.0})
+    assert main(["wrap", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb:") and "vertex" in err and err.count("\n") == 1

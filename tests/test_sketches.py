@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
-from dpbox.sketches import AmsSketch, KmvSketch
+from dpbox.sketches import AmsSketch, KmvSketch, _kmv_hash
 from dpbox.streams import UpdateStream, exact_distinct, exact_f2
 from helpers import random_stream
 
@@ -129,7 +131,10 @@ def test_kmv_sizing():
     assert sk.reps == 22
     sk2 = KmvSketch.from_accuracy(0.2, 0.05, make_rng(0))
     assert sk2.k == 400 and sk2.reps == 45
-    assert sk2.space_words == 45 * 400 + 45
+    # The meter counts words held: the salts alone, then 10 minima per copy.
+    assert sk2.space_words == 45
+    sk2.update_bulk(range(10))
+    assert sk2.space_words == 45 * 10 + 45
     with pytest.raises(ValueError):
         KmvSketch(0, 4, make_rng(0))
     with pytest.raises(ValueError):
@@ -166,9 +171,47 @@ def test_kmv_bulk_equals_sequential():
     for it in items:
         a.update(int(it))
     b.update_bulk(items)
-    for r in range(7):
-        assert sorted(a._retained[r]) == sorted(b._retained[r])
     assert a.estimate() == b.estimate()
+
+
+def _reference_minima(items, k, salts):
+    """Per salt, the k smallest distinct _kmv_hash values, in plain Python."""
+    rows = []
+    for salt in salts:
+        hashes = {float(h) for h in _kmv_hash(np.asarray(items, dtype=np.int64), salt)}
+        rows.append(sorted(hashes)[:k])
+    return rows
+
+
+def _held_rows(sk):
+    return [[float(h) for h in row if math.isfinite(h)] for row in sk.minima]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), reps=st.integers(1, 5),
+       items=st.lists(st.integers(0, 60), max_size=80), data=st.data())
+def test_kmv_any_split_into_updates_matches_one_bulk_insert(k, reps, items, data):
+    # Cut the item list at random points, shuffle the pieces, and feed each
+    # piece through update or update_bulk: the rows and the estimate must
+    # equal one update_bulk of the whole list, and the rows must be the k
+    # smallest distinct hashes per salt.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=6)))
+    bounds = [0, *cuts, len(items)]
+    pieces = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pieces = data.draw(st.permutations(pieces))
+    split = KmvSketch(k, reps, make_rng(31))
+    for piece in pieces:
+        if data.draw(st.booleans()):
+            for item in piece:
+                split.update(item)
+        else:
+            split.update_bulk(piece)
+    whole = KmvSketch(k, reps, make_rng(31))
+    whole.update_bulk(items)
+    assert np.array_equal(split.minima, whole.minima)
+    assert split.estimate() == whole.estimate()
+    assert _held_rows(whole) == _reference_minima(items, k, whole.salts)
+    assert whole.space_words == whole.minima.size + reps
 
 
 def test_kmv_rejects_turnstile():
@@ -202,7 +245,6 @@ def test_kmv_repeated_trials_mostly_accurate():
 
 
 def test_kmv_hash_deterministic_in_salt():
-    from dpbox.sketches import _kmv_hash
     items = np.arange(100)
     h1 = _kmv_hash(items, np.uint64(12345))
     h2 = _kmv_hash(items, np.uint64(12345))

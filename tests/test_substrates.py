@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from dpbox.graph_estimators import CcEstimateParams, QueryGraph, cc_estimate
-from dpbox.graphs import load_graph
+from dpbox.graphs import load_graph, parse_graph
 from dpbox.knapsack import knapsack_exact, load_knapsack
 from dpbox.mechanisms import ApproxParams, WrapConfig, wrap_cauchy
 from dpbox.noise import make_rng
@@ -211,6 +211,26 @@ def test_query_budget_bounds_every_evaluation(demo_cc, demo_mst, demo_insert):
         demo_mst, params, make_rng(2))[1]["queries"] <= budget
     assert query_budget("f0_kmv", demo_insert, params) == math.inf
     assert query_budget("cc_exact", demo_cc, params) == math.inf
+
+
+def test_cc_estimate_on_empty_graph():
+    # No vertices: the substrate answers 0 without a query, as cc_estimate does,
+    # and its budget is 0 rather than a division by n.
+    empty = parse_graph("0 0\n")
+    params = ApproxParams(0.0, 1.0, 0.005)
+    assert make_substrate("cc_estimate").evaluate(empty, params, make_rng(0)) == \
+        (0.0, {"queries": 0})
+    assert query_budget("cc_estimate", empty, params) == 0
+
+
+def test_window_must_be_an_integer_of_at_least_1(demo_insert):
+    params = ApproxParams(0.0, 0.0, 0.05)
+    for config in ({}, {"window": 0}, {"window": -3}, {"window": 2.5}, {"window": "50"},
+                   {"window": True}):
+        with pytest.raises(ValueError, match="window"):
+            make_substrate("sw_de", config).evaluate(demo_insert, params, make_rng(0))
+        with pytest.raises(ValueError, match="window"):
+            exact_value("sw_de", demo_insert, config)
 
 
 def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):
