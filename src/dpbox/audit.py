@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -53,12 +53,26 @@ class AuditReport:
         if self.bins < 2:
             raise ValueError(f"audits need >= 2 bins, got {self.bins!r}")
 
+    @property
+    def argmax_bin(self) -> Optional[int]:
+        """The included bin whose ratio is epsilon_hat (the first such bin);
+        None when no bin is included."""
+        if not self.per_bin_ratios:
+            return None
+        return max(self.per_bin_ratios, key=lambda pair: pair[1])[0]
+
     def to_json(self) -> str:
+        """Every field of the report, plus argmax_bin; per_bin_ratios become
+        [bin, ratio] pairs."""
         return json.dumps({
             "epsilon_hat": self.epsilon_hat,
             "trials": self.trials,
             "bins": self.bins,
             "flagged_bins": self.flagged_bins,
+            "delta_slack": self.delta_slack,
+            "degenerate": self.degenerate,
+            "per_bin_ratios": [list(pair) for pair in self.per_bin_ratios],
+            "argmax_bin": self.argmax_bin,
         })
 
 

@@ -6,6 +6,9 @@ graphs) followed by m edge lines "u v" or "u v weight". Vertices are
 lines are skipped. Serialization is canonical: edges sorted lexicographically
 with each endpoint pair normalized to u < v, so load(save(g)) round-trips
 byte-identically.
+
+Graphs are immutable: they are built once, by the constructor or the parser,
+and neighboring datasets come from toggle_edge, which returns a new graph.
 """
 
 from __future__ import annotations
@@ -25,59 +28,70 @@ __all__ = [
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with optional integer edge weights.
+    """Immutable undirected graph on vertices 0..n-1 with optional integer
+    edge weights.
 
-    Adjacency is kept as sorted neighbor lists for deterministic traversal
-    order. max_weight is the declared weight bound w; unweighted graphs have
-    max_weight None and all edges carry weight 1.
+    Graph(n, edges, weights, max_weight) takes the edges as (u, v) pairs and,
+    for a weighted graph, their weights keyed by the normalized pair
+    (min(u, v), max(u, v)). Every edge is validated once and each adjacency
+    list is sorted once, after all edges are in, which gives a deterministic
+    traversal order. A Graph has no mutators: toggle_edge and
+    subgraph_weight_at_most return new graphs, so a graph object stands for
+    one fixed dataset and may key a memo by identity. neighbors() returns the
+    stored list, which callers must not modify. max_weight is the declared
+    weight bound w; unweighted graphs have max_weight None and all edges
+    carry weight 1.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = (),
                  weights: Optional[Dict[Tuple[int, int], int]] = None,
                  max_weight: Optional[int] = None):
+        self._build(n, max_weight,
+                    ((u, v, 1 if weights is None else weights[self._key(u, v)])
+                     for u, v in edges))
+
+    @classmethod
+    def _from_items(cls, n: int, max_weight: Optional[int],
+                    items: Iterable[Tuple[int, int, int]]) -> "Graph":
+        g = cls.__new__(cls)
+        g._build(n, max_weight, items)
+        return g
+
+    def _build(self, n, max_weight, items):
+        """The one construction step: validate each (u, v, weight) triple, fill
+        the weight map and the adjacency lists, then sort each list once."""
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n!r}")
         self.n = int(n)
         self.max_weight = None if max_weight is None else int(max_weight)
         if self.max_weight is not None and self.max_weight < 1:
             raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
-        self._adj: List[List[int]] = [[] for _ in range(self.n)]
-        self._weights: Dict[Tuple[int, int], int] = {}
-        for e in edges:
-            u, v = e
-            w = 1 if weights is None else weights[self._key(u, v)]
-            self.add_edge(u, v, w)
+        adj: List[List[int]] = [[] for _ in range(self.n)]
+        weights: Dict[Tuple[int, int], int] = {}
+        for u, v, weight in items:
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} not allowed")
+            key = self._key(u, v)
+            if key in weights:
+                raise ValueError(f"duplicate edge {key}")
+            w = int(weight)
+            if w < 1:
+                raise ValueError(f"edge weight must be a positive integer, got {weight!r}")
+            if self.max_weight is not None and w > self.max_weight:
+                raise ValueError(f"edge weight {w} exceeds declared bound {self.max_weight}")
+            weights[key] = w
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
+        self._adj = adj
+        self._weights = weights
 
     @staticmethod
     def _key(u: int, v: int) -> Tuple[int, int]:
         return (u, v) if u < v else (v, u)
-
-    def add_edge(self, u: int, v: int, weight: int = 1):
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} not allowed")
-        key = self._key(u, v)
-        if key in self._weights:
-            raise ValueError(f"duplicate edge {key}")
-        w = int(weight)
-        if w < 1:
-            raise ValueError(f"edge weight must be a positive integer, got {weight!r}")
-        if self.max_weight is not None and w > self.max_weight:
-            raise ValueError(f"edge weight {w} exceeds declared bound {self.max_weight}")
-        self._weights[key] = w
-        self._adj[u].append(v)
-        self._adj[v].append(u)
-        self._adj[u].sort()
-        self._adj[v].sort()
-
-    def remove_edge(self, u: int, v: int):
-        key = self._key(u, v)
-        if key not in self._weights:
-            raise ValueError(f"edge {key} not present")
-        del self._weights[key]
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self._key(u, v) in self._weights
@@ -102,18 +116,10 @@ class Graph:
         return [(u, v, self._weights[(u, v)]) for u, v in self.edges()]
 
     def subgraph_weight_at_most(self, threshold: int) -> "Graph":
-        """Subgraph keeping exactly the edges of weight <= threshold."""
-        g = Graph(self.n, max_weight=self.max_weight)
-        for (u, v), w in self._weights.items():
-            if w <= threshold:
-                g.add_edge(u, v, w)
-        return g
-
-    def copy(self) -> "Graph":
-        g = Graph(self.n, max_weight=self.max_weight)
-        for (u, v), w in self._weights.items():
-            g.add_edge(u, v, w)
-        return g
+        """New graph keeping exactly the edges of weight <= threshold."""
+        return Graph._from_items(self.n, self.max_weight,
+                                 ((u, v, w) for (u, v), w in self._weights.items()
+                                  if w <= threshold))
 
     def __repr__(self):
         wpart = "" if self.max_weight is None else f", w<={self.max_weight}"
@@ -140,18 +146,21 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"header must be 'n m' or 'n m w', got {lines[0]!r}")
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges but file has {len(lines) - 1}")
-    g = Graph(n, max_weight=max_weight)
-    for line in lines[1:]:
-        parts = line.split()
-        if max_weight is None:
-            if len(parts) != 2:
-                raise ValueError(f"unweighted edge line must be 'u v', got {line!r}")
-            g.add_edge(int(parts[0]), int(parts[1]), 1)
-        else:
-            if len(parts) != 3:
-                raise ValueError(f"weighted edge line must be 'u v weight', got {line!r}")
-            g.add_edge(int(parts[0]), int(parts[1]), int(parts[2]))
-    return g
+
+    def items():
+        for line in lines[1:]:
+            parts = line.split()
+            if max_weight is None:
+                if len(parts) != 2:
+                    raise ValueError(f"unweighted edge line must be 'u v', got {line!r}")
+                yield int(parts[0]), int(parts[1]), 1
+            else:
+                if len(parts) != 3:
+                    raise ValueError(
+                        f"weighted edge line must be 'u v weight', got {line!r}")
+                yield int(parts[0]), int(parts[1]), int(parts[2])
+
+    return Graph._from_items(n, max_weight, items())
 
 
 def format_graph(g: Graph) -> str:
@@ -224,10 +233,11 @@ def kruskal_mst_weight(g: Graph) -> int:
 
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:
-    """Copy of g with edge (u,v) removed if present, else added with weight."""
-    out = g.copy()
-    if out.has_edge(u, v):
-        out.remove_edge(u, v)
-    else:
-        out.add_edge(u, v, weight)
-    return out
+    """New graph: g with edge (u,v) removed if present, else added with
+    weight. It is built from g's edge map in one pass; g is left as it is."""
+    key = Graph._key(u, v)
+    weights = dict(g._weights)
+    if weights.pop(key, None) is None:
+        weights[key] = weight
+    return Graph._from_items(g.n, g.max_weight,
+                             ((a, b, w) for (a, b), w in weights.items()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
@@ -26,23 +26,24 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnapsackInstance:
-    """Items with positive integer sizes and nonnegative real values."""
+    """Items with positive integer sizes and nonnegative real values; an
+    immutable instance whose sizes and values are tuples."""
 
     capacity: int
-    sizes: List[int]
-    values: List[float]
+    sizes: Tuple[int, ...]
+    values: Tuple[float, ...]
 
     def __post_init__(self):
         if int(self.capacity) != self.capacity or self.capacity < 1:
             raise ValueError(f"capacity must be a positive integer, got {self.capacity!r}")
-        self.capacity = int(self.capacity)
+        object.__setattr__(self, "capacity", int(self.capacity))
         if len(self.sizes) != len(self.values):
             raise ValueError(
                 f"sizes ({len(self.sizes)}) and values ({len(self.values)}) differ in length")
-        self.sizes = [int(s) for s in self.sizes]
-        self.values = [float(v) for v in self.values]
+        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         for s in self.sizes:
             if s < 1:
                 raise ValueError(f"sizes must be positive integers, got {s!r}")

@@ -11,7 +11,10 @@ computed from the substrate's own output:
 
 wrap_laplace adds Laplace(2*bound/epsilon) and tolerates randomized
 substrates at an additive delta cost; wrap_cauchy adds Cauchy(6*bound/epsilon)
-and is pure epsilon-DP but requires a deterministic substrate.
+and is pure epsilon-DP but requires a deterministic substrate. A
+TunableSubstrate handle evaluates a deterministic substrate once per
+(dataset, params) and recalls the value on later trials; the noise draws are
+the same either way, since deterministic substrates draw nothing from the rng.
 median_replicas is the one rule by which randomized substrates shrink their
 failure probability by replication, and to_pure_dp post-processes an
 (epsilon, delta) output onto a finite grid so the overall release is pure
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .noise import sample_cauchy, sample_laplace
@@ -131,6 +135,12 @@ class MechanismTrace:
     cost: dict = field(default_factory=dict)
 
 
+# Deterministic values a TunableSubstrate remembers: an audit's two datasets.
+_MEMO_ENTRIES = 2
+# The cost of a recalled value; read-only, so every hit can share it.
+_CACHED_COST = MappingProxyType({"cached": 1})
+
+
 class TunableSubstrate:
     """Uniform handle around a tunable approximation algorithm.
 
@@ -138,6 +148,15 @@ class TunableSubstrate:
     where cost is a dict of the resources that call used (e.g.
     {"queries": 123}). Deterministic substrates ignore the rng, have
     fail_prob 0 by definition, and must say so via is_deterministic.
+
+    The handle remembers the values of a deterministic substrate, keyed by
+    (id(dataset), alpha, kappa, fail_prob), for the _MEMO_ENTRIES most recent
+    keys: the two datasets of an audit pair. Each entry keeps its dataset
+    alive, so its id cannot pass to another object, and a hit also requires
+    the very same object. Datasets are immutable (Graph, UpdateStream,
+    KnapsackInstance), so a remembered value stays the value fn would
+    compute. A hit costs {"cached": 1}, one read-only mapping shared by all
+    hits. Randomized substrates run on every call.
     """
 
     def __init__(self, fn: Callable, is_deterministic: bool = False,
@@ -145,12 +164,24 @@ class TunableSubstrate:
         self.fn = fn
         self.is_deterministic = bool(is_deterministic)
         self.label = str(label)
+        self._memo = {}  # key -> (dataset, value), oldest first
 
     def evaluate(self, dataset, params: ApproxParams, rng):
-        """Run fn once; returns (estimate, cost of this call)."""
+        """Run fn once, or recall a deterministic value; returns (estimate,
+        cost of this call)."""
+        if self.is_deterministic:
+            key = (id(dataset), params.alpha, params.kappa, params.fail_prob)
+            entry = self._memo.get(key)
+            if entry is not None and entry[0] is dataset:
+                return entry[1], _CACHED_COST
         out = self.fn(dataset, params, rng)
         value, cost = out if isinstance(out, tuple) else (out, {})
-        return float(value), cost
+        value = float(value)
+        if self.is_deterministic:
+            self._memo[key] = (dataset, value)
+            if len(self._memo) > _MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+        return value, cost
 
     def __repr__(self):
         det = "deterministic" if self.is_deterministic else "randomized"

@@ -5,7 +5,9 @@ median groups by c = ceil(16/alpha^2) mean groups; each counter is the inner
 product of the frequency vector with a 4-wise independent sign function, so
 updates are linear and deletions cancel insertions bitwise. The estimate
 (median over rows of the mean over columns of Z^2) lies in (1 +/- alpha)*F2
-with probability >= 1 - delta.
+with probability >= 1 - delta. A grid whose coefficients plus one chunk of
+the sign cube that bulk updates evaluate would pass 1 GiB is refused at
+construction, before any coefficient is drawn.
 
 KmvSketch retains the k = ceil(16/alpha^2) smallest distinct 64-bit hash
 values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Its whole state
@@ -34,6 +36,11 @@ __all__ = [
 # Signs come from degree-3 polynomials over the Mersenne prime 2^31 - 1,
 # evaluated in uint64 (products stay below 2^62, so arithmetic never wraps).
 _SIGN_PRIME = np.uint64(2 ** 31 - 1)
+# Distinct items whose sign matrices update_bulk evaluates at once.
+_AMS_CHUNK = 64
+# Largest grid footprint AmsSketch accepts: 8-byte coefficient words (4 per
+# counter) plus one chunk of the sign cube (_AMS_CHUNK words per counter).
+_AMS_MAX_BYTES = 2 ** 30
 
 
 def _ams_rows(fail_prob: float) -> int:
@@ -53,6 +60,12 @@ class AmsSketch:
         if not (1 <= universe_size < int(_SIGN_PRIME)):
             raise ValueError(
                 f"universe_size must lie in [1, {int(_SIGN_PRIME)}), got {universe_size!r}")
+        need = 8 * int(rows) * int(cols) * (4 + _AMS_CHUNK)
+        if need > _AMS_MAX_BYTES:
+            raise ValueError(
+                f"AMS grid {rows} x {cols} needs {need / 2 ** 30:.1f} GiB for its "
+                f"coefficients and one {_AMS_CHUNK}-item sign chunk, above the "
+                f"{_AMS_MAX_BYTES / 2 ** 30:g} GiB cap")
         self.rows = int(rows)
         self.cols = int(cols)
         self.universe_size = int(universe_size)
@@ -115,8 +128,8 @@ class AmsSketch:
         np.add.at(net, inv, deltas)
         keep = net != 0
         uniq, net = uniq[keep], net[keep]
-        for lo in range(0, uniq.size, 64):
-            hi = min(lo + 64, uniq.size)
+        for lo in range(0, uniq.size, _AMS_CHUNK):
+            hi = min(lo + _AMS_CHUNK, uniq.size)
             signs = self._signs(uniq[lo:hi])
             self.counters += signs @ net[lo:hi]
 

@@ -35,10 +35,13 @@ __all__ = [
 _MODES = ("insert", "turnstile")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpdateStream:
+    """An immutable stream: updates is a tuple of (item, delta) pairs, checked
+    and normalized to ints once, at construction."""
+
     universe_size: int
-    updates: List[Tuple[int, int]]
+    updates: Tuple[Tuple[int, int], ...]
     mode: str = "insert"
 
     def __post_init__(self):
@@ -46,17 +49,20 @@ class UpdateStream:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        n, insert = self.universe_size, self.mode == "insert"
         cleaned = []
         for item, delta in self.updates:
             item, delta = int(item), int(delta)
-            if not (0 <= item < self.universe_size):
-                raise ValueError(f"item {item} outside universe [0, {self.universe_size})")
-            if self.mode == "insert" and delta != 1:
-                raise ValueError(f"insertion-only stream update must have delta 1, got {delta}")
-            if delta not in (-1, 1):
-                raise ValueError(f"delta must be +1 or -1, got {delta}")
+            if not (0 <= item < n):
+                raise ValueError(f"item {item} outside universe [0, {n})")
+            if delta != 1:
+                if insert:
+                    raise ValueError(
+                        f"insertion-only stream update must have delta 1, got {delta}")
+                if delta != -1:
+                    raise ValueError(f"delta must be +1 or -1, got {delta}")
             cleaned.append((item, delta))
-        self.updates = cleaned
+        object.__setattr__(self, "updates", tuple(cleaned))
 
     @property
     def length(self) -> int:

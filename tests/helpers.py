@@ -16,34 +16,33 @@ def random_graph(n: int, m: int, rng, max_weight=None) -> Graph:
     all_pairs = list(itertools.combinations(range(n), 2))
     m = min(m, len(all_pairs))
     chosen = rng.choice(len(all_pairs), size=m, replace=False)
-    g = Graph(n, max_weight=max_weight)
+    weights = {}
     for idx in chosen:
-        u, v = all_pairs[int(idx)]
-        w = 1 if max_weight is None else int(rng.integers(1, max_weight + 1))
-        g.add_edge(u, v, w)
-    return g
+        weights[all_pairs[int(idx)]] = (1 if max_weight is None
+                                        else int(rng.integers(1, max_weight + 1)))
+    return Graph(n, weights, weights, max_weight)
 
 
 def random_connected_graph(n: int, extra: int, rng, max_weight=None) -> Graph:
     """Random spanning tree plus `extra` additional random edges."""
-    g = Graph(n, max_weight=max_weight)
+    weights = {}
     order = rng.permutation(n)
     for i in range(1, n):
         u = int(order[i])
         v = int(order[int(rng.integers(i))])
         w = 1 if max_weight is None else int(rng.integers(1, max_weight + 1))
-        g.add_edge(u, v, w)
+        weights[(min(u, v), max(u, v))] = w
     added = 0
     attempts = 0
     while added < extra and attempts < 20 * extra + 100:
         attempts += 1
         u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u == v or g.has_edge(u, v):
+        if u == v or (min(u, v), max(u, v)) in weights:
             continue
         w = 1 if max_weight is None else int(rng.integers(1, max_weight + 1))
-        g.add_edge(u, v, w)
+        weights[(min(u, v), max(u, v))] = w
         added += 1
-    return g
+    return Graph(n, weights, weights, max_weight)
 
 
 def random_stream(universe: int, m: int, mode: str, rng) -> UpdateStream:
@@ -85,11 +84,7 @@ def all_graphs_up_to(n_max: int):
     for n in range(1, n_max + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = Graph(n)
-            for b, (u, v) in enumerate(pairs):
-                if mask >> b & 1:
-                    g.add_edge(u, v)
-            yield n, mask, g
+            yield n, mask, Graph(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
 
 
 def zipf_stream(universe: int, m: int, rng, a: float = 1.3) -> UpdateStream:

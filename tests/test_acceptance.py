@@ -113,10 +113,7 @@ def test_criterion_03_smooth_bound_properties_exhaustive():
         counts = {}
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << pair_bits):
-            g = Graph(n)
-            for b, (u, v) in enumerate(pairs):
-                if mask >> b & 1:
-                    g.add_edge(u, v)
+            g = Graph(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
             counts[mask] = len(connected_components_exact(g))
 
         for rho, tau in settings:
@@ -195,17 +192,18 @@ def _two_block_graph():
     """50 vertices in two connected halves; toggling (0, 25) bridges them,
     so the exact component count moves by exactly 1 between neighbors."""
     rng = make_rng(60)
-    g = Graph(50)
+    edges = set()
     for lo in (0, 25):
         for v in range(lo + 1, lo + 25):
-            g.add_edge(v - 1, v)
+            edges.add((v - 1, v))
         added = 0
         while added < 15:
             u, v = lo + int(rng.integers(25)), lo + int(rng.integers(25))
-            if u == v or g.has_edge(u, v):
+            if u == v or (min(u, v), max(u, v)) in edges:
                 continue
-            g.add_edge(u, v)
+            edges.add((min(u, v), max(u, v)))
             added += 1
+    g = Graph(50, edges)
     return g, toggle_edge(g, 0, 25)
 
 
@@ -320,14 +318,13 @@ def test_criterion_08_estimator_accuracy_at_scale():
     # kappa = 0.1 must land within kappa*n of the truth in >= 95% of trials.
     n = 10_000
     rng = make_rng(80)
-    g = Graph(n)
-    added = 0
-    while added < 2500:
+    edges = set()
+    while len(edges) < 2500:
         u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u == v or g.has_edge(u, v):
+        if u == v or (min(u, v), max(u, v)) in edges:
             continue
-        g.add_edge(u, v)
-        added += 1
+        edges.add((min(u, v), max(u, v)))
+    g = Graph(n, edges)
     truth = cc_exact(g)
     params = CcEstimateParams(kappa=0.1)
     replicas = boost_replicas(0.25)

@@ -116,13 +116,25 @@ def test_report_validation():
 
 def test_report_json_schema():
     report = AuditReport(epsilon_hat=0.5, delta_slack=0.01, trials=1500,
-                         bins=12, flagged_bins=[0, 11])
+                         bins=12, per_bin_ratios=[(3, 0.25), (4, 0.5), (7, 0.5)],
+                         flagged_bins=[0, 11])
     payload = json.loads(report.to_json())
-    assert set(payload) == {"epsilon_hat", "trials", "bins", "flagged_bins"}
+    assert set(payload) == {"epsilon_hat", "trials", "bins", "flagged_bins",
+                            "delta_slack", "degenerate", "per_bin_ratios",
+                            "argmax_bin"}
     assert payload["epsilon_hat"] == 0.5
     assert payload["trials"] == 1500
     assert payload["bins"] == 12
     assert payload["flagged_bins"] == [0, 11]
+    assert payload["argmax_bin"] == 4  # the first bin at epsilon_hat
+    # Every field survives the round trip through JSON.
+    fields = {k: v for k, v in payload.items() if k != "argmax_bin"}
+    fields["per_bin_ratios"] = [tuple(pair) for pair in fields["per_bin_ratios"]]
+    assert AuditReport(**fields) == report
+    degenerate = estimate_epsilon(lambda d, rng: 1.0, 0, 1, trials=1000, bins=10)
+    payload = json.loads(degenerate.to_json())
+    assert payload["argmax_bin"] is None and payload["degenerate"] is True
+    assert payload["per_bin_ratios"] == []
 
 
 def test_epsilon_scales_with_shift():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -141,7 +142,9 @@ def test_audit_stream_substrate_report_and_limit(tmp_path, capsys):
     out = tmp_path / "audit.json"
     assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert set(payload) == {"epsilon_hat", "trials", "bins", "flagged_bins"}
+    assert set(payload) == {"epsilon_hat", "trials", "bins", "flagged_bins",
+                            "delta_slack", "degenerate", "per_bin_ratios",
+                            "argmax_bin"}
     assert payload["trials"] == 1000
     assert payload["bins"] == 10
     assert payload["epsilon_hat"] >= 0.0
@@ -306,3 +309,29 @@ def test_graph_presets_on_empty_graph_exit_2(tmp_path, capsys, preset):
     assert main(["wrap", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dpb:") and "vertex" in err and err.count("\n") == 1
+
+
+def test_l2_preset_too_large_grid_exits_2(tmp_path, capsys):
+    # At alpha 0.2, delta 0.01 the tuned rho sizes a 288 x 518,368 AMS grid;
+    # the sketch refuses it before drawing a coefficient.
+    cfg = write_config(tmp_path, {
+        "preset": "l2", "input": "data/demo_stream_turnstile.txt", "epsilon": 1.0})
+    start = time.perf_counter()
+    assert main(["wrap", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("dpb:") and "AMS grid" in err and err.count("\n") == 1
+
+
+def test_bench_marks_recalled_deterministic_trials(tmp_path):
+    cfg = write_config(tmp_path, {
+        "substrate": "f0_exact", "input": "data/demo_stream_insert.txt",
+        "epsilon": 1.0, "delta": 0.01, "alpha": 0.5, "kappa": 0.0,
+        "gamma": 3.0, "trials": 3,
+    })
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    first, *rest = json.loads(out.read_text())["per_trial"]
+    assert first["items"] > 0 and "cached" not in first
+    assert [row.get("cached") for row in rest] == [1, 1]
+    assert all("items" not in row for row in rest)

@@ -12,20 +12,14 @@ from helpers import random_connected_graph, random_graph
 
 
 def triangle_plus_isolated() -> Graph:
-    g = Graph(6)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
-    return g
+    return Graph(6, [(0, 1), (1, 2), (0, 2)])
 
 
 # ---------------------------------------------------------------- queries
 
 
 def test_query_graph_counts_every_probe():
-    g = Graph(3)
-    g.add_edge(0, 1)
-    qg = QueryGraph(g)
+    qg = QueryGraph(Graph(3, [(0, 1)]))
     assert qg.queries == 0
     assert qg.degree(0) == 1
     assert qg.neighbor(0, 0) == 1
@@ -38,19 +32,9 @@ def test_truncated_bfs_respects_cap_and_budget():
     rng = make_rng(31)
     shapes = []
     # Clique, star, path, and random graphs all stress different probe mixes.
-    clique = Graph(25)
-    for u in range(25):
-        for v in range(u + 1, 25):
-            clique.add_edge(u, v)
-    shapes.append(clique)
-    star = Graph(31)
-    for v in range(1, 31):
-        star.add_edge(0, v)
-    shapes.append(star)
-    path = Graph(40)
-    for v in range(39):
-        path.add_edge(v, v + 1)
-    shapes.append(path)
+    shapes.append(Graph(25, [(u, v) for u in range(25) for v in range(u + 1, 25)]))
+    shapes.append(Graph(31, [(0, v) for v in range(1, 31)]))
+    shapes.append(Graph(40, [(v, v + 1) for v in range(39)]))
     for _ in range(10):
         shapes.append(random_graph(30, int(rng.integers(0, 90)), rng))
 
@@ -181,10 +165,7 @@ def test_mst_estimate_weight_one_is_exact_and_free():
 
 
 def test_mst_estimate_unit_weight_clique():
-    g = Graph(4, max_weight=1)
-    for u in range(4):
-        for v in range(u + 1, 4):
-            g.add_edge(u, v, 1)
+    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)], max_weight=1)
     assert mst_weight_estimate(g, 0.2, 0.1, make_rng(0)) == 3.0
 
 
@@ -203,8 +184,7 @@ def test_mst_estimate_rejections():
     unweighted = random_connected_graph(10, 5, rng)
     with pytest.raises(ValueError):
         mst_weight_estimate(unweighted, 0.2, 0.1, rng)
-    disconnected = Graph(4, max_weight=2)
-    disconnected.add_edge(0, 1, 1)
+    disconnected = Graph(4, [(0, 1)], {(0, 1): 1}, max_weight=2)
     with pytest.raises(ValueError):
         mst_weight_estimate(disconnected, 0.2, 0.1, rng)
     g = random_connected_graph(10, 5, rng, max_weight=2)

@@ -16,9 +16,7 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 
 def test_basic_construction_and_queries():
-    g = Graph(4)
-    g.add_edge(0, 1)
-    g.add_edge(2, 1)
+    g = Graph(4, [(0, 1), (2, 1)])
     assert g.m == 2
     assert g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
@@ -29,30 +27,29 @@ def test_basic_construction_and_queries():
 
 
 def test_add_edge_validation():
-    g = Graph(3, max_weight=4)
-    g.add_edge(0, 1, 4)
+    weights = {(0, 1): 4, (0, 2): 4, (1, 1): 1, (0, 3): 1}
+    assert Graph(3, [(0, 1)], weights, max_weight=4).weight(1, 0) == 4
     with pytest.raises(ValueError):
-        g.add_edge(0, 1, 2)  # duplicate
+        Graph(3, [(0, 1), (1, 0)], weights, max_weight=4)  # duplicate
     with pytest.raises(ValueError):
-        g.add_edge(1, 1)  # self loop
+        Graph(3, [(0, 1), (1, 1)], weights, max_weight=4)  # self loop
     with pytest.raises(ValueError):
-        g.add_edge(0, 3)  # out of range
+        Graph(3, [(0, 1), (0, 3)], weights, max_weight=4)  # out of range
     with pytest.raises(ValueError):
-        g.add_edge(0, 2, 0)  # nonpositive weight
+        Graph(3, [(0, 2)], {(0, 2): 0}, max_weight=4)  # nonpositive weight
     with pytest.raises(ValueError):
-        g.add_edge(0, 2, 5)  # above declared bound
+        Graph(3, [(0, 2)], {(0, 2): 5}, max_weight=4)  # above declared bound
     with pytest.raises(ValueError):
         Graph(-1)
 
 
 def test_remove_edge():
-    g = Graph(3)
-    g.add_edge(0, 1)
-    g.remove_edge(1, 0)
-    assert g.m == 0
-    assert g.neighbors(0) == []
-    with pytest.raises(ValueError):
-        g.remove_edge(0, 1)
+    g = Graph(3, [(0, 1)])
+    removed = toggle_edge(g, 1, 0)
+    assert removed.m == 0
+    assert removed.neighbors(0) == [] and removed.neighbors(1) == []
+    assert not removed.has_edge(0, 1)
+    assert g.m == 1 and g.neighbors(0) == [1]
 
 
 def test_parse_format_round_trip_unweighted():
@@ -87,10 +84,7 @@ def test_parse_rejects_malformed(bad):
 
 
 def test_components_hand_checked():
-    g = Graph(6)
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(4, 5)
+    g = Graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components_exact(g)
     assert comps == [[0, 1, 2], [3], [4, 5]]
 
@@ -119,17 +113,14 @@ def test_kruskal_matches_networkx():
 
 
 def test_kruskal_rejects_disconnected():
-    g = Graph(4, max_weight=2)
-    g.add_edge(0, 1, 1)
+    g = Graph(4, [(0, 1)], {(0, 1): 1}, max_weight=2)
     with pytest.raises(ValueError):
         kruskal_mst_weight(g)
 
 
 def test_subgraph_weight_at_most():
-    g = Graph(4, max_weight=3)
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 2, 2)
-    g.add_edge(2, 3, 3)
+    weights = {(0, 1): 1, (1, 2): 2, (2, 3): 3}
+    g = Graph(4, weights, weights, max_weight=3)
     sub = g.subgraph_weight_at_most(2)
     assert sub.edges() == [(0, 1), (1, 2)]
     assert sub.n == 4
@@ -137,18 +128,8 @@ def test_subgraph_weight_at_most():
 
 
 def test_toggle_edge_copies():
-    g = Graph(3)
-    g.add_edge(0, 1)
+    g = Graph(3, [(0, 1)])
     added = toggle_edge(g, 1, 2)
     removed = toggle_edge(g, 0, 1)
     assert added.has_edge(1, 2) and not g.has_edge(1, 2)
     assert not removed.has_edge(0, 1) and g.has_edge(0, 1)
-
-
-def test_copy_independence():
-    g = Graph(3, max_weight=2)
-    g.add_edge(0, 1, 2)
-    h = g.copy()
-    h.remove_edge(0, 1)
-    assert g.has_edge(0, 1)
-    assert h.max_weight == 2

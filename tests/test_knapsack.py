@@ -27,7 +27,7 @@ def test_parse_format_round_trip():
     assert format_knapsack(inst) == text
     # Non-integer values survive the round trip through repr.
     frac = KnapsackInstance(capacity=4, sizes=[2], values=[1.25])
-    assert parse_knapsack(format_knapsack(frac)).values == [1.25]
+    assert parse_knapsack(format_knapsack(frac)).values == (1.25,)
 
 
 @pytest.mark.parametrize("bad", ["", "2 5\n1 1\n", "1\n1 1\n", "1 5\n1\n"])

@@ -1,7 +1,15 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpbox.audit import estimate_epsilon
+from dpbox.graphs import Graph, toggle_edge
+from dpbox.knapsack import KnapsackInstance
 
 from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
                               TunableSubstrate, WrapConfig, boost_replicas,
@@ -11,6 +19,8 @@ from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
                               tune_rho_cauchy, tune_rho_laplace, wrap_cauchy,
                               wrap_laplace)
 from dpbox.noise import make_rng
+from dpbox.streams import UpdateStream, stream_neighbor
+from dpbox.substrates import make_substrate
 
 
 def const_substrate(value, deterministic=True):
@@ -198,6 +208,98 @@ def test_substrate_returns_its_call_cost():
     assert trace.cost == {"queries": 7, "space_words": 3}
     _, trace = wrap_cauchy(const_substrate(5.0), None, cfg, make_rng(1))
     assert trace.cost == {}
+
+
+# ---------------------------------------------------------------- memo
+
+
+_MEMO_CFG = WrapConfig(epsilon=1.0, delta=1e-3, alpha=0.5, kappa=1.0, delta_f=2.0,
+                       gamma=5.0)
+
+
+def counting_substrate(deterministic):
+    """A substrate returning len(dataset), and the list of datasets it ran on."""
+    calls = []
+
+    def fn(dataset, params, rng):
+        calls.append(dataset)
+        return float(len(dataset)), {"items": len(dataset)}
+
+    return TunableSubstrate(fn, is_deterministic=deterministic, label="count"), calls
+
+
+def test_deterministic_value_is_computed_once_per_dataset():
+    d, d_prime = (0,) * 10, (0,) * 11
+    sub, calls = counting_substrate(True)
+    shared = estimate_epsilon(lambda ds, rng: wrap_laplace(sub, ds, _MEMO_CFG, rng)[0],
+                              d, d_prime, trials=1000, bins=20, delta_slack=0.01, seed=3)
+    assert calls == [d, d_prime]
+
+    def fresh_mech(ds, rng):
+        return wrap_laplace(counting_substrate(True)[0], ds, _MEMO_CFG, rng)[0]
+
+    assert shared == estimate_epsilon(fresh_mech, d, d_prime, trials=1000, bins=20,
+                                      delta_slack=0.01, seed=3)
+
+
+def test_randomized_substrate_runs_on_every_call():
+    sub, calls = counting_substrate(False)
+    d = (0,) * 4
+    for t in range(5):
+        _, trace = wrap_laplace(sub, d, _MEMO_CFG, make_rng(0, t))
+        assert trace.cost == {"items": 4}
+    assert len(calls) == 5
+
+
+def test_memo_keeps_the_two_newest_datasets_and_marks_hits():
+    sub, calls = counting_substrate(True)
+    a, b, c = (0,), (0, 0), (0, 0, 0)
+    params = ApproxParams(0.1, 1.0, 0.0)
+    assert sub.evaluate(a, params, None) == (1.0, {"items": 1})
+    assert sub.evaluate(b, params, None) == (2.0, {"items": 2})
+    assert sub.evaluate(a, params, None) == (1.0, {"cached": 1})
+    assert sub.evaluate(c, params, None) == (3.0, {"items": 3})  # drops a
+    assert sub.evaluate(b, params, None) == (2.0, {"cached": 1})
+    assert sub.evaluate(a, params, None) == (1.0, {"items": 1})  # drops b
+    # Other params, or an equal but distinct dataset, are other keys.
+    assert sub.evaluate(a, ApproxParams(0.2, 1.0, 0.0), None)[1] == {"items": 1}
+    assert sub.evaluate(tuple([0]), params, None)[1] == {"items": 1}
+    assert calls == [a, b, c, a, a, (0,)]
+
+
+def test_datasets_are_immutable():
+    stream = UpdateStream(universe_size=3, updates=[(0, 1), (2, 1)])
+    assert stream.updates == ((0, 1), (2, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stream.updates = ()
+    instance = KnapsackInstance(capacity=4, sizes=[2], values=[1.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.capacity = 5
+    g = Graph(3, [(0, 1)])
+    assert not hasattr(g, "add_edge") and not hasattr(g, "remove_edge")
+    assert not hasattr(g, "copy")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 7), edge_bits=st.integers(0, 2 ** 21 - 1),
+       items=st.lists(st.integers(0, 5), min_size=1, max_size=25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_handle_releases_what_fresh_handles_release(n, edge_bits, items, seed):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, [e for b, e in enumerate(pairs) if edge_bits >> b & 1])
+    s = UpdateStream(universe_size=6, updates=[(i, 1) for i in items])
+    cases = (("cc_exact", (g, toggle_edge(g, 0, 1))),
+             ("f0_exact", (s, stream_neighbor(s, make_rng(seed)))),
+             ("l2_exact", (s, stream_neighbor(s, make_rng(seed)))))
+    for name, pair in cases:
+        shared = make_substrate(name)
+        for t in range(8):
+            wrap = wrap_laplace if t < 4 else wrap_cauchy
+            dataset = pair[t % 2]
+            out, trace = wrap(shared, dataset, _MEMO_CFG, make_rng(seed, t))
+            fresh_out, fresh_trace = wrap(make_substrate(name), dataset, _MEMO_CFG,
+                                          make_rng(seed, t))
+            assert (out, trace.substrate_value) == (fresh_out, fresh_trace.substrate_value)
 
 
 # ---------------------------------------------------------------- boosting

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
-from dpbox.sketches import AmsSketch, KmvSketch, _kmv_hash
+from dpbox.sketches import (_AMS_CHUNK, _AMS_MAX_BYTES, AmsSketch, KmvSketch,
+                             _kmv_hash)
 from dpbox.streams import UpdateStream, exact_distinct, exact_f2
 from helpers import random_stream
 
@@ -38,6 +39,19 @@ def test_ams_validation():
         sk.update_bulk([1, 2], [1])
     with pytest.raises(ValueError):
         sk.update_bulk([1, 12], [1, 1])
+
+
+def test_ams_refuses_oversized_grid_before_drawing():
+    # The l2 preset's grid on the demo turnstile stream: 288 x 518,368.
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="AMS grid 288 x 518368"):
+        AmsSketch(288, 518_368, 20, rng)
+    assert rng.bit_generator.state == state
+    # The stream benchmark's and criterion 08's grids stay far below the cap.
+    for rows, cols in ((211, 528), (87, 400)):
+        assert 8 * rows * cols * (4 + _AMS_CHUNK) < _AMS_MAX_BYTES / 8
+        assert AmsSketch(rows, cols, 150, rng).counters.shape == (rows, cols)
 
 
 def test_ams_empty_estimate_zero():
