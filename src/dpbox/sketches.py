@@ -1,13 +1,17 @@
 """Streaming sketches: AMS second-moment (turnstile) and KMV distinct count.
 
-AmsSketch keeps an r x c grid of signed counters, r = ceil(48*ln(2/delta))
-median groups by c = ceil(16/alpha^2) mean groups; each counter is the inner
-product of the frequency vector with a 4-wise independent sign function, so
-updates are linear and deletions cancel insertions bitwise. The estimate
-(median over rows of the mean over columns of Z^2) lies in (1 +/- alpha)*F2
-with probability >= 1 - delta. A grid whose coefficients plus one chunk of
-the sign cube that bulk updates evaluate would pass 1 GiB is refused at
-construction, before any coefficient is drawn.
+AmsSketch is the bucketed (Fast-AGMS, CountSketch) form of the AMS sketch:
+r = ceil(48*ln(2/delta)) rows of c = ceil(16/alpha^2) signed counters. Each
+row hashes an item to one counter with a Carter-Wegman hash
+((a*x + b) mod p) mod c, a != 0, and adds sign * delta there, the sign coming
+from a 4-wise independent degree-3 polynomial. Updates are linear, so
+deletions cancel insertions bitwise. A row's sum of squared counters is an
+unbiased F2 estimate with variance at most 2*(F2^2 - F4)/c, as for the mean
+of c independent AGMS counters, so the median over rows lies in
+(1 +/- alpha)*F2 with probability >= 1 - delta. The sketch holds r*c
+counters and 6*r coefficients (space_words), and an update touches r
+counters. A sketch whose counters, coefficients and update buffers would
+pass 1 GiB is refused at construction, before any coefficient is drawn.
 
 KmvSketch retains the k = ceil(16/alpha^2) smallest distinct 64-bit hash
 values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Its whole state
@@ -33,13 +37,14 @@ __all__ = [
     "KmvSketch",
 ]
 
-# Signs come from degree-3 polynomials over the Mersenne prime 2^31 - 1,
+# Bucket hashes and signs are polynomials over the Mersenne prime 2^31 - 1,
 # evaluated in uint64 (products stay below 2^62, so arithmetic never wraps).
 _SIGN_PRIME = np.uint64(2 ** 31 - 1)
-# Distinct items whose sign matrices update_bulk evaluates at once.
-_AMS_CHUNK = 64
-# Largest grid footprint AmsSketch accepts: 8-byte coefficient words (4 per
-# counter) plus one chunk of the sign cube (_AMS_CHUNK words per counter).
+# Counters one AMS update pass touches, unless the sketch has more rows:
+# update_bulk takes max(1, _AMS_PASS_CELLS // rows) distinct items a pass.
+_AMS_PASS_CELLS = 2 ** 18
+# Largest footprint AmsSketch accepts: 8-byte counters, 6 coefficients per
+# row, and at most three rows x chunk buffers during an update pass.
 _AMS_MAX_BYTES = 2 ** 30
 
 
@@ -52,7 +57,7 @@ def _ams_cols(alpha: float) -> int:
 
 
 class AmsSketch:
-    """Signed-counter sketch for the second frequency moment."""
+    """Bucketed signed-counter sketch for the second frequency moment."""
 
     def __init__(self, rows: int, cols: int, universe_size: int, rng):
         if rows < 1 or cols < 1:
@@ -60,21 +65,23 @@ class AmsSketch:
         if not (1 <= universe_size < int(_SIGN_PRIME)):
             raise ValueError(
                 f"universe_size must lie in [1, {int(_SIGN_PRIME)}), got {universe_size!r}")
-        need = 8 * int(rows) * int(cols) * (4 + _AMS_CHUNK)
+        chunk = max(1, _AMS_PASS_CELLS // int(rows))
+        need = 8 * int(rows) * (int(cols) + 6 + 3 * chunk)
         if need > _AMS_MAX_BYTES:
             raise ValueError(
                 f"AMS grid {rows} x {cols} needs {need / 2 ** 30:.1f} GiB for its "
-                f"coefficients and one {_AMS_CHUNK}-item sign chunk, above the "
+                f"counters, coefficients and update buffers, above the "
                 f"{_AMS_MAX_BYTES / 2 ** 30:g} GiB cap")
         self.rows = int(rows)
         self.cols = int(cols)
         self.universe_size = int(universe_size)
+        self._chunk = chunk
         self.counters = np.zeros((self.rows, self.cols), dtype=np.int64)
-        # coeffs[d] holds the degree-d coefficient for every counter's sign
-        # polynomial; independent draws make the counters pairwise independent
-        # and each sign function 4-wise independent in the item.
-        self.coeffs = rng.integers(0, int(_SIGN_PRIME), size=(4, self.rows, self.cols),
-                                   dtype=np.uint64)
+        # Row r: coeffs[r, :2] = (a, b) of its bucket hash, a drawn from
+        # [1, p) so two items share a bucket with probability <= 1/cols, and
+        # coeffs[r, 2:] its sign polynomial, highest degree first.
+        self.coeffs = rng.integers([1, 0, 0, 0, 0, 0], int(_SIGN_PRIME),
+                                   size=(self.rows, 6), dtype=np.uint64)
 
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, universe_size: int, rng):
@@ -89,49 +96,38 @@ class AmsSketch:
     def space_words(self) -> int:
         return self.counters.size + self.coeffs.size
 
-    def _signs(self, items: np.ndarray) -> np.ndarray:
-        """Sign matrix of shape (rows, cols, len(items)), entries +/-1 (int64).
-
-        Horner evaluation of the degree-3 polynomial at each item, mod the
-        Mersenne prime; the parity bit of the value is the sign.
-        """
-        x = items.astype(np.uint64)[None, None, :]
-        c3, c2, c1, c0 = (self.coeffs[d][:, :, None] for d in range(4))
-        acc = c3
-        acc = (acc * x + c2) % _SIGN_PRIME
-        acc = (acc * x + c1) % _SIGN_PRIME
-        acc = (acc * x + c0) % _SIGN_PRIME
-        return ((acc & np.uint64(1)).astype(np.int64) << 1) - 1
-
     def update(self, item: int, delta: int = 1):
-        if not (0 <= item < self.universe_size):
-            raise ValueError(f"item {item} outside universe [0, {self.universe_size})")
-        self.counters += int(delta) * self._signs(np.array([item]))[:, :, 0]
+        self.update_bulk([item], [delta])
 
     def update_bulk(self, items, deltas):
-        """Apply many updates at once; exactly equivalent to the update loop.
-
-        Updates are linear, so they collapse to the net frequency change per
-        distinct item; the sign matrices are evaluated in chunks to bound
-        peak memory.
+        """Apply many integer updates at once; exactly equivalent to the
+        update loop. Updates are linear, so they collapse to the net change
+        per distinct item, which adds sign * net to its bucket in each row.
         """
-        items = np.asarray(items, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
+        items, deltas = np.ravel(items), np.ravel(deltas)
         if items.shape != deltas.shape:
             raise ValueError("items and deltas must have equal length")
         if items.size == 0:
             return
+        if items.dtype.kind not in "iu" or deltas.dtype.kind not in "iu":
+            raise ValueError(
+                f"items and deltas must be integers, got {items.dtype} and {deltas.dtype}")
         if items.min() < 0 or items.max() >= self.universe_size:
-            raise ValueError("bulk update contains an item outside the universe")
+            raise ValueError(f"update has an item outside the universe [0, {self.universe_size})")
         uniq, inv = np.unique(items, return_inverse=True)
         net = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(net, inv, deltas)
+        np.add.at(net, inv, deltas.astype(np.int64))
         keep = net != 0
-        uniq, net = uniq[keep], net[keep]
-        for lo in range(0, uniq.size, _AMS_CHUNK):
-            hi = min(lo + _AMS_CHUNK, uniq.size)
-            signs = self._signs(uniq[lo:hi])
-            self.counters += signs @ net[lo:hi]
+        uniq, net = uniq[keep].astype(np.uint64), net[keep]
+        a, b, c3, c2, c1, c0 = self.coeffs.T[:, :, None]
+        first_cell = np.arange(self.rows, dtype=np.uint64)[:, None] * np.uint64(self.cols)
+        p = _SIGN_PRIME
+        for lo in range(0, uniq.size, self._chunk):
+            x = uniq[None, lo:lo + self._chunk]
+            cell = (a * x + b) % p % np.uint64(self.cols) + first_cell
+            odd = (((c3 * x + c2) % p * x + c1) % p * x + c0) % p & np.uint64(1)
+            step = (2 * odd.view(np.int64) - 1) * net[lo:lo + self._chunk]
+            np.add.at(self.counters.reshape(-1), cell.view(np.int64).ravel(), step.ravel())
 
     def consume(self, stream: UpdateStream):
         if stream.universe_size > self.universe_size:
@@ -141,9 +137,9 @@ class AmsSketch:
         self.update_bulk(items, deltas)
 
     def estimate(self) -> float:
+        """Median over rows of the row's sum of squared counters."""
         z = self.counters.astype(np.float64)
-        row_means = (z * z).mean(axis=1)
-        return float(np.median(row_means))
+        return float(np.median((z * z).sum(axis=1)))
 
 
 # splitmix64 finalizer; uint64 in, uint64 out, all arithmetic mod 2^64.

@@ -338,9 +338,8 @@ def test_criterion_08_estimator_accuracy_at_scale():
     assert hits >= need
 
     # Second-moment sketch at alpha 0.2 on a heavy-tailed insertion stream.
-    # Sign evaluation costs rows * cols per distinct item, so the trial count
-    # stays at 200 by keeping the universe small rather than the tolerance
-    # loose.
+    # An update touches one counter per row, and the universe stays small so
+    # that 200 trials with the tolerance unchanged remain cheap.
     stream = zipf_stream(200, 10_000, make_rng(82))
     truth = exact_f2(stream)
     hits = 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
-from dpbox.sketches import (_AMS_CHUNK, _AMS_MAX_BYTES, AmsSketch, KmvSketch,
+from dpbox.sketches import (_AMS_MAX_BYTES, _AMS_PASS_CELLS, AmsSketch, KmvSketch,
                              _kmv_hash)
 from dpbox.streams import UpdateStream, exact_distinct, exact_f2
 from helpers import random_stream
@@ -22,7 +22,7 @@ def test_ams_sizing():
     sk2 = AmsSketch.from_accuracy(0.5, 1.0 / 3.0, 100, make_rng(0))
     assert sk2.rows == 87
     assert sk2.cols == 64
-    assert sk2.space_words == 87 * 64 + 4 * 87 * 64
+    assert sk2.space_words == 87 * 64 + 6 * 87
 
 
 def test_ams_validation():
@@ -41,16 +41,24 @@ def test_ams_validation():
         sk.update_bulk([1, 12], [1, 1])
 
 
+def _ams_footprint(rows, cols):
+    # 8-byte counters, 6 coefficients per row, and three rows x chunk
+    # buffers during an update pass.
+    chunk = max(1, _AMS_PASS_CELLS // rows)
+    return 8 * (rows * cols + 6 * rows + 3 * rows * chunk)
+
+
 def test_ams_refuses_oversized_grid_before_drawing():
     # The l2 preset's grid on the demo turnstile stream: 288 x 518,368.
     rng = make_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="AMS grid 288 x 518368"):
+    assert _ams_footprint(288, 518_368) > _AMS_MAX_BYTES
+    with pytest.raises(ValueError, match="AMS grid 288 x 518368 needs 1.1 GiB"):
         AmsSketch(288, 518_368, 20, rng)
     assert rng.bit_generator.state == state
     # The stream benchmark's and criterion 08's grids stay far below the cap.
     for rows, cols in ((211, 528), (87, 400)):
-        assert 8 * rows * cols * (4 + _AMS_CHUNK) < _AMS_MAX_BYTES / 8
+        assert _ams_footprint(rows, cols) < _AMS_MAX_BYTES / 8
         assert AmsSketch(rows, cols, 150, rng).counters.shape == (rows, cols)
 
 
@@ -60,13 +68,26 @@ def test_ams_empty_estimate_zero():
 
 
 def test_ams_single_item_is_exact():
-    # One item with frequency c makes every counter +/- c, so every squared
-    # counter is exactly c^2 and so is the estimate.
+    # One item with frequency c lands in one counter per row as +/- c, so
+    # every row's sum of squares is exactly c^2 and so is the estimate.
     sk = AmsSketch(8, 16, 50, make_rng(2))
     for _ in range(5):
         sk.update(7, 1)
-    assert np.all(np.abs(sk.counters) == 5)
+    assert np.all(np.count_nonzero(sk.counters, axis=1) == 1)
+    assert np.all(np.abs(sk.counters).sum(axis=1) == 5)
     assert sk.estimate() == 25.0
+
+
+def test_ams_rejects_non_integer_updates():
+    # Casting would hash 2.5 as item 2 and turn delta 0.5 into 0.
+    sk = AmsSketch(4, 4, 10, make_rng(0))
+    for bad in (lambda: sk.update(2.5), lambda: sk.update(3, 0.5),
+                lambda: sk.update_bulk([2.5], [1]), lambda: sk.update_bulk([2], [1.0])):
+        with pytest.raises(ValueError, match="integers"):
+            bad()
+    assert not sk.counters.any()
+    sk.update(np.int64(2), np.int32(-1))
+    assert np.all(np.abs(sk.counters).sum(axis=1) == 1)
 
 
 def test_ams_insert_delete_cancellation_bitwise():
@@ -108,6 +129,39 @@ def test_ams_estimate_two_items():
     assert hits / trials >= 0.95 - 3 * sigma
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 9),
+       updates=st.lists(st.tuples(st.integers(0, 40), st.sampled_from((-1, 1))),
+                        max_size=80),
+       data=st.data())
+def test_ams_any_split_into_updates_matches_one_consume(rows, cols, updates, data):
+    # Cut a turnstile update list at random points, shuffle the pieces, and
+    # feed each piece through update or update_bulk: the counters must equal
+    # one consume of the whole list bitwise, because the sketch is linear.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(updates)), max_size=6)))
+    bounds = [0, *cuts, len(updates)]
+    pieces = [updates[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pieces = data.draw(st.permutations(pieces))
+    split = AmsSketch(rows, cols, 41, make_rng(32))
+    for piece in pieces:
+        if data.draw(st.booleans()):
+            for item, delta in piece:
+                split.update(item, delta)
+        else:
+            split.update_bulk([it for it, _ in piece], [d for _, d in piece])
+    whole = AmsSketch(rows, cols, 41, make_rng(32))
+    whole.consume(UpdateStream(41, updates, "turnstile"))
+    assert np.array_equal(split.counters, whole.counters)
+    # Appending the negated updates cancels every counter.
+    negated = [(item, -delta) for item, delta in updates]
+    for item, delta in data.draw(st.permutations(negated)):
+        split.update(item, delta)
+    assert not split.counters.any()
+    both = AmsSketch(rows, cols, 41, make_rng(32))
+    both.consume(UpdateStream(41, updates + negated, "turnstile"))
+    assert not both.counters.any()
+
+
 def test_ams_counter_unbiasedness_and_fourth_moment():
     # With one column per row, each row mean is a single Z^2; across 100k
     # rows the average must match F2 = 6 within 3 sigma, where
@@ -121,6 +175,27 @@ def test_ams_counter_unbiasedness_and_fourth_moment():
     assert abs(mean - 6.0) < 3 * sigma
 
 
+def test_ams_bucketed_row_mean_and_variance():
+    # With cols > 1 each row's estimate is sum_i f_i^2 plus a cross term over
+    # the item pairs that share a bucket. A collision has probability 1/cols
+    # (up to cols/p for the prime p of the bucket hash), so the estimate is
+    # unbiased with variance 2*(F2^2 - F4)/cols. For
+    # frequencies (3, 2, 1, 1), F2 = 15 and F4 = 99: variance 31.5 at 8 cols.
+    rows, cols = 100_000, 8
+    sk = AmsSketch(rows, cols, 50, make_rng(34))
+    sk.update_bulk([5, 5, 5, 17, 17, 40, 41], [1] * 7)
+    z = sk.counters.astype(np.float64)
+    est = (z * z).sum(axis=1)
+    var = 2.0 * (15.0 ** 2 - 99.0) / cols
+    assert abs(est.mean() - 15.0) < 3 * math.sqrt(var / rows)
+    # The sample variance's standard error comes from the sample's own
+    # fourth central moment.
+    dev = est - est.mean()
+    sample_var = float((dev ** 2).mean())
+    stderr = math.sqrt((float((dev ** 4).mean()) - sample_var ** 2) / rows)
+    assert abs(sample_var - var) < 3 * stderr
+
+
 def test_ams_accuracy_on_random_stream():
     s = random_stream(200, 5000, "insert", make_rng(9))
     truth = exact_f2(s)
@@ -132,7 +207,8 @@ def test_ams_accuracy_on_random_stream():
 def test_ams_wrappers():
     sk = AmsSketch(4, 4, 10, make_rng(11))
     sk.update(3, 1)
-    # Every counter holds +/-1 after one unit update, so F2 reads exactly 1.
+    # One counter per row holds +/-1 after one unit update, so F2 reads
+    # exactly 1.
     assert sk.estimate() == 1.0
 
 
