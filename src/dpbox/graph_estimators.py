@@ -38,11 +38,18 @@ class QueryGraph:
     The estimators see the graph only through degree(u) and neighbor(u, i),
     each of which costs one query. The counter persists across calls so a
     trial harness can difference it around a run.
+
+    A view also remembers the truncated-BFS size of every (start, cap) pair
+    cc_estimate has probed through it, in sizes[cap][start]. Graphs are
+    immutable and the size is min(|component(start)|, cap), so a view probes
+    each pair once, however many cc_estimate runs share it, and the counter
+    holds the probes actually made.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.queries = 0
+        self.sizes = {}
 
     @property
     def n(self) -> int:
@@ -142,14 +149,24 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     with probability >= 2/3 (the median of median_replicas(fail) runs drives
     it lower). Total query cost is < params.max_queries regardless of the
     graph.
+
+    A start the view has already probed at this cap reuses its size (see
+    QueryGraph), so runs that share a view pay only for the starts new to
+    it, and the counter reports the probes actually made. The rng draws the
+    starts and nothing else, so the memo changes no output.
     """
     qg = _as_query_graph(g)
     if qg.n == 0:
         return 0.0
+    cap = params.bfs_cap
+    sizes = qg.sizes.setdefault(cap, {})
     starts = rng.integers(0, qg.n, size=params.sample_count)
     inv_sum = 0.0
-    for u in starts:
-        inv_sum += 1.0 / _truncated_component_size(qg, int(u), params.bfs_cap)
+    for u in starts.tolist():
+        c = sizes.get(u)
+        if c is None:
+            c = sizes[u] = _truncated_component_size(qg, u, cap)
+        inv_sum += 1.0 / c
     return qg.n * inv_sum / params.sample_count
 
 
@@ -170,6 +187,10 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     the total is a (1 +/- alpha) approximation with probability
     >= 1 - fail_prob. Rejects disconnected inputs and out-of-range weights.
     w = 1 forces weight n - 1 with no queries.
+
+    Each level gets its own QueryGraph, so the replicas of one level share
+    one memo of probed starts. The connectivity precheck is a full O(n + m)
+    traversal of the graph that the query meter does not count.
     """
     qg = _as_query_graph(g)
     graph = qg.graph

@@ -38,7 +38,8 @@ _MODES = ("insert", "turnstile")
 @dataclass(frozen=True)
 class UpdateStream:
     """An immutable stream: updates is a tuple of (item, delta) pairs, checked
-    and normalized to ints once, at construction."""
+    and normalized to ints once, at construction. A value that is not an
+    integer (2.5, 1.9) is a ValueError, not truncated."""
 
     universe_size: int
     updates: Tuple[Tuple[int, int], ...]
@@ -51,8 +52,11 @@ class UpdateStream:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         n, insert = self.universe_size, self.mode == "insert"
         cleaned = []
-        for item, delta in self.updates:
-            item, delta = int(item), int(delta)
+        for raw_item, raw_delta in self.updates:
+            item, delta = int(raw_item), int(raw_delta)
+            if item != raw_item or delta != raw_delta:
+                raise ValueError(
+                    f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
             if not (0 <= item < n):
                 raise ValueError(f"item {item} outside universe [0, {n})")
             if delta != 1:

@@ -21,9 +21,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph_estimators import (CcEstimateParams, _as_query_graph, cc_estimate,
-                               cc_exact, mst_level_knobs, mst_weight_estimate,
-                               mst_weight_exact)
+from .graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate, cc_exact,
+                               mst_level_knobs, mst_weight_estimate, mst_weight_exact)
 from .knapsack import knapsack_exact, knapsack_fptas
 from .mechanisms import ApproxParams, TunableSubstrate, median_replicas
 from .sketches import AmsSketch, KmvSketch
@@ -98,15 +97,16 @@ def _cc_knobs(n: int, params: ApproxParams):
 
 
 def _cc_estimate(graph, params, rng, config):
-    qg = _as_query_graph(graph)
+    """The median of replicas that share one QueryGraph, hence one memo of
+    probed starts: cost["queries"] pays for each distinct start once."""
     if params.kappa <= 0.0:
         raise ValueError("cc_estimate needs a positive additive budget kappa")
-    if qg.n == 0:
+    if graph.n == 0:
         return 0.0, {"queries": 0}
+    qg = QueryGraph(graph)
     cc_params, replicas = _cc_knobs(qg.n, params)
-    before = qg.queries
     vals = [cc_estimate(qg, cc_params, rng) for _ in range(replicas)]
-    return statistics.median(vals), {"queries": qg.queries - before}
+    return statistics.median(vals), {"queries": qg.queries}
 
 
 def _cc_estimate_queries(graph, params) -> float:
@@ -128,12 +128,11 @@ def _mst_fail(params: ApproxParams) -> float:
 
 def _mst_estimate(graph, params, rng, config):
     """Multiplicative only, so params.kappa is slack."""
-    qg = _as_query_graph(graph)
     if params.alpha <= 0.0:
         raise ValueError("mst_weight_estimate needs a positive alpha")
-    before = qg.queries
+    qg = QueryGraph(graph)
     value = mst_weight_estimate(qg, params.alpha, _mst_fail(params), rng)
-    return value, {"queries": qg.queries - before}
+    return value, {"queries": qg.queries}
 
 
 def _mst_estimate_queries(graph, params) -> float:

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from dpbox.graph_estimators import QueryGraph, _truncated_component_size
 from dpbox.graphs import Graph
 from dpbox.knapsack import KnapsackInstance
 from dpbox.streams import UpdateStream
@@ -21,6 +22,13 @@ def random_graph(n: int, m: int, rng, max_weight=None) -> Graph:
         weights[all_pairs[int(idx)]] = (1 if max_weight is None
                                         else int(rng.integers(1, max_weight + 1)))
     return Graph(n, weights, weights, max_weight)
+
+
+def bfs_probe_queries(g: Graph, start: int, cap: int) -> int:
+    """Queries of one truncated BFS from start, on a throwaway view."""
+    qg = QueryGraph(g)
+    _truncated_component_size(qg, start, cap)
+    return qg.queries
 
 
 def random_connected_graph(n: int, extra: int, rng, max_weight=None) -> Graph:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate,
                                     cc_exact, mst_weight_estimate,
@@ -8,7 +10,7 @@ from dpbox.graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate,
 from dpbox.graph_estimators import _truncated_component_size
 from dpbox.graphs import Graph, connected_components_exact, kruskal_mst_weight, load_graph
 from dpbox.noise import make_rng
-from helpers import random_connected_graph, random_graph
+from helpers import bfs_probe_queries, random_connected_graph, random_graph
 
 
 def triangle_plus_isolated() -> Graph:
@@ -101,6 +103,29 @@ def test_cc_estimate_query_budget_every_run():
             cc_estimate(qg, params, rng)
             budget = params.sample_count * params.bfs_cap * (params.bfs_cap + 1)
             assert qg.queries <= budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), m=st.integers(0, 180), kappa=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cc_estimate_memo_matches_memo_free_loop(n, m, kappa, seed):
+    g = random_graph(n, m, make_rng(seed))
+    params = CcEstimateParams(kappa=kappa)
+    qg = QueryGraph(g)
+    value = cc_estimate(qg, params, make_rng(seed, 1))
+    # Memo-free reference over the same draws: every start is probed on a
+    # throwaway view, and 1/c is summed in draw order.
+    starts = make_rng(seed, 1).integers(0, n, size=params.sample_count).tolist()
+    inv_sum = 0.0
+    for u in starts:
+        inv_sum += 1.0 / _truncated_component_size(QueryGraph(g), u, params.bfs_cap)
+    assert value.hex() == (n * inv_sum / params.sample_count).hex()
+    # The view paid for each distinct start once.
+    probes = sum(bfs_probe_queries(g, u, params.bfs_cap) for u in set(starts))
+    assert qg.queries == probes <= params.max_queries
+    # A second run from the same seed finds every start in the memo.
+    assert cc_estimate(qg, params, make_rng(seed, 1)).hex() == value.hex()
+    assert qg.queries == probes
 
 
 def test_cc_estimate_matches_analytic_expectation():

@@ -24,6 +24,21 @@ def test_stream_validation():
         UpdateStream(universe_size=3, updates=[], mode="sliding")
 
 
+@pytest.mark.parametrize("bad", [[(2.5, 1)], [(3, 1.9)], [(1, -0.5)], [("3", 1)]])
+def test_stream_rejects_non_integer_updates(bad):
+    # int() would truncate these to legal updates; they are rejected, as
+    # parse_stream rejects "2.5".
+    with pytest.raises(ValueError):
+        UpdateStream(universe_size=5, updates=bad, mode="turnstile")
+
+
+def test_stream_accepts_integral_values_of_other_types():
+    s = UpdateStream(universe_size=5, updates=[(np.int64(2), 1), (3.0, np.int8(-1))],
+                     mode="turnstile")
+    assert s.updates == ((2, 1), (3, -1))
+    assert all(type(v) is int for pair in s.updates for v in pair)
+
+
 def test_parse_format_round_trip():
     text = "4 3 turnstile\n0 1\n3 -1\n0 1\n"
     s = parse_stream(text)

@@ -17,6 +17,7 @@ from dpbox.substrates import (
     make_substrate,
     query_budget,
 )
+from helpers import bfs_probe_queries
 
 PARAMS = ApproxParams(alpha=0.3, kappa=0.0, fail_prob=1 / 3)
 
@@ -96,8 +97,16 @@ def test_cc_estimate_boosts_on_small_fail_prob(demo_cc):
     sub = make_substrate("cc_estimate")
     _, relaxed = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 1 / 3), make_rng(5))
     value, boosted = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 0.05), make_rng(5))
-    # 0.05 needs 67 replicas, so the probe count grows accordingly.
-    assert boosted["queries"] >= 50 * relaxed["queries"]
+    # 0.05 needs 67 replicas at kappa 6/12, drawn from the same rng. They
+    # share one view, which probes each distinct start once, so the meter
+    # reads one fresh BFS per distinct start the 67 replicas draw.
+    params = CcEstimateParams(kappa=0.5)
+    rng = make_rng(5)
+    starts = {u for _ in range(67)
+              for u in rng.integers(0, demo_cc.n, size=params.sample_count).tolist()}
+    probes = sum(bfs_probe_queries(demo_cc, u, params.bfs_cap) for u in starts)
+    assert boosted["queries"] == probes
+    assert boosted["queries"] >= relaxed["queries"]
     # The value is the median of 67 runs at kappa 6/12 drawn from the same rng.
     rng = make_rng(5)
     runs = [cc_estimate(QueryGraph(demo_cc), CcEstimateParams(kappa=0.5), rng)
