@@ -15,7 +15,7 @@ from .mechanisms import (ApproxParams, GridSpec, MechanismTrace, TunableSubstrat
                          WrapConfig, boost_replicas, lemma_fptas_bounds,
                          median_replicas, pure_dp_fallback_prob, smooth_bound,
                          theorem_main_bounds, to_pure_dp, tune_rho_cauchy,
-                         tune_rho_laplace, wrap_cauchy, wrap_laplace)
+                         tune_rho_laplace, wrap_cauchy, wrap_laplace, wrap_trials)
 from .graphs import (Graph, connected_components_exact, format_graph,
                      kruskal_mst_weight, load_graph, parse_graph, save_graph,
                      toggle_edge)
@@ -32,7 +32,7 @@ from .windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
                       SmoothHistogram, SmoothnessParams,
                       smooth_histogram_distinct, smooth_histogram_f2,
                       smoothness_check_de, smoothness_check_f2)
-from .audit import AuditReport, estimate_epsilon
+from .audit import AuditReport, audit_samples, estimate_epsilon
 from .substrates import (SUBSTRATE_NAMES, dataset_kind, default_delta_f, exact_value,
                          make_substrate, query_budget)
 

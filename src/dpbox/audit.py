@@ -1,12 +1,13 @@
 """Empirical privacy audit: bound the realized privacy loss from samples.
 
 estimate_epsilon runs a mechanism many times on each of two neighboring
-datasets, histograms both output samples on a shared grid, and reports the
-largest per-bin log probability ratio, widened to an upper-confidence value
-with Wilson intervals. The estimate can refute a privacy claim (epsilon_hat
-well above the claimed epsilon) but can never certify one: events thinner
-than the bin-mass floor are invisible to it, which is exactly the role the
-delta slack plays in the guarantee being audited.
+datasets; audit_samples histograms both output samples on a shared grid and
+reports the largest per-bin log probability ratio, widened to an
+upper-confidence value with Wilson intervals. The estimate can refute a
+privacy claim (epsilon_hat well above the claimed epsilon) but can never
+certify one: events thinner than the bin-mass floor are invisible to it,
+which is exactly the role the delta slack plays in the guarantee being
+audited.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .noise import make_rng
 
-__all__ = ["AuditReport", "estimate_epsilon"]
+__all__ = ["AuditReport", "audit_samples", "estimate_epsilon"]
 
 # Wilson interval width: z = 2 (~95.4% two-sided per bin).
 _WILSON_Z = 2.0
@@ -85,19 +86,7 @@ def _wilson(p_hat: float, n: int) -> Tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
-                     delta_slack: float = 0.0, seed: int = 0) -> AuditReport:
-    """Upper-confidence estimate of the privacy loss of mech between d and d'.
-
-    mech is called as mech(dataset, rng) -> real; trial t draws from the rng
-    streams (seed, 2t) for d and (seed, 2t+1) for d_prime, so runs are
-    reproducible and embarrassingly parallel in principle. Outputs are pooled,
-    clipped to the [0.1%, 99.9%] quantile range (heavy Cauchy tails would
-    otherwise stretch the grid flat), and histogrammed on `bins` equal-width
-    bins. Bins whose estimated mass on either side falls at or below
-    delta_slack + 3 binomial sigma are flagged and excluded; the rest
-    contribute Wilson-widened |log ratios|, whose max is epsilon_hat.
-    """
+def _check_audit_args(trials: int, bins: int, delta_slack: float):
     if trials < 1000:
         raise ValueError(f"audits need >= 1000 trials, got {trials!r}")
     if bins < 2:
@@ -105,11 +94,42 @@ def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
     if not (0.0 <= delta_slack < 1.0):
         raise ValueError(f"delta_slack must lie in [0, 1), got {delta_slack!r}")
 
+
+def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
+                     delta_slack: float = 0.0, seed: int = 0) -> AuditReport:
+    """Upper-confidence estimate of the privacy loss of mech between d and d'.
+
+    mech is called as mech(dataset, rng) -> real; trial t draws from the rng
+    streams (seed, 2t) for d and (seed, 2t+1) for d_prime, so runs are
+    reproducible and embarrassingly parallel in principle. The two samples
+    go to audit_samples.
+    """
+    _check_audit_args(trials, bins, delta_slack)
     out_a = np.empty(trials)
     out_b = np.empty(trials)
     for t in range(trials):
         out_a[t] = mech(d, make_rng(seed, 2 * t))
         out_b[t] = mech(d_prime, make_rng(seed, 2 * t + 1))
+    return audit_samples(out_a, out_b, bins, delta_slack)
+
+
+def audit_samples(out_a, out_b, bins: int, delta_slack: float = 0.0) -> AuditReport:
+    """Upper-confidence privacy loss between two equally long output samples,
+    out_a from d and out_b from d'.
+
+    Outputs are pooled, clipped to the [0.1%, 99.9%] quantile range (heavy
+    Cauchy tails would otherwise stretch the grid flat), and histogrammed on
+    `bins` equal-width bins. Bins whose estimated mass on either side falls
+    at or below delta_slack + 3 binomial sigma are flagged and excluded; the
+    rest contribute Wilson-widened |log ratios|, whose max is epsilon_hat.
+    """
+    out_a = np.asarray(out_a, dtype=float)
+    out_b = np.asarray(out_b, dtype=float)
+    if out_a.shape != out_b.shape or out_a.ndim != 1:
+        raise ValueError(f"samples must be two equally long vectors, got shapes "
+                         f"{out_a.shape} and {out_b.shape}")
+    trials = len(out_a)
+    _check_audit_args(trials, bins, delta_slack)
 
     pooled = np.concatenate([out_a, out_b])
     lo, hi = np.quantile(pooled, [0.001, 0.999])

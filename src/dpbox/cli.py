@@ -7,8 +7,17 @@ Commands: wrap (run a wrapped mechanism, emit CSV), audit (empirical epsilon
 report, JSON), coverage (Monte-Carlo check of the accuracy interval, JSON),
 bench (resource counters and budget assertions, JSON). Configuration is a
 JSON object; command-line flags override config keys of the same meaning.
-Every run is reproducible byte-for-byte from (config, seed): trial t draws
-from the rng stream (seed, t).
+The counts "trials" and "bins" and the "seed" must be JSON integers: trials
+>= 1 (>= 1000 for audit), 2 <= bins <= trials, seed >= 0.
+
+Every run is reproducible byte-for-byte from (config, seed). wrap, coverage
+and bench draw all their trials, one after another, from the one rng stream
+(seed, 0), so the first k trials of a run do not depend on "trials". audit
+draws its dataset side from (seed, 0) and its neighbor side from (seed, 1);
+a stream neighbor is drawn from (seed, 2^31). (The library's
+estimate_epsilon keeps its own per-trial streams.) In bench output a trial
+whose deterministic value was recalled, not computed, shows "cached": 1:
+every trial of a run after the first.
 
 Presets (config key "preset") bundle a substrate with the parameter choices
 the corresponding accuracy statements use; explicit config keys override
@@ -24,13 +33,15 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
-from .audit import estimate_epsilon
+import numpy as np
+
+from .audit import audit_samples
 from .graphs import load_graph, toggle_edge
 from .knapsack import load_knapsack
 from .mechanisms import (WrapConfig, laplace_params, lemma_fptas_bounds,
-                         theorem_main_bounds, tune_rho_cauchy, wrap_cauchy,
-                         wrap_laplace)
+                         theorem_main_bounds, tune_rho_cauchy, wrap_trials)
 from .noise import make_rng
 from .streams import load_stream, stream_neighbor
 from .substrates import (dataset_kind, default_delta_f, exact_value, make_substrate,
@@ -87,7 +98,22 @@ def _derive_preset_values(config: dict, dataset):
         config.setdefault("gamma", math.log(max(dataset.length, 3)))
 
 
-def _build_run(config: dict):
+def _count(config: dict, key: str, default: int, low: int) -> int:
+    """The integer config[key] (default when unset), at least low."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise CliError(f"{key!r} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+class _Run(NamedTuple):
+    substrate: object
+    dataset: object
+    wrap_cfg: WrapConfig
+    route: str
+
+
+def _build_run(config: dict) -> _Run:
     """Resolve (substrate, dataset, WrapConfig, route) from a merged config."""
     if "substrate" not in config:
         raise CliError("config needs a 'substrate' (or a 'preset' that sets one)")
@@ -119,12 +145,7 @@ def _build_run(config: dict):
     if route not in ("laplace", "cauchy"):
         raise CliError(f"route must be 'laplace' or 'cauchy', got {route!r}")
     substrate = make_substrate(name, config)
-    return substrate, dataset, wrap_cfg, route
-
-
-def _wrap_once(substrate, dataset, wrap_cfg, route, rng):
-    fn = wrap_laplace if route == "laplace" else wrap_cauchy
-    return fn(substrate, dataset, wrap_cfg, rng)
+    return _Run(substrate, dataset, wrap_cfg, route)
 
 
 def _emit(text: str, out_path):
@@ -135,21 +156,25 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _trials(run: _Run, dataset, trials: int, seed: int, stream: int = 0):
+    """The TrialChunks of `trials` releases of run on dataset, drawn from the
+    rng stream (seed, stream)."""
+    return wrap_trials(run.substrate, dataset, run.wrap_cfg, run.route,
+                       make_rng(seed, stream), trials)
+
+
 def run_wrap(config: dict) -> int:
-    substrate, dataset, wrap_cfg, route = _build_run(config)
-    trials = int(config.get("trials", 1))
-    seed = int(config.get("seed", 0))
+    trials, seed = _count(config, "trials", 1, 1), _count(config, "seed", 0, 0)
+    run = _build_run(config)
     debug = bool(config.get("debug_trace", False))
     rows = ["trial,substrate_value,output,noise_scale,rho,tau" if debug
             else "trial,output"]
-    for t in range(trials):
-        rng = make_rng(seed, t)
-        output, trace = _wrap_once(substrate, dataset, wrap_cfg, route, rng)
-        if debug:
-            rows.append(f"{t},{trace.substrate_value!r},{output!r},"
-                        f"{trace.noise_scale!r},{trace.rho!r},{trace.tau!r}")
-        else:
-            rows.append(f"{t},{output!r}")
+    for chunk in _trials(run, run.dataset, trials, seed):
+        columns = ([chunk.substrate_value, chunk.output, chunk.noise_scale] if debug
+                   else [chunk.output])
+        tail = f",{chunk.rho!r},{chunk.tau!r}" if debug else ""
+        for t, *values in zip(range(chunk.start, trials), *(c.tolist() for c in columns)):
+            rows.append(",".join(map(repr, [t, *values])) + tail)
     _emit("\n".join(rows) + "\n", config.get("out"))
     return 0
 
@@ -167,19 +192,19 @@ def _neighbor_dataset(config: dict, dataset, kind, seed: int):
 
 
 def run_audit(config: dict) -> int:
-    substrate, dataset, wrap_cfg, route = _build_run(config)
-    trials = int(config.get("trials", 1000))
-    seed = int(config.get("seed", 0))
-    bins = int(config.get("bins", 40))
+    trials, seed = _count(config, "trials", 1000, 1000), _count(config, "seed", 0, 0)
+    bins = _count(config, "bins", 40, 2)
+    if bins > trials:
+        raise CliError(f"'bins' must be at most 'trials' = {trials}, got {bins}")
     delta_slack = float(config.get("delta_slack", 0.0))
-    kind = dataset_kind(config["substrate"])
-    neighbor = _neighbor_dataset(config, dataset, kind, seed)
-
-    def mech(d, rng):
-        return _wrap_once(substrate, d, wrap_cfg, route, rng)[0]
-
-    report = estimate_epsilon(mech, dataset, neighbor, trials, bins,
-                              delta_slack=delta_slack, seed=seed)
+    if not (0.0 <= delta_slack < 1.0):
+        raise CliError(f"'delta_slack' must lie in [0, 1), got {delta_slack!r}")
+    run = _build_run(config)
+    neighbor = _neighbor_dataset(config, run.dataset, dataset_kind(config["substrate"]),
+                                 seed)
+    out_a = np.concatenate([c.output for c in _trials(run, run.dataset, trials, seed, 0)])
+    out_b = np.concatenate([c.output for c in _trials(run, neighbor, trials, seed, 1)])
+    report = audit_samples(out_a, out_b, bins, delta_slack)
     _emit(report.to_json() + "\n", config.get("out"))
     limit = config.get("epsilon_limit")
     if limit is not None and report.epsilon_hat > float(limit):
@@ -190,11 +215,11 @@ def run_audit(config: dict) -> int:
 
 
 def run_coverage(config: dict) -> int:
-    substrate, dataset, wrap_cfg, route = _build_run(config)
-    trials = int(config.get("trials", 1000))
-    seed = int(config.get("seed", 0))
-    exact = exact_value(config["substrate"], dataset, config)
-    if route == "laplace":
+    trials, seed = _count(config, "trials", 1000, 1), _count(config, "seed", 0, 0)
+    run = _build_run(config)
+    wrap_cfg = run.wrap_cfg
+    exact = exact_value(config["substrate"], run.dataset, config)
+    if run.route == "laplace":
         alpha_p, kappa_p, additive = theorem_main_bounds(wrap_cfg)
         lo = (1.0 - alpha_p) * exact - kappa_p - additive
         hi = (1.0 + alpha_p) * exact + kappa_p + additive
@@ -206,11 +231,8 @@ def run_coverage(config: dict) -> int:
         lo = (1.0 - mult) * exact - add_kappa - add_sens
         hi = (1.0 + mult) * exact + add_kappa + add_sens
         target = 0.9
-    inside = 0
-    for t in range(trials):
-        output, _ = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
-        if lo <= output <= hi:
-            inside += 1
+    inside = sum(int(np.count_nonzero((lo <= c.output) & (c.output <= hi)))
+                 for c in _trials(run, run.dataset, trials, seed))
     coverage = inside / trials
     sigma = math.sqrt(target * (1.0 - target) / trials)
     threshold = target - 3.0 * sigma
@@ -224,21 +246,21 @@ def run_coverage(config: dict) -> int:
 
 
 def run_bench(config: dict) -> int:
-    substrate, dataset, wrap_cfg, route = _build_run(config)
-    trials = int(config.get("trials", 1))
-    seed = int(config.get("seed", 0))
+    trials, seed = _count(config, "trials", 1, 1), _count(config, "seed", 0, 0)
+    run = _build_run(config)
     # Only the Laplace route runs randomized substrates, whose query counts
     # carry a claim.
-    budget = (query_budget(config["substrate"], dataset, laplace_params(wrap_cfg))
-              if route == "laplace" else math.inf)
+    budget = (query_budget(config["substrate"], run.dataset, laplace_params(run.wrap_cfg))
+              if run.route == "laplace" else math.inf)
     per_trial = []
     ok = True
-    for t in range(trials):
-        output, trace = _wrap_once(substrate, dataset, wrap_cfg, route, make_rng(seed, t))
-        cost = {k: v for k, v in trace.cost.items() if v}
-        if cost.get("queries", 0) > budget:
-            ok = False
-        per_trial.append({"trial": t, "output": output, **cost})
+    for chunk in _trials(run, run.dataset, trials, seed):
+        for t, output, trial_cost in zip(range(chunk.start, trials), chunk.output.tolist(),
+                                         chunk.cost):
+            cost = {k: v for k, v in trial_cost.items() if v}
+            if cost.get("queries", 0) > budget:
+                ok = False
+            per_trial.append({"trial": t, "output": output, **cost})
     _emit(json.dumps({
         "substrate": config["substrate"], "trials": trials,
         "query_budget": None if math.isinf(budget) else budget,

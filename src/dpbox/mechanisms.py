@@ -15,6 +15,8 @@ and is pure epsilon-DP but requires a deterministic substrate. A
 TunableSubstrate handle evaluates a deterministic substrate once per
 (dataset, params) and recalls the value on later trials; the noise draws are
 the same either way, since deterministic substrates draw nothing from the rng.
+wrap_trials runs many trials of either wrapper on one rng, and draws the
+noise of a deterministic substrate as one vector per chunk of trials.
 median_replicas is the one rule by which randomized substrates shrink their
 failure probability by replication, and to_pure_dp post-processes an
 (epsilon, delta) output onto a finite grid so the overall release is pure
@@ -27,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Optional
+
+import numpy as np
 
 from .noise import sample_cauchy, sample_laplace
 
@@ -42,6 +46,9 @@ __all__ = [
     "laplace_params",
     "wrap_laplace",
     "wrap_cauchy",
+    "TRIAL_CHUNK",
+    "TrialChunk",
+    "wrap_trials",
     "boost_replicas",
     "median_replicas",
     "pure_dp_fallback_prob",
@@ -227,33 +234,53 @@ def smooth_bound(x: float, rho: float, tau: float, delta_f: float) -> float:
     return 4.0 * rho * x + 4.0 * tau + delta_f
 
 
-def _noised(value: float, cost: dict, rho: float, tau: float, cfg: WrapConfig, rng,
-            route: str):
-    if not math.isfinite(value):
-        raise ValueError(f"substrate returned a non-finite value: {value!r}")
-    # Substrate outputs are clamped at 0 from below before noising; the target
-    # quantity is nonnegative, and an abort here would depend on the data.
-    clamped = value < 0.0
-    x = 0.0 if clamped else float(value)
-    bound = smooth_bound(x, rho, tau, cfg.delta_f)
-    if route == "laplace":
-        scale = 2.0 * bound / cfg.epsilon
-        draw = sample_laplace(scale, rng)
-    else:
-        scale = 6.0 * bound / cfg.epsilon
-        draw = sample_cauchy(scale, rng)
-    output = x + draw
-    trace = MechanismTrace(substrate_value=x, rho=rho, tau=tau, noise_scale=scale,
-                           noise_draw=draw, output=output, clamped=clamped, cost=cost)
-    return output, trace
-
-
 def laplace_params(cfg: WrapConfig) -> ApproxParams:
     """The request wrap_laplace hands its substrate: ApproxParams(rho, tau,
     cfg.delta/2) with rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
     and tau = cfg.tau()."""
     rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
     return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=cfg.delta / 2.0)
+
+
+# Per route: the noise sampler, and the multiple of bound/epsilon that is its scale.
+_SAMPLERS = {"laplace": sample_laplace, "cauchy": sample_cauchy}
+_SCALE_FACTORS = {"laplace": 2.0, "cauchy": 6.0}
+
+
+def _route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> ApproxParams:
+    """The request a route hands its substrate: rho in alpha, tau in kappa."""
+    if route == "laplace":
+        return laplace_params(cfg)
+    if route != "cauchy":
+        raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    if not substrate.is_deterministic:
+        raise ValueError(
+            f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
+    return ApproxParams(alpha=tune_rho_cauchy(cfg.alpha, cfg.epsilon), kappa=cfg.tau(),
+                        fail_prob=0.0)
+
+
+def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, route: str):
+    """(x, clamped, scale): the value that gets noised and the noise scale."""
+    if not math.isfinite(value):
+        raise ValueError(f"substrate returned a non-finite value: {value!r}")
+    # Substrate outputs are clamped at 0 from below before noising; the target
+    # quantity is nonnegative, and an abort here would depend on the data.
+    clamped = value < 0.0
+    x = 0.0 if clamped else float(value)
+    bound = smooth_bound(x, params.alpha, params.kappa, cfg.delta_f)
+    return x, clamped, _SCALE_FACTORS[route] * bound / cfg.epsilon
+
+
+def _noised(value: float, cost: dict, params: ApproxParams, cfg: WrapConfig, rng,
+            route: str):
+    x, clamped, scale = _calibrate(value, params, cfg, route)
+    draw = _SAMPLERS[route](scale, rng)
+    output = x + draw
+    trace = MechanismTrace(substrate_value=x, rho=params.alpha, tau=params.kappa,
+                           noise_scale=scale, noise_draw=draw, output=output,
+                           clamped=clamped, cost=cost)
+    return output, trace
 
 
 def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -268,9 +295,9 @@ def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
     trace is for testing only and must not be released.
     """
-    params = laplace_params(cfg)
+    params = _route_params(substrate, cfg, "laplace")
     value, cost = substrate.evaluate(dataset, params, rng)
-    return _noised(value, cost, params.alpha, params.kappa, cfg, rng, route="laplace")
+    return _noised(value, cost, params, cfg, rng, "laplace")
 
 
 def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -282,14 +309,71 @@ def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     returns x + Cauchy(6 * (4*rho*x + 4*tau + delta_f) / epsilon) with a
     trace. The released output is epsilon-DP when the contract holds.
     """
-    if not substrate.is_deterministic:
-        raise ValueError(
-            f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
-    rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon)
-    tau = cfg.tau()
-    params = ApproxParams(alpha=rho, kappa=tau, fail_prob=0.0)
+    params = _route_params(substrate, cfg, "cauchy")
     value, cost = substrate.evaluate(dataset, params, rng)
-    return _noised(value, cost, rho, tau, cfg, rng, route="cauchy")
+    return _noised(value, cost, params, cfg, rng, "cauchy")
+
+
+# Trials per TrialChunk: bounds the memory of a run whatever its trial count.
+TRIAL_CHUNK = 2 ** 16
+
+
+@dataclass
+class TrialChunk:
+    """Trials start .. start + len(output) - 1 of one wrap_trials run.
+
+    output, substrate_value, noise_scale and noise_draw are float arrays, one
+    entry per trial, with the meaning of the MechanismTrace fields of the same
+    names; cost holds each trial's cost dict. rho and tau are the run's tuned
+    knobs. Everything but output is diagnostic and not releasable.
+    """
+
+    start: int
+    output: np.ndarray
+    substrate_value: np.ndarray
+    noise_scale: np.ndarray
+    noise_draw: np.ndarray
+    cost: list
+    rho: float
+    tau: float
+
+
+def wrap_trials(substrate: TunableSubstrate, dataset, cfg: WrapConfig, route: str, rng,
+                trials: int):
+    """Yield `trials` releases of the route's wrapper on one rng, in
+    TrialChunks of at most TRIAL_CHUNK trials.
+
+    A run equals `trials` sequential wrap_laplace (route "laplace") or
+    wrap_cauchy ("cauchy") calls on the same rng, bit for bit. A
+    deterministic substrate draws nothing from the rng, so it is evaluated
+    once, its noise scale computed once, and each chunk's noise drawn as one
+    vector; later trials cost {"cached": 1}, as recalled calls do. A
+    randomized substrate is evaluated and noised trial by trial.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials!r}")
+    params = _route_params(substrate, cfg, route)
+    sample = _SAMPLERS[route]
+    if substrate.is_deterministic and trials:
+        value, first_cost = substrate.evaluate(dataset, params, rng)
+        x, _, scale = _calibrate(value, params, cfg, route)
+    for start in range(0, trials, TRIAL_CHUNK):
+        n = min(TRIAL_CHUNK, trials - start)
+        if substrate.is_deterministic:
+            draw = sample(scale, rng, size=n)
+            values, scales = np.full(n, x), np.full(n, scale)
+            cost = [first_cost if start == 0 else _CACHED_COST] + [_CACHED_COST] * (n - 1)
+        else:
+            values, scales, draw = np.empty(n), np.empty(n), np.empty(n)
+            cost = []
+            for i in range(n):
+                value, trial_cost = substrate.evaluate(dataset, params, rng)
+                values[i], _, scales[i] = _calibrate(value, params, cfg, route)
+                draw[i] = sample(scales[i], rng)
+                cost.append(trial_cost)
+        yield TrialChunk(start=start, output=values + draw, substrate_value=values,
+                         noise_scale=scales, noise_draw=draw, cost=cost,
+                         rho=params.alpha, tau=params.kappa)
 
 
 def boost_replicas(target_fail: float) -> int:

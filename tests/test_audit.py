@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dpbox.audit import AuditReport, estimate_epsilon, _wilson
+from dpbox.audit import AuditReport, audit_samples, estimate_epsilon, _wilson
 from dpbox.noise import sample_laplace
 
 
@@ -146,3 +147,50 @@ def test_epsilon_scales_with_shift():
                             bins=30, seed=5)
     assert half.epsilon_hat < full.epsilon_hat
     assert math.isfinite(full.epsilon_hat)
+
+
+# Reports computed before the histogram half moved into audit_samples; the
+# per-trial streams (seed, 2t) and (seed, 2t+1) keep them byte-identical.
+_FROZEN_REPORTS = [
+    (dict(trials=2000, bins=15, seed=9),
+     '{"epsilon_hat": 2.188447166681244, "trials": 2000, "bins": 15, "flagged_bins": '
+     '[0, 1, 2, 13, 14], "delta_slack": 0.0, "degenerate": false, "per_bin_ratios": '
+     '[[3, 1.9828377040352316], [4, 1.579126660299774], [5, 1.3686751250710276], '
+     '[6, 1.1385998176359076], [7, 0.9070559717688322], [8, 0.7883776781872445], '
+     '[9, 1.0947530958536316], [10, 1.3286258020428425], [11, 2.188447166681244], '
+     '[12, 2.0343862902905565]], "argmax_bin": 11}'),
+    (dict(trials=1000, bins=10, seed=11, delta_slack=0.01),
+     '{"epsilon_hat": 1.8266426527990531, "trials": 1000, "bins": 10, "flagged_bins": '
+     '[0, 1, 2, 8, 9], "delta_slack": 0.01, "degenerate": false, "per_bin_ratios": '
+     '[[3, 1.3793882830347532], [4, 1.362533527017221], [5, 0.2325792180769295], '
+     '[6, 1.3904722114824561], [7, 1.8266426527990531]], "argmax_bin": 7}'),
+]
+
+
+@pytest.mark.parametrize("kwargs,expected", _FROZEN_REPORTS)
+def test_estimate_epsilon_reports_are_frozen(kwargs, expected):
+    assert estimate_epsilon(laplace_shift_mech, 0.0, 1.0, **kwargs).to_json() == expected
+
+
+def test_audit_samples_is_the_histogram_half_of_estimate_epsilon():
+    outputs = {}
+
+    def recording_mech(d, rng):
+        value = laplace_shift_mech(d, rng)
+        outputs.setdefault(d, []).append(value)
+        return value
+
+    report = estimate_epsilon(recording_mech, 0.0, 1.0, trials=1500, bins=12, seed=4,
+                              delta_slack=0.005)
+    assert audit_samples(outputs[0.0], outputs[1.0], 12, 0.005) == report
+
+
+def test_audit_samples_validation():
+    with pytest.raises(ValueError):
+        audit_samples(np.zeros(1000), np.zeros(1001), bins=10)
+    with pytest.raises(ValueError):
+        audit_samples(np.zeros(999), np.zeros(999), bins=10)
+    with pytest.raises(ValueError):
+        audit_samples(np.zeros(1000), np.zeros(1000), bins=1)
+    with pytest.raises(ValueError):
+        audit_samples(np.zeros(1000), np.zeros(1000), bins=10, delta_slack=-0.1)

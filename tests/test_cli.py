@@ -1,11 +1,22 @@
 import json
 import math
+import os
+import tempfile
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpbox.audit import audit_samples
 from dpbox.cli import main
-from dpbox.mechanisms import tune_rho_laplace
+from dpbox.graphs import load_graph, toggle_edge
+from dpbox.mechanisms import TRIAL_CHUNK, WrapConfig, tune_rho_laplace, wrap_trials
+from dpbox.noise import make_rng
+from dpbox.streams import load_stream, stream_neighbor
+from dpbox.substrates import make_substrate
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -335,3 +346,100 @@ def test_bench_marks_recalled_deterministic_trials(tmp_path):
     assert first["items"] > 0 and "cached" not in first
     assert [row.get("cached") for row in rest] == [1, 1]
     assert all("items" not in row for row in rest)
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("coverage", {"trials": 0}),
+    ("coverage", {"trials": -3}),
+    ("wrap", {"trials": -3}),
+    ("bench", {"trials": -3}),
+    ("wrap", {"trials": 2.5}),
+    ("wrap", {"trials": 2.0}),
+    ("bench", {"trials": True}),
+    ("wrap", {"seed": -1}),
+    ("coverage", {"seed": 1.5}),
+    ("audit", {"trials": 999}),
+    ("audit", {"trials": 1000, "bins": 3e9}),
+    ("audit", {"trials": 1000, "bins": 3_000_000_000}),
+    ("audit", {"trials": 1000, "bins": 2.5}),
+    ("audit", {"trials": 1000, "bins": 1}),
+    ("audit", {"trials": 1000, "bins": False}),
+    ("audit", {"trials": 1000, "delta_slack": 1.0}),
+])
+def test_bad_counts_exit_2_before_loading(tmp_path, capsys, command, payload):
+    # The input file does not exist: a count error must be reported first.
+    cfg = write_config(tmp_path, dict(CC_EXACT_TINY_NOISE, input="data/missing.graph",
+                                      **payload))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    key = next(k for k in ("bins", "delta_slack", "seed", "trials") if k in payload)
+    assert err.startswith(f"dpb: '{key}'") and err.count("\n") == 1
+
+
+def _wrap_lines(config, *flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out = os.path.join(tmp, "out.csv")
+        assert main(["wrap", "--config", cfg, "--out", out, *flags]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+
+
+@settings(max_examples=15, deadline=None)
+@given(substrate=st.sampled_from(["cc_exact", "cc_estimate"]), k=st.integers(1, 4),
+       extra=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_trials_do_not_depend_on_the_trial_count(substrate, k, extra, seed):
+    config = {"substrate": substrate, "input": "data/demo_cc.graph", "epsilon": 1.0,
+              "delta": 0.01, "alpha": 0.5, "kappa": 6.0, "gamma": 3.0, "seed": seed}
+    short = _wrap_lines(dict(config, trials=k), "--debug-trace")
+    long = _wrap_lines(dict(config, trials=k + extra), "--debug-trace")
+    assert len(short) == k + 1 and len(long) == k + extra + 1
+    assert long[:k + 1] == short
+
+
+AUDIT_GRAPH = {
+    "substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 1.0, "delta": 0.01,
+    "alpha": 0.5, "kappa": 1.0, "gamma": 3.0, "trials": 2000, "bins": 20,
+    "delta_slack": 0.01, "toggle": [0, 1], "seed": 5,
+}
+
+
+@pytest.mark.parametrize("config", [
+    AUDIT_GRAPH,
+    dict(AUDIT_GRAPH, substrate="f0_exact", input="data/demo_stream_insert.txt", seed=6),
+])
+def test_audit_report_is_audit_samples_of_two_trial_runs(tmp_path, config):
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    seed = config["seed"]
+    substrate = make_substrate(config["substrate"])
+    if config["substrate"] == "cc_exact":
+        d = load_graph(config["input"])
+        d_prime = toggle_edge(d, 0, 1)
+    else:
+        d = load_stream(config["input"])
+        d_prime = stream_neighbor(d, make_rng(seed, 2 ** 31))
+    cfg = WrapConfig(epsilon=1.0, delta=0.01, alpha=0.5, kappa=1.0, delta_f=2.0, gamma=3.0)
+    out_a, out_b = (np.concatenate([c.output for c in wrap_trials(
+        substrate, dataset, cfg, "laplace", make_rng(seed, stream), config["trials"])])
+        for stream, dataset in ((0, d), (1, d_prime)))
+    expected = audit_samples(out_a, out_b, config["bins"], config["delta_slack"])
+    assert out.read_text() == expected.to_json() + "\n"
+
+
+def test_coverage_memory_does_not_grow_with_trials(tmp_path):
+    peaks = []
+    for trials in (4 * TRIAL_CHUNK, 16 * TRIAL_CHUNK):
+        cfg = write_config(tmp_path, dict(CC_EXACT_TINY_NOISE, epsilon=1.0, gamma=3.0,
+                                          trials=trials))
+        tracemalloc.start()
+        try:
+            assert main(["coverage", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Four times the trials, not four times the memory: the chunks are counted
+    # and dropped one by one.
+    assert peaks[1] < 1.2 * peaks[0]

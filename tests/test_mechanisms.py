@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ from hypothesis import strategies as st
 from dpbox.audit import estimate_epsilon
 from dpbox.graphs import Graph, toggle_edge
 from dpbox.knapsack import KnapsackInstance
-
+from dpbox import mechanisms
 from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
                               TunableSubstrate, WrapConfig, boost_replicas,
                               lemma_fptas_bounds, median_replicas,
                               pure_dp_fallback_prob, smooth_bound,
                               theorem_main_bounds, to_pure_dp,
                               tune_rho_cauchy, tune_rho_laplace, wrap_cauchy,
-                              wrap_laplace)
+                              wrap_laplace, wrap_trials)
 from dpbox.noise import make_rng
 from dpbox.streams import UpdateStream, stream_neighbor
 from dpbox.substrates import make_substrate
@@ -300,6 +301,89 @@ def test_shared_handle_releases_what_fresh_handles_release(n, edge_bits, items, 
             fresh_out, fresh_trace = wrap(make_substrate(name), dataset, _MEMO_CFG,
                                           make_rng(seed, t))
             assert (out, trace.substrate_value) == (fresh_out, fresh_trace.substrate_value)
+
+
+# ---------------------------------------------------------------- trial runs
+
+
+def _trial_case(name, seed):
+    """(substrate, dataset, route, cfg) of one wrap_trials case."""
+    cfg = _MEMO_CFG
+    if name in ("cc_exact", "cc_estimate"):
+        rng = make_rng(seed)
+        pairs = list(itertools.combinations(range(7), 2))
+        g = Graph(7, [e for e in pairs if rng.random() < 0.3])
+        if name == "cc_estimate":
+            cfg = dataclasses.replace(cfg, delta=0.2, kappa=3.0)
+        return make_substrate(name), g, "laplace", cfg
+    if name == "f0_exact":
+        items = make_rng(seed).integers(0, 6, size=12)
+        return (make_substrate(name), UpdateStream(6, [(int(i), 1) for i in items]),
+                "laplace", cfg)
+    if name == "knapsack":
+        values = make_rng(seed).integers(1, 20, size=5).tolist()
+        return (make_substrate(name), KnapsackInstance(9, [2, 3, 4, 5, 6], values),
+                "cauchy", dataclasses.replace(cfg, gamma=7.0))
+    if name == "clamped":
+        return const_substrate(-2.5, deterministic=seed % 2 == 0), None, "laplace", cfg
+    # Value 0, tau 0 and delta_f 0: a zero noise scale.
+    zero_cfg = dataclasses.replace(cfg, kappa=0.0, delta_f=0.0)
+    return const_substrate(0.0), None, ("laplace", "cauchy")[seed % 2], zero_cfg
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["cc_exact", "f0_exact", "knapsack", "cc_estimate",
+                             "clamped", "zero_scale"]),
+       trials=st.integers(0, 9), chunk=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_wrap_trials_equals_sequential_wrapper_calls(name, trials, chunk, seed):
+    substrate, dataset, route, cfg = _trial_case(name, seed)
+    with mock.patch.object(mechanisms, "TRIAL_CHUNK", chunk):
+        chunks = list(wrap_trials(substrate, dataset, cfg, route, make_rng(seed, 1), trials))
+    # The reference: one wrapper call per trial on one rng, with a fresh handle.
+    reference, _, _, _ = _trial_case(name, seed)
+    wrap = wrap_laplace if route == "laplace" else wrap_cauchy
+    rng = make_rng(seed, 1)
+    traces = [wrap(reference, dataset, cfg, rng)[1] for _ in range(trials)]
+
+    assert [c.start for c in chunks] == list(range(0, trials, chunk))
+    assert all(1 <= len(c.output) <= chunk for c in chunks)
+    for field_name in ("output", "substrate_value", "noise_scale", "noise_draw"):
+        got = [v for c in chunks for v in getattr(c, field_name).tolist()]
+        assert _hexes(got) == _hexes(getattr(t, field_name) for t in traces), field_name
+    assert [dict(cost) for c in chunks for cost in c.cost] == [dict(t.cost) for t in traces]
+    for c in chunks:
+        assert (c.rho, c.tau) == (traces[0].rho, traces[0].tau)
+    if name == "clamped" and trials:
+        assert all(t.clamped for t in traces)
+        assert set(v for c in chunks for v in c.substrate_value.tolist()) == {0.0}
+    if name == "zero_scale" and trials:
+        assert set(v for c in chunks for v in c.noise_scale.tolist()) == {0.0}
+
+
+def test_wrap_trials_evaluates_a_deterministic_substrate_once():
+    sub, calls = counting_substrate(True)
+    d = (0,) * 6
+    chunks = list(wrap_trials(sub, d, _MEMO_CFG, "laplace", make_rng(2), 5))
+    assert calls == [d]
+    assert chunks[0].cost == [{"items": 6}] + [{"cached": 1}] * 4
+    randomized, calls = counting_substrate(False)
+    list(wrap_trials(randomized, d, _MEMO_CFG, "laplace", make_rng(2), 5))
+    assert len(calls) == 5
+
+
+def test_wrap_trials_rejects_what_the_wrappers_reject():
+    randomized = const_substrate(1.0, deterministic=False)
+    with pytest.raises(ValueError):
+        next(wrap_trials(randomized, None, _MEMO_CFG, "cauchy", make_rng(0), 3))
+    with pytest.raises(ValueError):
+        next(wrap_trials(const_substrate(1.0), None, _MEMO_CFG, "gauss", make_rng(0), 3))
+    with pytest.raises(ValueError):
+        next(wrap_trials(const_substrate(math.nan), None, _MEMO_CFG, "laplace",
+                         make_rng(0), 3))
 
 
 # ---------------------------------------------------------------- boosting
