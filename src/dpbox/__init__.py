@@ -13,8 +13,8 @@ them against, and an empirical privacy auditor.
 from .noise import make_rng, sample_cauchy, sample_laplace
 from .mechanisms import (ApproxParams, GridSpec, MechanismTrace, TunableSubstrate,
                          WrapConfig, boost_replicas, lemma_fptas_bounds,
-                         median_replicas, pure_dp_fallback_prob, smooth_bound,
-                         theorem_main_bounds, to_pure_dp, tune_rho_cauchy,
+                         median_replicas, pure_dp_fallback_prob, route_params,
+                         smooth_bound, theorem_main_bounds, to_pure_dp, tune_rho_cauchy,
                          tune_rho_laplace, wrap_cauchy, wrap_laplace, wrap_trials)
 from .graphs import (Graph, connected_components_exact, format_graph,
                      kruskal_mst_weight, load_graph, parse_graph, save_graph,

@@ -40,8 +40,8 @@ import numpy as np
 from .audit import audit_samples
 from .graphs import load_graph, toggle_edge
 from .knapsack import load_knapsack
-from .mechanisms import (WrapConfig, laplace_params, lemma_fptas_bounds,
-                         theorem_main_bounds, tune_rho_cauchy, wrap_trials)
+from .mechanisms import (ApproxParams, WrapConfig, lemma_fptas_bounds, route_params,
+                         theorem_main_bounds, wrap_trials)
 from .noise import make_rng
 from .streams import load_stream, stream_neighbor
 from .substrates import (dataset_kind, default_delta_f, exact_value, make_substrate,
@@ -111,10 +111,11 @@ class _Run(NamedTuple):
     dataset: object
     wrap_cfg: WrapConfig
     route: str
+    params: ApproxParams
 
 
 def _build_run(config: dict) -> _Run:
-    """Resolve (substrate, dataset, WrapConfig, route) from a merged config."""
+    """Resolve (substrate, dataset, WrapConfig, route, params) from a merged config."""
     if "substrate" not in config:
         raise CliError("config needs a 'substrate' (or a 'preset' that sets one)")
     name = config["substrate"]
@@ -142,10 +143,8 @@ def _build_run(config: dict) -> _Run:
                       else float(config["tau_override"])),
     )
     route = config.get("route", "laplace")
-    if route not in ("laplace", "cauchy"):
-        raise CliError(f"route must be 'laplace' or 'cauchy', got {route!r}")
     substrate = make_substrate(name, config)
-    return _Run(substrate, dataset, wrap_cfg, route)
+    return _Run(substrate, dataset, wrap_cfg, route, route_params(substrate, wrap_cfg, route))
 
 
 def _emit(text: str, out_path):
@@ -179,13 +178,21 @@ def run_wrap(config: dict) -> int:
     return 0
 
 
-def _neighbor_dataset(config: dict, dataset, kind, seed: int):
+def _toggle(config: dict):
+    """(u, v, weight) of the edge a graph audit toggles: "toggle", two
+    integers (default [0, 1]), and "toggle_weight", an integer >= 1."""
+    pair = config.get("toggle", [0, 1])
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+        raise CliError(f"'toggle' must be a list of two integers, got {pair!r}")
+    return pair[0], pair[1], _count(config, "toggle_weight", 1, 1)
+
+
+def _neighbor_dataset(config: dict, dataset, kind, seed: int, toggle):
     if "input_prime" in config:
         return _LOADERS[kind](config["input_prime"])
     if kind == "graph":
-        u, v = config.get("toggle", (0, 1))
-        weight = int(config.get("toggle_weight", 1))
-        return toggle_edge(dataset, int(u), int(v), weight)
+        return toggle_edge(dataset, *toggle)
     if kind == "stream":
         return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
     raise CliError("audit of a knapsack instance needs an explicit 'input_prime' file")
@@ -199,9 +206,10 @@ def run_audit(config: dict) -> int:
     delta_slack = float(config.get("delta_slack", 0.0))
     if not (0.0 <= delta_slack < 1.0):
         raise CliError(f"'delta_slack' must lie in [0, 1), got {delta_slack!r}")
+    toggle = _toggle(config)
     run = _build_run(config)
     neighbor = _neighbor_dataset(config, run.dataset, dataset_kind(config["substrate"]),
-                                 seed)
+                                 seed, toggle)
     out_a = np.concatenate([c.output for c in _trials(run, run.dataset, trials, seed, 0)])
     out_b = np.concatenate([c.output for c in _trials(run, neighbor, trials, seed, 1)])
     report = audit_samples(out_a, out_b, bins, delta_slack)
@@ -225,9 +233,9 @@ def run_coverage(config: dict) -> int:
         hi = (1.0 + alpha_p) * exact + kappa_p + additive
         target = 1.0 - wrap_cfg.delta - math.exp(-wrap_cfg.gamma)
     else:
-        rho = tune_rho_cauchy(wrap_cfg.alpha, wrap_cfg.epsilon)
         mult, add_kappa, add_sens = lemma_fptas_bounds(
-            rho, wrap_cfg.tau(), wrap_cfg.delta_f, wrap_cfg.epsilon, wrap_cfg.gamma)
+            run.params.alpha, run.params.kappa, wrap_cfg.delta_f, wrap_cfg.epsilon,
+            wrap_cfg.gamma)
         lo = (1.0 - mult) * exact - add_kappa - add_sens
         hi = (1.0 + mult) * exact + add_kappa + add_sens
         target = 0.9
@@ -248,10 +256,7 @@ def run_coverage(config: dict) -> int:
 def run_bench(config: dict) -> int:
     trials, seed = _count(config, "trials", 1, 1), _count(config, "seed", 0, 0)
     run = _build_run(config)
-    # Only the Laplace route runs randomized substrates, whose query counts
-    # carry a claim.
-    budget = (query_budget(config["substrate"], run.dataset, laplace_params(run.wrap_cfg))
-              if run.route == "laplace" else math.inf)
+    budget = query_budget(config["substrate"], run.dataset, run.params)
     per_trial = []
     ok = True
     for chunk in _trials(run, run.dataset, trials, seed):

@@ -43,7 +43,7 @@ __all__ = [
     "tune_rho_laplace",
     "tune_rho_cauchy",
     "smooth_bound",
-    "laplace_params",
+    "route_params",
     "wrap_laplace",
     "wrap_cauchy",
     "TRIAL_CHUNK",
@@ -234,23 +234,20 @@ def smooth_bound(x: float, rho: float, tau: float, delta_f: float) -> float:
     return 4.0 * rho * x + 4.0 * tau + delta_f
 
 
-def laplace_params(cfg: WrapConfig) -> ApproxParams:
-    """The request wrap_laplace hands its substrate: ApproxParams(rho, tau,
-    cfg.delta/2) with rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
-    and tau = cfg.tau()."""
-    rho = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
-    return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=cfg.delta / 2.0)
-
-
 # Per route: the noise sampler, and the multiple of bound/epsilon that is its scale.
 _SAMPLERS = {"laplace": sample_laplace, "cauchy": sample_cauchy}
 _SCALE_FACTORS = {"laplace": 2.0, "cauchy": 6.0}
 
 
-def _route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> ApproxParams:
-    """The request a route hands its substrate: rho in alpha, tau in kappa."""
+def route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> ApproxParams:
+    """The request a route hands its substrate: rho in alpha, tau = cfg.tau()
+    in kappa. "laplace" tunes rho = tune_rho_laplace(cfg.alpha, cfg.epsilon,
+    cfg.delta) with fail_prob cfg.delta/2; "cauchy" needs a deterministic
+    substrate and tunes rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon) with
+    fail_prob 0."""
     if route == "laplace":
-        return laplace_params(cfg)
+        return ApproxParams(alpha=tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta),
+                            kappa=cfg.tau(), fail_prob=cfg.delta / 2.0)
     if route != "cauchy":
         raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
     if not substrate.is_deterministic:
@@ -286,8 +283,8 @@ def _noised(value: float, cost: dict, params: ApproxParams, cfg: WrapConfig, rng
 def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     """Release the substrate's value plus Laplace noise calibrated to it.
 
-    Invokes the substrate exactly once with params = laplace_params(cfg),
-    rho = params.alpha and tau = params.kappa, and returns
+    Invokes the substrate exactly once with params = route_params(substrate,
+    cfg, "laplace"), rho = params.alpha and tau = params.kappa, and returns
 
         x + Laplace(2 * (4*rho*x + 4*tau + delta_f) / epsilon)
 
@@ -295,7 +292,7 @@ def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
     trace is for testing only and must not be released.
     """
-    params = _route_params(substrate, cfg, "laplace")
+    params = route_params(substrate, cfg, "laplace")
     value, cost = substrate.evaluate(dataset, params, rng)
     return _noised(value, cost, params, cfg, rng, "laplace")
 
@@ -309,7 +306,7 @@ def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     returns x + Cauchy(6 * (4*rho*x + 4*tau + delta_f) / epsilon) with a
     trace. The released output is epsilon-DP when the contract holds.
     """
-    params = _route_params(substrate, cfg, "cauchy")
+    params = route_params(substrate, cfg, "cauchy")
     value, cost = substrate.evaluate(dataset, params, rng)
     return _noised(value, cost, params, cfg, rng, "cauchy")
 
@@ -352,7 +349,7 @@ def wrap_trials(substrate: TunableSubstrate, dataset, cfg: WrapConfig, route: st
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
-    params = _route_params(substrate, cfg, route)
+    params = route_params(substrate, cfg, route)
     sample = _SAMPLERS[route]
     if substrate.is_deterministic and trials:
         value, first_cost = substrate.evaluate(dataset, params, rng)
@@ -399,26 +396,20 @@ class GridSpec:
     """Rounding grid for the approximate-to-pure post-processing step.
 
     range_max is an a-priori upper bound on the mechanism's output and spacing
-    the grid pitch; the grid points are {0, spacing, ..., floor(M/g)*g}.
-    num_points is derived when omitted and validated when given.
+    the grid pitch; the grid points are {0, spacing, ..., floor(M/g)*g}, and
+    num_points = floor(M/g) + 1 is derived, never passed.
     """
 
     range_max: float
     spacing: float
-    num_points: Optional[int] = None
+    num_points: int = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.range_max) and self.range_max > 0.0):
             raise ValueError(f"range_max must be a positive real, got {self.range_max!r}")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        expected = int(math.floor(self.range_max / self.spacing + 1e-9)) + 1
-        if self.num_points is None:
-            self.num_points = expected
-        elif int(self.num_points) != expected:
-            raise ValueError(
-                f"num_points must equal floor(range_max/spacing)+1 = {expected}, "
-                f"got {self.num_points!r}")
+        self.num_points = int(math.floor(self.range_max / self.spacing + 1e-9)) + 1
 
     def point(self, i: int) -> float:
         return i * self.spacing

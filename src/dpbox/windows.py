@@ -1,28 +1,33 @@
 """Sliding-window estimation via smooth histograms over insertion streams.
 
 A SmoothHistogram keeps a short list of estimator instances, each covering a
-suffix of the stream, pruned so that consecutive-but-two instances differ by
-at least a (1-xi) factor. Querying returns the estimate of the earliest
-instance fully inside the window; xi is chosen from the target relative error
-rho by the smoothness of the quantity (xi = rho for distinct count,
-xi = rho^2/2 for the second moment), which makes the answer a
+suffix of the stream; `starts` lists their start times, increasing. Each
+update opens an instance at the new time, feeds the item to all of them and
+keeps the indices _prune returns, in one pass with a stack (see _prune), so
+that no three consecutive instances have estimate(i+2) >= (1-xi)*estimate(i)
+and only one starts at or before clock - window. Querying returns the
+estimate of the earliest instance fully inside the window. xi is chosen from
+the target relative error rho by the smoothness of the quantity (xi = rho for
+distinct count, xi = rho^2/2 for the second moment), which makes the answer a
 (1 +/- (rho + alpha + rho*alpha)) approximation when the per-instance
 estimator is itself (1 +/- alpha) accurate.
 
-Instances are backed by a family object owning per-instance state. Exact
-families (running distinct counts, running F2) support the rho -> 0 limit and
-fast large-stream testing; SketchFamily plugs in bare KMV or AMS sketches,
-feeding each its item through update(item) (an AMS update's delta defaults
-to 1).
+A family object owns the per-instance state, in lists, behind four methods:
+ingest(item, starts) opens the instance at starts[-1] and feeds item to every
+instance, estimates() lists the estimates as floats, keep(indices) keeps the
+instances at those increasing indices, and sketch_at(i) returns instance i's
+sketch or None. Exact families (running distinct counts, per-instance item
+counts for F2) support the rho -> 0 limit and fast large-stream testing;
+SketchFamily plugs in bare KMV or AMS sketches, feeding each its item through
+update(item) (an AMS update's delta defaults to 1).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List
-
-import numpy as np
 
 from .sketches import AmsSketch, KmvSketch
 
@@ -67,30 +72,29 @@ def smoothness_check_f2(rho: float) -> float:
 
 
 class DistinctExactFamily:
-    """Per-instance exact distinct counts, vectorized over instances.
+    """Per-instance exact distinct counts.
 
     last_seen[item] is the time of the item's previous arrival (0 = never):
     exactly the instances that started after that time gain a new distinct
-    item, so one comparison against the start vector updates every instance.
+    item, and as starts increase they are a suffix of the list.
     """
 
     def __init__(self):
-        self._counts = np.zeros(0, dtype=np.int64)
+        self._counts: List[int] = []
         self._last_seen = {}
 
-    def append(self, start: int):
-        self._counts = np.append(self._counts, 0)
+    def ingest(self, item: int, starts: List[int]):
+        counts = self._counts
+        counts.append(0)
+        for i in range(bisect_right(starts, self._last_seen.get(item, 0)), len(counts)):
+            counts[i] += 1
+        self._last_seen[item] = starts[-1]
 
-    def ingest(self, item: int, t: int, starts: np.ndarray):
-        prev = self._last_seen.get(item, 0)
-        self._counts[starts > prev] += 1
-        self._last_seen[item] = t
+    def estimates(self) -> List[float]:
+        return [float(c) for c in self._counts]
 
-    def estimates(self) -> np.ndarray:
-        return self._counts.astype(np.float64)
-
-    def drop(self, indices):
-        self._counts = np.delete(self._counts, indices)
+    def keep(self, indices: List[int]):
+        self._counts = [self._counts[i] for i in indices]
 
     def sketch_at(self, i: int):
         return None
@@ -99,29 +103,30 @@ class DistinctExactFamily:
 class F2ExactFamily:
     """Per-instance exact second moments.
 
-    Appending an occurrence of an item whose count inside an instance is c
-    raises that instance's F2 by 2c + 1; the counts for all instances come
-    from one searchsorted against the item's occurrence-time list.
+    Each instance holds its own item counts and F2; one more occurrence of an
+    item it has counted c times raises its F2 by 2c + 1. The state is one
+    count per live instance and item seen by it, whatever the stream length.
     """
 
     def __init__(self):
-        self._f2 = np.zeros(0, dtype=np.int64)
-        self._occurrences = {}
+        self._counts: List[dict] = []
+        self._f2: List[int] = []
 
-    def append(self, start: int):
-        self._f2 = np.append(self._f2, 0)
+    def ingest(self, item: int, starts: List[int]):
+        self._counts.append({})
+        self._f2.append(0)
+        f2 = self._f2
+        for i, counts in enumerate(self._counts):
+            c = counts.get(item, 0)
+            counts[item] = c + 1
+            f2[i] += 2 * c + 1
 
-    def ingest(self, item: int, t: int, starts: np.ndarray):
-        occ = self._occurrences.setdefault(item, [])
-        counts = len(occ) - np.searchsorted(np.asarray(occ, dtype=np.int64), starts)
-        self._f2 += 2 * counts + 1
-        occ.append(t)
+    def estimates(self) -> List[float]:
+        return [float(v) for v in self._f2]
 
-    def estimates(self) -> np.ndarray:
-        return self._f2.astype(np.float64)
-
-    def drop(self, indices):
-        self._f2 = np.delete(self._f2, indices)
+    def keep(self, indices: List[int]):
+        self._counts = [self._counts[i] for i in indices]
+        self._f2 = [self._f2[i] for i in indices]
 
     def sketch_at(self, i: int):
         return None
@@ -135,22 +140,35 @@ class SketchFamily:
         self._rng = rng
         self._sketches: List = []
 
-    def append(self, start: int):
+    def ingest(self, item: int, starts: List[int]):
         self._sketches.append(self._factory(self._rng.spawn(1)[0]))
-
-    def ingest(self, item: int, t: int, starts: np.ndarray):
         for sk in self._sketches:
             sk.update(item)
 
-    def estimates(self) -> np.ndarray:
-        return np.array([sk.estimate() for sk in self._sketches], dtype=np.float64)
+    def estimates(self) -> List[float]:
+        return [float(sk.estimate()) for sk in self._sketches]
 
-    def drop(self, indices):
-        for i in sorted(indices, reverse=True):
-            del self._sketches[i]
+    def keep(self, indices: List[int]):
+        self._sketches = [self._sketches[i] for i in indices]
 
     def sketch_at(self, i: int):
         return self._sketches[i]
+
+
+def _prune(est: List[float], starts: List[int], cutoff: int, xi: float) -> List[int]:
+    """Increasing indices of the instances to keep.
+
+    Index j pops the last kept index while est[j] >= (1-xi) * est[kept[-2]],
+    then is pushed; every instance before the last kept one that starts at
+    or before cutoff (the straddler) is then cut.
+    """
+    thresh = 1.0 - xi
+    keep: List[int] = []
+    for j, e in enumerate(est):
+        while len(keep) >= 2 and e >= thresh * est[keep[-2]]:
+            keep.pop()
+        keep.append(j)
+    return keep[max(bisect_right(keep, cutoff, key=starts.__getitem__) - 1, 0):]
 
 
 class SmoothHistogram:
@@ -163,80 +181,40 @@ class SmoothHistogram:
         self.params = params
         self.family = family
         self.clock = 0
-        self.starts = np.zeros(0, dtype=np.int64)
+        self.starts: List[int] = []
 
     @property
     def instances(self):
         """Ordered (start, sketch-or-None, current estimate) triples."""
         est = self.family.estimates()
-        return [(int(s), self.family.sketch_at(i), float(est[i]))
-                for i, s in enumerate(self.starts)]
+        return [(s, self.family.sketch_at(i), est[i]) for i, s in enumerate(self.starts)]
 
     def instance_count(self) -> int:
         return len(self.starts)
 
-    def instance_bound(self, estimates: np.ndarray) -> float:
-        top = float(estimates.max()) if estimates.size else 0.0
+    def instance_bound(self, estimates: List[float]) -> float:
+        top = max(estimates, default=0.0)
         return (4.0 / self.params.xi) * math.log2(top + 2.0) + 2.0
 
     def update(self, item: int):
         self.clock += 1
-        self.starts = np.append(self.starts, self.clock)
-        self.family.append(self.clock)
-        self.family.ingest(item, self.clock, self.starts)
-        est = self._prune()
-        est = self._expire(est)
+        self.starts.append(self.clock)
+        self.family.ingest(item, self.starts)
+        est = self.family.estimates()
+        keep = _prune(est, self.starts, self.clock - self.window, self.params.xi)
+        self.starts = [self.starts[i] for i in keep]
+        self.family.keep(keep)
+        est = [est[i] for i in keep]
         assert len(self.starts) <= self.instance_bound(est), \
             "smooth histogram invariant violated: too many live instances"
-
-    def _prune(self) -> np.ndarray:
-        """Delete middles until no i has estimate(i+2) >= (1-xi)*estimate(i).
-
-        One forward pass suffices when estimates are non-increasing; sketch
-        noise can break monotonicity, so the pass repeats until clean.
-        """
-        est = self.family.estimates()
-        thresh = 1.0 - self.params.xi
-        if est.size >= 3 and np.any(est[2:] >= thresh * est[:-2]):
-            keep = list(range(est.size))
-            dropped = []
-            changed = True
-            while changed:
-                changed = False
-                i = 0
-                while i + 2 < len(keep):
-                    if est[keep[i + 2]] >= thresh * est[keep[i]]:
-                        dropped.append(keep[i + 1])
-                        del keep[i + 1]
-                        changed = True
-                    else:
-                        i += 1
-            self.starts = np.delete(self.starts, dropped)
-            self.family.drop(dropped)
-            est = est[np.asarray(keep, dtype=np.intp)]
-        return est
-
-    def _expire(self, est: np.ndarray) -> np.ndarray:
-        """Drop instances from the front, keeping one straddler at or before
-        clock - window."""
-        cutoff = self.clock - self.window
-        last_outside = int(np.searchsorted(self.starts, cutoff, side="right")) - 1
-        if last_outside > 0:
-            drop = list(range(last_outside))
-            self.starts = self.starts[last_outside:]
-            self.family.drop(drop)
-            est = est[last_outside:]
-        return est
 
     def query(self) -> float:
         """Estimate for the last `window` items: the earliest instance that
         starts inside the window, or the straddler if it is alone."""
         if self.clock == 0:
             raise ValueError("query before any update")
-        idx = int(np.searchsorted(self.starts, self.clock - self.window, side="right"))
-        if idx >= len(self.starts):
-            idx = len(self.starts) - 1
-        return float(self.family.estimates()[idx])
+        idx = bisect_right(self.starts, self.clock - self.window)
+        return self.family.estimates()[min(idx, len(self.starts) - 1)]
 
 
 def smooth_histogram_distinct(window: int, rho: float, sketch_alpha: float,

@@ -182,6 +182,25 @@ def test_audit_graph_substrate_uses_edge_toggle(tmp_path):
     assert payload["epsilon_hat"] < 0.6
 
 
+@pytest.mark.parametrize("bad", [
+    {"toggle": [0.5, 1.7]},
+    {"toggle": ["0", "1"]},
+    {"toggle": [True, False]},
+    {"toggle": [0, 1, 2]},
+    {"toggle": [0]},
+    {"toggle_weight": 0},
+    {"toggle_weight": 1.9},
+])
+def test_audit_rejects_non_integer_toggle(tmp_path, capsys, bad):
+    # Checked before any file is read: the input path does not exist.
+    cfg = write_config(tmp_path, dict({
+        "substrate": "cc_exact", "input": str(tmp_path / "missing.graph"),
+        "epsilon": 1.0, "trials": 1000}, **bad))
+    assert main(["audit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb: 'toggle") and err.count("\n") == 1
+
+
 def test_coverage_laplace_route_passes(tmp_path):
     cfg = write_config(tmp_path, {
         "substrate": "cc_exact", "input": "data/demo_cc.graph",

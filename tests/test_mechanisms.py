@@ -419,7 +419,8 @@ def test_grid_spec_points():
     assert grid.num_points == 25
     assert grid.point(0) == 0.0
     assert grid.point(24) == 12.0
-    with pytest.raises(ValueError):
+    # num_points is derived, so an inconsistent grid cannot be built.
+    with pytest.raises(TypeError):
         GridSpec(range_max=12.0, spacing=0.5, num_points=20)
     with pytest.raises(ValueError):
         GridSpec(range_max=0.0, spacing=0.5)

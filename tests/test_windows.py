@@ -2,12 +2,13 @@ import itertools
 import math
 from collections import Counter
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
 from dpbox.windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
-                           SmoothHistogram, SmoothnessParams,
+                           SmoothHistogram, SmoothnessParams, _prune,
                            smooth_histogram_distinct,
                            smooth_histogram_f2, smoothness_check_de,
                            smoothness_check_f2)
@@ -89,27 +90,102 @@ def test_suffix_smoothness_exhaustive(metric, rho, xi_fn):
 
 def test_distinct_exact_family_hand_run():
     fam = DistinctExactFamily()
-    fam.append(1)
-    fam.ingest(5, 1, np.array([1]))
-    fam.append(2)
-    fam.ingest(8, 2, np.array([1, 2]))
-    fam.append(3)
-    fam.ingest(5, 3, np.array([1, 2, 3]))
+    fam.ingest(5, [1])
+    fam.ingest(8, [1, 2])
+    fam.ingest(5, [1, 2, 3])
     # Suffixes from times 1, 2, 3 over the arrivals (5, 8, 5).
-    assert fam.estimates().tolist() == [2.0, 2.0, 1.0]
-    fam.drop([1])
-    assert fam.estimates().tolist() == [2.0, 1.0]
+    assert fam.estimates() == [2.0, 2.0, 1.0]
+    fam.keep([0, 2])
+    assert fam.estimates() == [2.0, 1.0]
 
 
 def test_f2_exact_family_hand_run():
     fam = F2ExactFamily()
-    fam.append(1)
-    fam.ingest(5, 1, np.array([1]))
-    fam.append(2)
-    fam.ingest(8, 2, np.array([1, 2]))
-    fam.append(3)
-    fam.ingest(5, 3, np.array([1, 2, 3]))
-    assert fam.estimates().tolist() == [5.0, 2.0, 1.0]
+    fam.ingest(5, [1])
+    fam.ingest(8, [1, 2])
+    fam.ingest(5, [1, 2, 3])
+    assert fam.estimates() == [5.0, 2.0, 1.0]
+
+
+def _state_size(obj) -> int:
+    """Entries held in obj's containers, nested containers included."""
+    if isinstance(obj, dict):
+        return len(obj) + sum(_state_size(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return len(obj) + sum(_state_size(v) for v in obj)
+    return 0
+
+
+def test_f2_exact_family_state_bounded_by_live_instances():
+    # Over a fixed window the state must not grow with the stream: at most
+    # one count per live instance and item, plus each instance's own entries.
+    universe = 20
+    rng = make_rng(79)
+    h = smooth_histogram_f2(100, 0.3, 0.3, 0.3, universe, rng, exact=True)
+    for t, item in enumerate(rng.integers(0, universe, size=10_000).tolist(), start=1):
+        h.update(item)
+        if t % 100 == 0:
+            assert _state_size(vars(h.family)) <= (universe + 2) * h.instance_count()
+
+
+# ---------------------------------------------------------------- pruning
+
+
+def _fixpoint_keep(est, xi):
+    """Reference copy of the earlier pruning rule: forward passes, each
+    deleting the middle of any kept triple with est[i+2] >= (1-xi)*est[i],
+    repeated until a pass deletes nothing."""
+    thresh = 1.0 - xi
+    keep = list(range(len(est)))
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i + 2 < len(keep):
+            if est[keep[i + 2]] >= thresh * est[keep[i]]:
+                del keep[i + 1]
+                changed = True
+            else:
+                i += 1
+    return keep
+
+
+_ESTIMATES = st.one_of(
+    st.lists(st.floats(0.0, 1e6), max_size=40),
+    st.lists(st.integers(0, 60).map(float), max_size=40))
+_XI = st.floats(0.001, 0.9)
+
+
+@settings(deadline=None)
+@given(_ESTIMATES, _XI)
+def test_prune_matches_fixpoint_on_non_increasing_estimates(est, xi):
+    # Exact families always give non-increasing estimates over the starts.
+    est = sorted(est, reverse=True)
+    starts = list(range(1, len(est) + 1))
+    assert _prune(est, starts, 0, xi) == _fixpoint_keep(est, xi)
+
+
+@settings(deadline=None)
+@given(_ESTIMATES, _XI, st.integers(0, 45))
+def test_prune_keeps_a_smooth_histogram_on_any_estimates(est, xi, cutoff):
+    # Sketch noise can reorder estimates; the kept set may then differ from
+    # the fixpoint rule's, but it must still be a valid smooth histogram.
+    thresh = 1.0 - xi
+    starts = list(range(1, len(est) + 1))
+    keep = _prune(est, starts, 0, xi)
+    if est:
+        assert keep[0] == 0 and keep[-1] == len(est) - 1
+    for a, c in zip(keep, keep[2:]):
+        assert est[c] < thresh * est[a]
+    # Every deleted index lies between kept neighbours a and c that meet the
+    # deletion condition.
+    for a, c in zip(keep, keep[1:]):
+        assert a < c
+        if c > a + 1:
+            assert est[c] >= thresh * est[a]
+    # The cut keeps the suffix from the last kept start at or before cutoff.
+    outside = [i for i, j in enumerate(keep) if starts[j] <= cutoff]
+    assert _prune(est, starts, cutoff, xi) == keep[outside[-1] if outside else 0:]
 
 
 # ---------------------------------------------------------------- histogram
@@ -176,10 +252,10 @@ def test_at_most_one_straddler_survives():
     h = smooth_histogram_distinct(50, 0.2, 0.2, 0.2, rng, exact=True)
     for t in range(1, 301):
         h.update(int(rng.integers(0, 40)))
-        outside = int(np.sum(h.starts <= h.clock - h.window))
+        outside = sum(s <= h.clock - h.window for s in h.starts)
         assert outside <= 1
         # Starts stay strictly increasing.
-        assert np.all(np.diff(h.starts) > 0)
+        assert all(a < b for a, b in zip(h.starts, h.starts[1:]))
 
 
 def test_instance_bound_on_all_distinct_stream():
