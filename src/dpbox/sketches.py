@@ -132,9 +132,7 @@ class AmsSketch:
     def consume(self, stream: UpdateStream):
         if stream.universe_size > self.universe_size:
             raise ValueError("stream universe exceeds sketch universe")
-        items = [it for it, _ in stream.updates]
-        deltas = [d for _, d in stream.updates]
-        self.update_bulk(items, deltas)
+        self.update_bulk(stream.items, stream.deltas)
 
     def estimate(self) -> float:
         """Median over rows of the row's sum of squared counters."""
@@ -215,7 +213,7 @@ class KmvSketch:
     def consume(self, stream: UpdateStream):
         if stream.mode != "insert":
             raise ValueError("KMV is insertion-only; turnstile streams are not supported")
-        self.update_bulk(stream.items())
+        self.update_bulk(stream.items)
 
     def estimate(self) -> float:
         """Median over rows of the held count below k, else (k-1)/(k-th minimum)."""

@@ -7,15 +7,23 @@ Two streams are neighbors when they differ in exactly one update, which moves
 the final frequency vector by at most 2 in L1 (hence distinct count and L2
 each move by at most 2).
 
+An UpdateStream holds its updates as two read-only int64 arrays, `items` and
+`deltas`, checked once at construction by one vectorised validation (item
+range and the delta rule of the mode). Consumers read the arrays directly.
+
 File format: header "n m mode" with mode in {insert, turnstile}, then m
-lines "item delta". '#' starts a comment.
+lines "item delta". '#' starts a comment and blank lines are skipped.
+parse_stream converts every update token in one numpy call; only a file that
+call rejects is walked line by line, so that the first error reported and its
+message are those of a line-by-line reader.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+import re
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,76 +41,160 @@ __all__ = [
 ]
 
 _MODES = ("insert", "turnstile")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
+def _update_error(n, insert: bool, item: int, delta: int) -> Optional[str]:
+    """Why an integer update breaks the stream rules, or None; a range error
+    is reported before a delta error."""
+    if not (0 <= item < n):
+        return f"item {item} outside universe [0, {n})"
+    if delta != 1:
+        if insert:
+            return f"insertion-only stream update must have delta 1, got {delta}"
+        if delta != -1:
+            return f"delta must be +1 or -1, got {delta}"
+    return None
+
+
+def _check_columns(n, insert: bool, items: np.ndarray, deltas: np.ndarray):
+    """The one validation of int64 update columns: raise the error of the
+    first update that breaks the range or delta rule."""
+    if items.size == 0:
+        return
+    bad = deltas != 1 if insert else np.abs(deltas) != 1
+    out_of_range = int(items.min()) < 0 or int(items.max()) >= n
+    if not out_of_range and not bad.any():
+        return
+    if out_of_range:
+        bad |= (items < 0) | (items >= n)
+    i = int(np.argmax(bad))
+    raise ValueError(_update_error(n, insert, int(items[i]), int(deltas[i])))
+
+
+def _int_pairs(updates) -> Optional[np.ndarray]:
+    """updates as an (m, 2) int64 array when numpy types them as signed
+    integer (or bool) pairs, else None."""
+    try:
+        arr = np.asarray(updates)
+    except ValueError:
+        return None
+    if arr.shape == (0,):
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "bi":
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _walk_pairs(n, insert: bool, updates) -> List[Tuple[int, int]]:
+    """The per-pair reader for updates numpy does not type as signed integer
+    pairs (floats, strings, ints beyond int64, ragged pairs): raise the first
+    error in update order, else return the pairs as ints."""
+    cleaned = []
+    for raw_item, raw_delta in updates:
+        item, delta = int(raw_item), int(raw_delta)
+        if item != raw_item or delta != raw_delta:
+            raise ValueError(
+                f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+        error = _update_error(n, insert, item, delta)
+        if error:
+            raise ValueError(error)
+        if item > _INT64_MAX:
+            raise ValueError(f"item {item} does not fit in a 64-bit integer")
+        cleaned.append((item, delta))
+    return cleaned
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """A read-only int64 copy, sharing no memory with the caller's data."""
+    column = np.array(column, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class UpdateStream:
-    """An immutable stream: updates is a tuple of (item, delta) pairs, checked
-    and normalized to ints once, at construction. A value that is not an
-    integer (2.5, 1.9) is a ValueError, not truncated."""
+    """An immutable stream, built from (item, delta) pairs: any sequence of
+    pairs, or an (m, 2) integer array. It keeps them as two read-only int64
+    arrays, items and deltas. A value that is not an integer (2.5, 1.9) is a
+    ValueError, not truncated. Equality and hashing are by identity, as for
+    Graph, so one stream object stands for one dataset."""
 
     universe_size: int
-    updates: Tuple[Tuple[int, int], ...]
+    updates: InitVar[Iterable[Tuple[int, int]]]
     mode: str = "insert"
+    items: np.ndarray = field(init=False)
+    deltas: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, updates):
         if self.universe_size < 1:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         n, insert = self.universe_size, self.mode == "insert"
-        cleaned = []
-        for raw_item, raw_delta in self.updates:
-            item, delta = int(raw_item), int(raw_delta)
-            if item != raw_item or delta != raw_delta:
-                raise ValueError(
-                    f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
-            if not (0 <= item < n):
-                raise ValueError(f"item {item} outside universe [0, {n})")
-            if delta != 1:
-                if insert:
-                    raise ValueError(
-                        f"insertion-only stream update must have delta 1, got {delta}")
-                if delta != -1:
-                    raise ValueError(f"delta must be +1 or -1, got {delta}")
-            cleaned.append((item, delta))
-        object.__setattr__(self, "updates", tuple(cleaned))
+        pairs = _int_pairs(updates)
+        if pairs is None:
+            pairs = np.array(_walk_pairs(n, insert, updates), dtype=np.int64).reshape(-1, 2)
+        items, deltas = _frozen(pairs[:, 0]), _frozen(pairs[:, 1])
+        _check_columns(n, insert, items, deltas)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "deltas", deltas)
 
     @property
     def length(self) -> int:
-        return len(self.updates)
+        return int(self.items.size)
 
-    def items(self) -> List[int]:
-        return [item for item, _ in self.updates]
+
+# A comment runs from '#' to the end of its line; these are the line
+# boundaries of str.splitlines.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+# Ends each update line in the joined token list. With two tokens on every
+# line it sits at every third place; it is no integer, so the conversion
+# fails wherever else it sits.
+_EOL = "\x00"
+
+
+def _walk_lines(body: List[str]) -> List[Tuple[int, int]]:
+    """The line-by-line reader, run only on a file the vectorised parse
+    rejected: raise the first line's error, else return the pairs as ints."""
+    pairs = []
+    for line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"update line must be 'item delta', got {line.strip()!r}")
+        pairs.append((int(parts[0]), int(parts[1])))
+    return pairs
 
 
 def parse_stream(text: str) -> UpdateStream:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise ValueError("empty stream file")
     header = lines[0].split()
     if len(header) != 3:
-        raise ValueError(f"header must be 'n m mode', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n m mode', got {lines[0].strip()!r}")
     n, m, mode = int(header[0]), int(header[1]), header[2]
-    if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} updates but file has {len(lines) - 1}")
-    updates = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"update line must be 'item delta', got {line!r}")
-        updates.append((int(parts[0]), int(parts[1])))
-    return UpdateStream(universe_size=n, updates=updates, mode=mode)
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"header declares {m} updates but file has {len(body)}")
+    pairs = None
+    tokens = f" {_EOL} ".join(body + [""]).split()
+    if len(tokens) == 3 * m and tokens[2::3] == [_EOL] * m:
+        del tokens[2::3]
+        try:
+            pairs = np.array(tokens, dtype=np.int64).reshape(m, 2)
+        except (ValueError, OverflowError):
+            pass
+    if pairs is None:
+        pairs = _walk_lines(body)
+    return UpdateStream(universe_size=n, updates=pairs, mode=mode)
 
 
 def format_stream(s: UpdateStream) -> str:
     out = [f"{s.universe_size} {s.length} {s.mode}"]
-    for item, delta in s.updates:
-        out.append(f"{item} {delta}")
+    out.extend(f"{item} {delta}" for item, delta in zip(s.items.tolist(), s.deltas.tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -118,8 +210,7 @@ def save_stream(s: UpdateStream, path):
 
 def exact_frequencies(s: UpdateStream) -> np.ndarray:
     freq = np.zeros(s.universe_size, dtype=np.int64)
-    for item, delta in s.updates:
-        freq[item] += delta
+    np.add.at(freq, s.items, s.deltas)
     return freq
 
 
@@ -144,7 +235,7 @@ def stream_neighbor(s: UpdateStream, rng) -> UpdateStream:
     if s.length < 1:
         raise ValueError("cannot form a neighbor of an empty stream")
     idx = int(rng.integers(s.length))
-    old = s.updates[idx]
+    old = (int(s.items[idx]), int(s.deltas[idx]))
     while True:
         item = int(rng.integers(s.universe_size))
         delta = 1 if s.mode == "insert" else int(rng.choice((-1, 1)))
@@ -152,6 +243,6 @@ def stream_neighbor(s: UpdateStream, rng) -> UpdateStream:
             break
         if s.universe_size == 1 and s.mode == "insert":
             raise ValueError("a 1-item insertion-only stream has no distinct neighbor")
-    updates = list(s.updates)
-    updates[idx] = (item, delta)
-    return UpdateStream(universe_size=s.universe_size, updates=updates, mode=s.mode)
+    pairs = np.column_stack((s.items, s.deltas))
+    pairs[idx] = (item, delta)
+    return UpdateStream(universe_size=s.universe_size, updates=pairs, mode=s.mode)

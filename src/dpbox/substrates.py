@@ -21,6 +21,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate, cc_exact,
                                mst_level_knobs, mst_weight_estimate, mst_weight_exact)
 from .knapsack import knapsack_exact, knapsack_fptas
@@ -70,7 +72,7 @@ def _window(config) -> int:
 
 
 def _window_distinct_count(stream, config) -> float:
-    return float(len(set(stream.items()[-_window(config):])))
+    return float(np.unique(stream.items[-_window(config):]).size)
 
 
 def _recount(stream, config, oracle):
@@ -197,7 +199,7 @@ def _sw_de(stream, params, rng, config):
         return _recount(stream, config, _window_distinct_count)
     third = params.alpha / 3.0
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
-    for item in stream.items():
+    for item in stream.items.tolist():
         hist.update(item)
     space = sum(hist.family.sketch_at(i).space_words
                 for i in range(hist.instance_count()))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -76,19 +77,24 @@ class DistinctExactFamily:
 
     last_seen[item] is the time of the item's previous arrival (0 = never):
     exactly the instances that started after that time gain a new distinct
-    item, and as starts increase they are a suffix of the list.
+    item, and as starts increase they are a suffix of the list. An arrival
+    before the first live start acts exactly like "never", so last_seen is
+    kept in arrival order and such entries are dropped from its front: it
+    holds at most one entry per update since the first live start.
     """
 
     def __init__(self):
         self._counts: List[int] = []
-        self._last_seen = {}
+        self._last_seen: OrderedDict = OrderedDict()
 
     def ingest(self, item: int, starts: List[int]):
-        counts = self._counts
+        counts, seen = self._counts, self._last_seen
         counts.append(0)
-        for i in range(bisect_right(starts, self._last_seen.get(item, 0)), len(counts)):
+        for i in range(bisect_right(starts, seen.pop(item, 0)), len(counts)):
             counts[i] += 1
-        self._last_seen[item] = starts[-1]
+        seen[item] = starts[-1]
+        while next(iter(seen.values())) < starts[0]:
+            seen.popitem(last=False)
 
     def estimates(self) -> List[float]:
         return [float(c) for c in self._counts]

@@ -398,7 +398,7 @@ def test_criterion_10_sliding_window_accuracy():
 
     # Distinct count, exact per-instance counters (alpha = 0), rho = 0.1.
     stream = random_stream(50, m, "insert", make_rng(100))
-    items = stream.items()
+    items = stream.items.tolist()
     hist = smooth_histogram_distinct(window, 0.1, 0.3, 0.3, make_rng(1),
                                      exact=True)
     hits = checkpoints = 0
@@ -416,7 +416,7 @@ def test_criterion_10_sliding_window_accuracy():
 
     # Second moment, exact per-instance counters, rho = 0.45.
     stream = random_stream(10, m, "insert", make_rng(102))
-    items = stream.items()
+    items = stream.items.tolist()
     hist = smooth_histogram_f2(window, 0.45, 0.3, 0.3, 10, make_rng(2),
                                exact=True)
     hits = checkpoints = 0
@@ -517,7 +517,7 @@ def test_criterion_12_global_sensitivity_spot_checks():
     for i in range(500):
         s = random_stream(40, 200, "turnstile", rng)
         flip = int(rng.integers(s.length))
-        updates = list(s.updates)
+        updates = list(zip(s.items.tolist(), s.deltas.tolist()))
         item, delta = updates[flip]
         updates[flip] = (item, -delta)
         s2 = UpdateStream(universe_size=40, updates=updates, mode="turnstile")

@@ -341,6 +341,15 @@ def test_graph_presets_on_empty_graph_exit_2(tmp_path, capsys, preset):
     assert err.startswith("dpb:") and "vertex" in err and err.count("\n") == 1
 
 
+def test_stream_item_beyond_int64_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "big.stream"
+    path.write_text("3 2 insert\n99999999999999999999 1\n0 1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "substrate": "f0_exact", "input": str(path), "epsilon": 1.0, "trials": 1})
+    assert main(["wrap", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "dpb: item 99999999999999999999 outside universe [0, 3)\n"
+
+
 def test_l2_preset_too_large_grid_exits_2(tmp_path, capsys):
     # At alpha 0.2, delta 0.01 the tuned rho sizes a 288 x 518,368 AMS grid;
     # the sketch refuses it before drawing a coefficient.

@@ -1,5 +1,9 @@
+import itertools
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.graphs import (Graph, connected_components_exact, format_graph,
                           kruskal_mst_weight, parse_graph, toggle_edge)
@@ -81,6 +85,24 @@ def test_parse_format_round_trip_weighted():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_graph(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 9), data=st.data())
+def test_format_parse_round_trip_any_graph(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in edges]
+    max_weight = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+    weights = None if max_weight is None else {
+        (min(u, v), max(u, v)): data.draw(st.integers(1, max_weight)) for u, v in edges}
+    g = Graph(n, edges, weights, max_weight)
+    text = format_graph(g)
+    h = parse_graph(text)
+    assert (h.n, h.m, h.max_weight) == (g.n, g.m, g.max_weight)
+    assert h.edge_items() == g.edge_items()
+    assert all(h.neighbors(u) == g.neighbors(u) for u in range(n))
+    assert format_graph(h) == text
 
 
 def test_components_hand_checked():

@@ -270,9 +270,16 @@ def test_memo_keeps_the_two_newest_datasets_and_marks_hits():
 
 def test_datasets_are_immutable():
     stream = UpdateStream(universe_size=3, updates=[(0, 1), (2, 1)])
-    assert stream.updates == ((0, 1), (2, 1))
+    assert stream.items.tolist() == [0, 2] and stream.deltas.tolist() == [1, 1]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        stream.updates = ()
+        stream.items = np.array([1, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        stream.items[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        stream.deltas[0] = -1
+    neighbor = stream_neighbor(stream, make_rng(3))
+    assert neighbor.items.tolist() != [0, 2]
+    assert stream.items.tolist() == [0, 2] and stream.deltas.tolist() == [1, 1]
     instance = KnapsackInstance(capacity=4, sizes=[2], values=[1.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         instance.capacity = 5

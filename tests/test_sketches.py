@@ -106,7 +106,7 @@ def test_ams_bulk_equals_sequential_bitwise():
     s = random_stream(40, 500, "turnstile", make_rng(5))
     a = AmsSketch(16, 32, 40, make_rng(6))
     b = AmsSketch(16, 32, 40, make_rng(6))
-    for item, delta in s.updates:
+    for item, delta in zip(s.items.tolist(), s.deltas.tolist()):
         a.update(item, delta)
     b.consume(s)
     assert np.array_equal(a.counters, b.counters)

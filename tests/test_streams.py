@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
-from dpbox.streams import (UpdateStream, exact_distinct, exact_f2,
+from dpbox.streams import (UpdateStream, _walk_lines, exact_distinct, exact_f2,
                            exact_frequencies, exact_l2, format_stream,
                            load_stream, parse_stream, stream_neighbor)
 from helpers import random_stream
@@ -35,8 +37,8 @@ def test_stream_rejects_non_integer_updates(bad):
 def test_stream_accepts_integral_values_of_other_types():
     s = UpdateStream(universe_size=5, updates=[(np.int64(2), 1), (3.0, np.int8(-1))],
                      mode="turnstile")
-    assert s.updates == ((2, 1), (3, -1))
-    assert all(type(v) is int for pair in s.updates for v in pair)
+    assert s.items.tolist() == [2, 3] and s.deltas.tolist() == [1, -1]
+    assert s.items.dtype == s.deltas.dtype == np.int64
 
 
 def test_parse_format_round_trip():
@@ -69,7 +71,7 @@ def test_exact_counters_random_cross_check():
     for mode in ("insert", "turnstile"):
         s = random_stream(30, 400, mode, rng)
         freq = np.zeros(30, dtype=np.int64)
-        for item, delta in s.updates:
+        for item, delta in zip(s.items.tolist(), s.deltas.tolist()):
             freq[item] += delta
         assert np.array_equal(exact_frequencies(s), freq)
         assert exact_distinct(s) == int(np.count_nonzero(freq))
@@ -84,7 +86,8 @@ def test_neighbor_differs_in_exactly_one_update():
         assert t.universe_size == s.universe_size
         assert t.mode == s.mode
         assert t.length == s.length
-        diffs = [i for i in range(s.length) if s.updates[i] != t.updates[i]]
+        diffs = [i for i in range(s.length)
+                 if (s.items[i], s.deltas[i]) != (t.items[i], t.deltas[i])]
         assert len(diffs) == 1
 
 
@@ -122,4 +125,283 @@ def test_demo_streams():
     assert exact_f2(ins) == 1474.0
     tur = load_stream("data/demo_stream_turnstile.txt")
     assert tur.mode == "turnstile"
-    assert min(d for _, d in tur.updates) == -1
+    assert tur.deltas.min() == -1
+
+
+# ---------------------------------------------------------------- error table
+
+# (file, message): the first error a line-by-line reader reports, pinned
+# message for message. Line errors (arity, bad integers) come first in line
+# order, then the universe and mode, then the first update that breaks the
+# range or delta rule, with a range error before a delta error.
+_MALFORMED_FILES = [
+    ("", "empty stream file"),
+    ("# nothing\n   \n#x\n", "empty stream file"),
+    ("3 1\n0 1\n", "header must be 'n m mode', got '3 1'"),
+    ("x 1 insert\n0 1\n", "invalid literal for int() with base 10: 'x'"),
+    ("3 2 insert\n0 1\n", "header declares 2 updates but file has 1"),
+    ("3 1 insert\n0\n", "update line must be 'item delta', got '0'"),
+    ("3 1 insert\n0 1 1\n", "update line must be 'item delta', got '0 1 1'"),
+    ("3 1 insert\n0 # 1\n", "update line must be 'item delta', got '0'"),
+    ("3 1 insert\n2.5 1\n", "invalid literal for int() with base 10: '2.5'"),
+    ("3 1 insert\n0x10 1\n", "invalid literal for int() with base 10: '0x10'"),
+    ("3 1 insert\n3 1\n", "item 3 outside universe [0, 3)"),
+    ("3 1 insert\n-1 1\n", "item -1 outside universe [0, 3)"),
+    ("3 1 insert\n0 -1\n", "insertion-only stream update must have delta 1, got -1"),
+    ("3 1 turnstile\n0 2\n", "delta must be +1 or -1, got 2"),
+    ("3 2 insert\n2.5 1\n0 1 1\n", "invalid literal for int() with base 10: '2.5'"),
+    ("3 2 insert\n0\nx 1\n", "update line must be 'item delta', got '0'"),
+    ("3 2 insert\n5 1\n2.5 1\n", "invalid literal for int() with base 10: '2.5'"),
+    ("3 1 insert\n5 2\n", "item 5 outside universe [0, 3)"),
+    ("3 2 turnstile\n0 2\n5 1\n", "delta must be +1 or -1, got 2"),
+    ("3 2 turnstile\n5 1\n0 2\n", "item 5 outside universe [0, 3)"),
+    ("3 1 sliding\n0 1\n", "mode must be one of ('insert', 'turnstile'), got 'sliding'"),
+    ("0 1 insert\n0 1\n", "universe_size must be >= 1, got 0"),
+    ("3 1 sliding\nx 1\n", "invalid literal for int() with base 10: 'x'"),
+    ("3 2 insert\n99999999999999999999 1\n0\n", "update line must be 'item delta', got '0'"),
+    ("3 1 turnstile\n0 99999999999999999999\n",
+     "delta must be +1 or -1, got 99999999999999999999"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED_FILES)
+def test_parse_reports_the_first_error_with_its_message(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_stream(text)
+    assert str(info.value) == message
+
+
+_MALFORMED_PAIRS = [
+    (0, [], "insert", "universe_size must be >= 1, got 0"),
+    (3, [], "sliding", "mode must be one of ('insert', 'turnstile'), got 'sliding'"),
+    (3, [(3, 1)], "insert", "item 3 outside universe [0, 3)"),
+    (3, [(-1, 1)], "insert", "item -1 outside universe [0, 3)"),
+    (3, [(0, -1)], "insert", "insertion-only stream update must have delta 1, got -1"),
+    (3, [(0, 2)], "turnstile", "delta must be +1 or -1, got 2"),
+    (3, [(2.5, 1)], "turnstile", "update must be a pair of integers, got (2.5, 1)"),
+    (3, [(1, 1.9)], "turnstile", "update must be a pair of integers, got (1, 1.9)"),
+    (3, [("2", 1)], "turnstile", "update must be a pair of integers, got ('2', 1)"),
+    (3, [(5, 2)], "insert", "item 5 outside universe [0, 3)"),
+    (3, [(5, 1), (2.5, 1)], "insert", "item 5 outside universe [0, 3)"),
+    (3, [(0, 1), (2.5, 1), (5, 1)], "insert",
+     "update must be a pair of integers, got (2.5, 1)"),
+    (3, [(0, 2), (5, 1)], "turnstile", "delta must be +1 or -1, got 2"),
+    (3, [(0, 2 ** 64)], "turnstile", "delta must be +1 or -1, got 18446744073709551616"),
+    (3, [(0, 1, 1)], "insert", "too many values to unpack (expected 2)"),
+    (3, [(0,)], "insert", "not enough values to unpack (expected 2, got 1)"),
+    (3, [(float("nan"), 1)], "insert", "cannot convert float NaN to integer"),
+    (3, np.array([[0, 1], [7, 1]]), "insert", "item 7 outside universe [0, 3)"),
+    (3, np.array([[2 ** 63, 1]], dtype=np.uint64), "insert",
+     "item 9223372036854775808 outside universe [0, 3)"),
+]
+
+
+@pytest.mark.parametrize("n, updates, mode, message", _MALFORMED_PAIRS)
+def test_constructor_reports_the_first_error_with_its_message(n, updates, mode, message):
+    with pytest.raises(ValueError) as info:
+        UpdateStream(universe_size=n, updates=updates, mode=mode)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("item", [2 ** 63, -2 ** 63 - 1, 10 ** 20])
+@pytest.mark.parametrize("source", ["file", "constructor"])
+def test_items_beyond_int64_are_range_errors(source, item):
+    # numpy's int64 conversion overflows where int() does not; the stream
+    # still reports the universe error of the item as written.
+    with pytest.raises(ValueError) as info:
+        if source == "file":
+            parse_stream(f"3 2 insert\n0 1\n{item} 1\n")
+        else:
+            UpdateStream(universe_size=3, updates=[(0, 1), (item, 1)])
+    assert str(info.value) == f"item {item} outside universe [0, 3)"
+
+
+@pytest.mark.parametrize("source", ["file", "constructor"])
+def test_items_beyond_int64_in_a_larger_universe_are_refused(source):
+    # The arrays hold int64, so such an item cannot be kept; it is refused
+    # with one line instead of an OverflowError.
+    with pytest.raises(ValueError) as info:
+        if source == "file":
+            parse_stream(f"{2 ** 70} 1 insert\n{2 ** 64} 1\n")
+        else:
+            UpdateStream(universe_size=2 ** 70, updates=[(2 ** 64, 1)])
+    assert str(info.value) == f"item {2 ** 64} does not fit in a 64-bit integer"
+
+
+def test_streams_hash_and_compare_by_identity():
+    s = UpdateStream(universe_size=3, updates=[(0, 1)])
+    assert s == s and hash(s) == hash(s)
+    assert s != UpdateStream(universe_size=3, updates=[(0, 1)])
+    assert {s: 1}[s] == 1
+
+
+def test_constructor_copies_its_input():
+    pairs = np.array([[0, 1], [2, 1]])
+    s = UpdateStream(universe_size=3, updates=pairs)
+    pairs[0, 0] = 1
+    assert s.items.tolist() == [0, 2]
+    assert not s.items.flags.writeable and not s.deltas.flags.writeable
+
+
+def test_neighbor_matches_the_pairwise_rule_at_fixed_seeds():
+    # The rng draws come in the same order as for a list of pairs: the update
+    # index, then item (and sign) until the pair differs from the old one.
+    for seed in range(20):
+        s = random_stream(4, 30, "turnstile" if seed % 2 else "insert", make_rng(seed))
+        rng, ref = make_rng(seed, 1), make_rng(seed, 1)
+        t = stream_neighbor(s, rng)
+        pairs = list(zip(s.items.tolist(), s.deltas.tolist()))
+        idx = int(ref.integers(s.length))
+        while True:
+            item = int(ref.integers(s.universe_size))
+            delta = 1 if s.mode == "insert" else int(ref.choice((-1, 1)))
+            if (item, delta) != pairs[idx]:
+                break
+        pairs[idx] = (item, delta)
+        assert list(zip(t.items.tolist(), t.deltas.tolist())) == pairs
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def _streams(draw):
+    n = draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(("insert", "turnstile")))
+    items = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    if mode == "insert":
+        deltas = [1] * len(items)
+    else:
+        deltas = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(items),
+                               max_size=len(items)))
+    return UpdateStream(universe_size=n, updates=list(zip(items, deltas)), mode=mode)
+
+
+def _same_stream(a, b):
+    return (a.universe_size == b.universe_size and a.mode == b.mode
+            and np.array_equal(a.items, b.items) and np.array_equal(a.deltas, b.deltas)
+            and a.items.dtype == b.items.dtype == np.int64
+            and a.deltas.dtype == b.deltas.dtype == np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=_streams())
+def test_format_parse_round_trip(s):
+    text = format_stream(s)
+    t = parse_stream(text)
+    assert _same_stream(s, t)
+    assert format_stream(t) == text
+    # The line walk that reports errors reads a valid file the same way.
+    walked = UpdateStream(s.universe_size, _walk_lines(text.splitlines()[1:]), s.mode)
+    assert _same_stream(walked, t)
+
+
+# The line boundaries of str.splitlines, and whitespace that ends no line.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+_SPACES = st.text(alphabet=" \t\xa0\x1f", max_size=3)
+_COMMENTS = st.text(alphabet=st.characters(blacklist_characters="".join(_LINE_ENDS) + "\r"),
+                    max_size=8).map(lambda c: "#" + c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=_streams(), data=st.data())
+def test_comments_blank_lines_and_spacing_do_not_change_the_stream(s, data):
+    lines = []
+    for line in format_stream(s).splitlines():
+        for _ in range(data.draw(st.integers(0, 2))):
+            lines.append(data.draw(_SPACES) + data.draw(st.one_of(st.just(""), _COMMENTS)))
+        gap = data.draw(_SPACES.filter(bool))
+        lines.append(data.draw(_SPACES) + gap.join(line.split())
+                     + data.draw(_SPACES) + data.draw(st.one_of(st.just(""), _COMMENTS)))
+    text = "".join(line + data.draw(st.sampled_from(_LINE_ENDS)) for line in lines)
+    assert _same_stream(parse_stream(text), s)
+    assert _same_stream(_reference_parse(text), s)
+
+
+def _reference_parse(text):
+    """Reference copy of the line-by-line reader parse_stream replaced: strip
+    each line's comment, skip blank lines, convert each token with int()."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise ValueError("empty stream file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"header must be 'n m mode', got {lines[0]!r}")
+    n, m, mode = int(header[0]), int(header[1]), header[2]
+    if len(lines) - 1 != m:
+        raise ValueError(f"header declares {m} updates but file has {len(lines) - 1}")
+    updates = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"update line must be 'item delta', got {line!r}")
+        updates.append((int(parts[0]), int(parts[1])))
+    return UpdateStream(universe_size=n, updates=updates, mode=mode)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+_TOKENS = st.one_of(st.integers(-2, 6).map(str),
+                    st.sampled_from(["2.5", "0x10", "+1", "-0", "1_0", "\u0663",
+                                     "99999999999999999999", "-9223372036854775809", "x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), mode=st.sampled_from(("insert", "turnstile", "sliding")),
+       rows=st.lists(st.lists(_TOKENS, min_size=1, max_size=3), max_size=6),
+       clean=st.booleans())
+def test_parse_matches_the_line_by_line_reader(n, mode, rows, clean):
+    # Valid files give equal streams; malformed ones the same first error.
+    if clean:
+        rows = [row[:2] for row in rows if len(row) >= 2]
+    text = f"{n} {len(rows)} {mode}\n" + "".join(" ".join(row) + "\n" for row in rows)
+    got, want = _outcome(parse_stream, text), _outcome(_reference_parse, text)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same_stream(got, want)
+
+
+def _reference_pairs(n, updates, mode):
+    """Reference copy of the per-pair check the array validation replaced."""
+    cleaned = []
+    for raw_item, raw_delta in updates:
+        item, delta = int(raw_item), int(raw_delta)
+        if item != raw_item or delta != raw_delta:
+            raise ValueError(
+                f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+        if not (0 <= item < n):
+            raise ValueError(f"item {item} outside universe [0, {n})")
+        if delta != 1:
+            if mode == "insert":
+                raise ValueError(
+                    f"insertion-only stream update must have delta 1, got {delta}")
+            if delta != -1:
+                raise ValueError(f"delta must be +1 or -1, got {delta}")
+        cleaned.append((item, delta))
+    return cleaned
+
+
+_VALUES = st.one_of(st.integers(-2, 5), st.sampled_from([2.5, 3.0, "1", True, 2 ** 63]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), mode=st.sampled_from(("insert", "turnstile")),
+       updates=st.lists(st.tuples(_VALUES, _VALUES), max_size=5))
+def test_constructor_matches_the_per_pair_check(n, mode, updates):
+    try:
+        want = _reference_pairs(n, updates, mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            UpdateStream(universe_size=n, updates=updates, mode=mode)
+        assert str(info.value) == str(exc)
+    else:
+        s = UpdateStream(universe_size=n, updates=updates, mode=mode)
+        assert list(zip(s.items.tolist(), s.deltas.tolist())) == want

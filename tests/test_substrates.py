@@ -166,7 +166,7 @@ def test_f0_substrates(demo_insert):
 
 def test_sw_de_substrate(demo_insert):
     sub = make_substrate("sw_de", {"window": 50})
-    truth = float(len(set(demo_insert.items()[-50:])))
+    truth = float(len(set(demo_insert.items.tolist()[-50:])))
     brute = sub.evaluate(demo_insert, ApproxParams(0.0, 0.0, 0.05),
                          make_rng(0))
     assert brute == (truth, {"items": demo_insert.length})
@@ -191,7 +191,7 @@ def test_exact_values_match_demos(demo_cc, demo_mst, demo_knapsack,
     assert exact_value("l2_exact", demo_turnstile) == exact_l2(demo_turnstile)
     assert exact_value("f0_exact", demo_insert) == 30.0
     assert exact_value("sw_de", demo_insert, {"window": 50}) == float(
-        len(set(demo_insert.items()[-50:])))
+        len(set(demo_insert.items.tolist()[-50:])))
 
 
 def test_default_delta_f(demo_cc, demo_mst, demo_knapsack, demo_insert):

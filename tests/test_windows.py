@@ -128,6 +128,20 @@ def test_f2_exact_family_state_bounded_by_live_instances():
             assert _state_size(vars(h.family)) <= (universe + 2) * h.instance_count()
 
 
+@pytest.mark.parametrize("universe, window, rho", [(None, 50, 0.1), (2970, 24, 0.3)])
+def test_distinct_exact_family_last_seen_bounded_by_live_span(universe, window, rho):
+    # An arrival before the first live start acts as "never seen", so the
+    # map holds O(updates since that start) entries, not one per distinct
+    # item ever seen (10,000 here when every item is new).
+    rng = make_rng(80)
+    items = (list(range(10_000)) if universe is None
+             else rng.integers(0, universe, size=10_000).tolist())
+    h = smooth_histogram_distinct(window, rho, 0.3, 0.3, rng, exact=True)
+    for item in items:
+        h.update(item)
+        assert len(h.family._last_seen) <= 2 * (h.clock - h.starts[0] + 1)
+
+
 # ---------------------------------------------------------------- pruning
 
 
