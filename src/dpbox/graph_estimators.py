@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graphs import Graph, connected_components_exact, kruskal_mst_weight
 from .mechanisms import median_replicas
@@ -40,7 +41,8 @@ class QueryGraph:
     trial harness can difference it around a run.
 
     A view also remembers the truncated-BFS size of every (start, cap) pair
-    cc_estimate has probed through it, in sizes[cap][start]. Graphs are
+    cc_estimate has probed through it, in sizes[cap][start], an int64 array
+    over the vertices that holds 0 for a start not yet probed. Graphs are
     immutable and the size is min(|component(start)|, cap), so a view probes
     each pair once, however many cc_estimate runs share it, and the counter
     holds the probes actually made.
@@ -68,12 +70,9 @@ class QueryGraph:
         return self.graph.neighbors(u)[i]
 
 
-def _as_query_graph(g) -> QueryGraph:
+def _query_view(g) -> QueryGraph:
+    """g itself when it is a QueryGraph, else a fresh view of the Graph g."""
     return g if isinstance(g, QueryGraph) else QueryGraph(g)
-
-
-def _plain_graph(g) -> Graph:
-    return g.graph if isinstance(g, QueryGraph) else g
 
 
 @dataclass
@@ -105,38 +104,54 @@ class CcEstimateParams:
 
 def cc_exact(g) -> int:
     """Exact number of connected components (full traversal, not counted)."""
-    return len(connected_components_exact(_plain_graph(g)))
+    return len(connected_components_exact(_query_view(g).graph))
 
 
 def mst_weight_exact(g) -> int:
     """Exact MST weight via Kruskal; raises ValueError when disconnected."""
-    return kruskal_mst_weight(_plain_graph(g))
+    return kruskal_mst_weight(_query_view(g).graph)
 
 
 def _truncated_component_size(qg: QueryGraph, start: int, cap: int) -> int:
     """Discovered-vertex count of BFS from start, truncated at cap.
 
-    Every degree(u) and neighbor(u, i) probe costs one query on qg. The scan
-    stops dead the moment cap vertices are discovered, so a single BFS costs
-    at most cap^2 + cap - 1 queries: <= cap degree probes, <= cap - 1 probes
-    that discover a new vertex, and <= cap*(cap-1) probes landing on an
-    already-seen vertex (one per ordered pair).
+    The scan costs qg what probing each vertex's degree(u) and then
+    neighbor(u, 0), neighbor(u, 1), ... would: one query per degree and one
+    per neighbour read, added in bulk. It stops dead the moment cap vertices
+    are discovered, so a single BFS costs at most cap^2 + cap - 1 queries:
+    <= cap degree probes, <= cap - 1 probes that discover a new vertex, and
+    <= cap*(cap-1) probes landing on an already-seen vertex (one per ordered
+    pair).
     """
     if cap <= 1:
         return 1
+    indptr, indices = qg.graph._rows
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        deg = qg.degree(u)
-        for i in range(deg):
-            v = qg.neighbor(u, i)
+    queue = [start]
+    queries = 0
+    for u in queue:
+        lo = indptr[u]
+        hi = indptr[u + 1]
+        if hi - lo > cap:
+            # At most len(seen) entries of a row are seen vertices, so its
+            # first cap entries hold enough new ones to reach the cap: the
+            # scan returns inside this cut.
+            hi = lo + cap
+        for v in indices[lo:hi]:
             if v not in seen:
                 seen.add(v)
                 if len(seen) >= cap:
+                    # One degree probe, and the row read up to and including v.
+                    qg.queries += queries + 1 + indices.index(v, lo) - lo + 1
                     return cap
                 queue.append(v)
+        queries += 1 + hi - lo
+    qg.queries += queries
     return len(seen)
+
+
+# Starts are summed in chunks of this many, to bound the memory of the sum.
+_SUM_CHUNK = 1 << 16
 
 
 def cc_estimate(g, params: CcEstimateParams, rng) -> float:
@@ -153,21 +168,28 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     A start the view has already probed at this cap reuses its size (see
     QueryGraph), so runs that share a view pay only for the starts new to
     it, and the counter reports the probes actually made. The rng draws the
-    starts and nothing else, so the memo changes no output.
+    starts and nothing else, so the memo changes no output. The 1/c_i are
+    added strictly left to right in draw order (np.add.accumulate), so the
+    sum is the same float as a running `total += 1.0 / c` loop.
     """
-    qg = _as_query_graph(g)
-    if qg.n == 0:
+    qg = _query_view(g)
+    n = qg.n
+    if n == 0:
         return 0.0
     cap = params.bfs_cap
-    sizes = qg.sizes.setdefault(cap, {})
-    starts = rng.integers(0, qg.n, size=params.sample_count)
+    sizes = qg.sizes.get(cap)
+    if sizes is None:
+        sizes = qg.sizes[cap] = np.zeros(n, dtype=np.int64)
+    starts = rng.integers(0, n, size=params.sample_count)
+    drawn = np.flatnonzero(np.bincount(starts))
+    new = drawn[sizes[drawn] == 0].tolist()
+    sizes[new] = [_truncated_component_size(qg, u, cap) for u in new]
     inv_sum = 0.0
-    for u in starts.tolist():
-        c = sizes.get(u)
-        if c is None:
-            c = sizes[u] = _truncated_component_size(qg, u, cap)
-        inv_sum += 1.0 / c
-    return qg.n * inv_sum / params.sample_count
+    for lo in range(0, starts.size, _SUM_CHUNK):
+        terms = 1.0 / sizes[starts[lo:lo + _SUM_CHUNK]]
+        terms[0] += inv_sum
+        inv_sum = float(np.add.accumulate(terms)[-1])
+    return n * inv_sum / params.sample_count
 
 
 def mst_level_knobs(max_weight: int, alpha: float, fail_prob: float):
@@ -192,7 +214,7 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     one memo of probed starts. The connectivity precheck is a full O(n + m)
     traversal of the graph that the query meter does not count.
     """
-    qg = _as_query_graph(g)
+    qg = _query_view(g)
     graph = qg.graph
     if graph.max_weight is None:
         raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")

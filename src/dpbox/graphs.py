@@ -7,13 +7,27 @@ lines are skipped. Serialization is canonical: edges sorted lexicographically
 with each endpoint pair normalized to u < v, so load(save(g)) round-trips
 byte-identically.
 
+A Graph is a set of read-only int64 arrays: the canonical edge list eu < ev
+with weights ew, sorted by (eu, ev), and the same edges in compressed sparse
+row form, indptr/indices/weights, with each row sorted. One vectorised check
+validates every edge. parse_graph converts every edge token in one numpy
+call; only a file that call rejects is walked line by line, so that the
+first error reported and its message are those of a line-by-line reader.
+
 Graphs are immutable: they are built once, by the constructor or the parser,
 and neighboring datasets come from toggle_edge, which returns a new graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import bisect
+import operator
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
+
+from .streams import _content_lines, _int_rows
 
 __all__ = [
     "Graph",
@@ -26,141 +40,222 @@ __all__ = [
     "toggle_edge",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_size(n, max_weight):
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n!r}")
+    if max_weight is not None and max_weight < 1:
+        raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
+
+
+def _edge_error(n, max_weight, u: int, v: int, w: int, duplicate: bool) -> Optional[str]:
+    """Why the integer edge (u, v) of weight w breaks the graph rules, or None;
+    the rules are checked in this order."""
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range for n={n}"
+    if u == v:
+        return f"self-loop at vertex {u} not allowed"
+    if duplicate:
+        return f"duplicate edge {(min(u, v), max(u, v))}"
+    if w < 1:
+        return f"edge weight must be a positive integer, got {w!r}"
+    if max_weight is not None and w > max_weight:
+        return f"edge weight {w} exceeds declared bound {max_weight}"
+    if w > _INT64_MAX:
+        return f"edge weight {w} does not fit in a 64-bit integer"
+    return None
+
+
+def _walk_edges(n, max_weight, rows: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """The edge-by-edge check, for the constructor and for files the
+    vectorised parse rejected: raise the first edge's error, else return the
+    edges as ints."""
+    seen = set()
+    edges = []
+    for row in rows:
+        u, v, w = map(operator.index, row)
+        key = (u, v) if u < v else (v, u)
+        error = _edge_error(n, max_weight, u, v, w, key in seen)
+        if error:
+            raise ValueError(error)
+        seen.add(key)
+        edges.append((u, v, w))
+    return edges
+
+
+def _canonical(n, max_weight, rows: np.ndarray):
+    """Validate (m, 3) int64 rows (u, v, weight) in input order and return the
+    canonical columns (eu, ev, ew), sorted by (eu, ev) with eu < ev. Raises
+    the error of the first edge that breaks a rule; an edge is a duplicate
+    when an earlier edge joins the same pair, in either orientation."""
+    u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    eu, ev = lo[order], hi[order]
+    # The sort is stable, so within a run of equal pairs the first is the
+    # earliest edge and the rest are its duplicates.
+    duplicate = np.zeros(u.size, dtype=bool)
+    duplicate[order[1:][(eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])]] = True
+    bad = duplicate | (lo < 0) | (hi >= n) | (lo == hi) | (w < 1)
+    if max_weight is not None:
+        bad |= w > max_weight
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(_edge_error(n, max_weight, int(u[i]), int(v[i]), int(w[i]),
+                                     bool(duplicate[i])))
+    return eu, ev, w[order]
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column = np.ascontiguousarray(column, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
 
 class Graph:
     """Immutable undirected graph on vertices 0..n-1 with optional integer
     edge weights.
 
-    Graph(n, edges, weights, max_weight) takes the edges as (u, v) pairs and,
-    for a weighted graph, their weights keyed by the normalized pair
-    (min(u, v), max(u, v)). Every edge is validated once and each adjacency
-    list is sorted once, after all edges are in, which gives a deterministic
-    traversal order. A Graph has no mutators: toggle_edge and
+    Graph(n, edges, weights, max_weight) takes the edges as (u, v) integer
+    pairs and, for a weighted graph, their weights keyed by the normalized
+    pair (min(u, v), max(u, v)). It keeps them as read-only int64 arrays:
+    eu, ev, ew, the canonical edges (eu < ev) sorted by (eu, ev), and
+    indptr, indices, weights, the compressed sparse rows, where row u is
+    indices[indptr[u]:indptr[u + 1]], sorted, and weights holds the weight of
+    each entry. A Graph has no mutators: toggle_edge and
     subgraph_weight_at_most return new graphs, so a graph object stands for
-    one fixed dataset and may key a memo by identity. neighbors() returns the
-    stored list, which callers must not modify. max_weight is the declared
-    weight bound w; unweighted graphs have max_weight None and all edges
-    carry weight 1.
+    one fixed dataset and may key a memo by identity. neighbors() returns a
+    new list. max_weight is the declared weight bound w; unweighted graphs
+    have max_weight None and all edges carry weight 1.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = (),
                  weights: Optional[Dict[Tuple[int, int], int]] = None,
                  max_weight: Optional[int] = None):
-        self._build(n, max_weight,
-                    ((u, v, 1 if weights is None else weights[self._key(u, v)])
-                     for u, v in edges))
+        _check_size(n, max_weight)
+        rows = _walk_edges(n, max_weight, (
+            (u, v, 1 if weights is None else weights[(u, v) if u < v else (v, u)])
+            for u, v in edges))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        self._assemble(n, max_weight, *_canonical(n, max_weight, rows))
 
     @classmethod
-    def _from_items(cls, n: int, max_weight: Optional[int],
-                    items: Iterable[Tuple[int, int, int]]) -> "Graph":
+    def _from_canonical(cls, n, max_weight, eu, ev, ew) -> "Graph":
+        """A graph on already validated canonical columns."""
         g = cls.__new__(cls)
-        g._build(n, max_weight, items)
+        g._assemble(n, max_weight, eu, ev, ew)
         return g
 
-    def _build(self, n, max_weight, items):
-        """The one construction step: validate each (u, v, weight) triple, fill
-        the weight map and the adjacency lists, then sort each list once."""
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n!r}")
+    def _assemble(self, n, max_weight, eu, ev, ew):
+        """Keep the canonical columns and build the sorted rows from them.
+        Listing each edge as (ev, eu) before all edges as (eu, ev) and sorting
+        stably by the first vertex puts every row in increasing order: the
+        first part holds a row's smaller neighbours in increasing order, the
+        second its larger ones."""
         self.n = int(n)
         self.max_weight = None if max_weight is None else int(max_weight)
-        if self.max_weight is not None and self.max_weight < 1:
-            raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        weights: Dict[Tuple[int, int], int] = {}
-        for u, v, weight in items:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} not allowed")
-            key = self._key(u, v)
-            if key in weights:
-                raise ValueError(f"duplicate edge {key}")
-            w = int(weight)
-            if w < 1:
-                raise ValueError(f"edge weight must be a positive integer, got {weight!r}")
-            if self.max_weight is not None and w > self.max_weight:
-                raise ValueError(f"edge weight {w} exceeds declared bound {self.max_weight}")
-            weights[key] = w
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        self._adj = adj
-        self._weights = weights
+        src, dst = np.concatenate((ev, eu)), np.concatenate((eu, ev))
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        self.eu, self.ev, self.ew = _frozen(eu), _frozen(ev), _frozen(ew)
+        self.indptr = _frozen(indptr)
+        self.indices = _frozen(dst[order])
+        self.weights = _frozen(np.concatenate((ew, ew))[order])
 
-    @staticmethod
-    def _key(u: int, v: int) -> Tuple[int, int]:
-        return (u, v) if u < v else (v, u)
+    @cached_property
+    def _rows(self) -> Tuple[List[int], List[int]]:
+        """indptr and indices as lists, for traversals in Python."""
+        return self.indptr.tolist(), self.indices.tolist()
+
+    def _position(self, u: int, v: int) -> int:
+        """Index of v in row u, or -1 when (u, v) is no edge."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return -1
+        indptr, indices = self._rows
+        pos = bisect.bisect_left(indices, v, indptr[u], indptr[u + 1])
+        return pos if pos < indptr[u + 1] and indices[pos] == v else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._key(u, v) in self._weights
+        return self._position(u, v) >= 0
 
     def weight(self, u: int, v: int) -> int:
-        return self._weights[self._key(u, v)]
+        pos = self._position(u, v)
+        if pos < 0:
+            raise KeyError((min(u, v), max(u, v)))
+        return int(self.weights[pos])
 
     def neighbors(self, u: int) -> List[int]:
-        return self._adj[u]
+        indptr, indices = self._rows
+        return indices[indptr[u]:indptr[u + 1]]
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        indptr = self._rows[0]
+        return indptr[u + 1] - indptr[u]
 
     @property
     def m(self) -> int:
-        return len(self._weights)
+        return int(self.eu.size)
 
     def edges(self) -> List[Tuple[int, int]]:
-        return sorted(self._weights)
+        return list(zip(self.eu.tolist(), self.ev.tolist()))
 
     def edge_items(self) -> List[Tuple[int, int, int]]:
-        return [(u, v, self._weights[(u, v)]) for u, v in self.edges()]
+        return list(zip(self.eu.tolist(), self.ev.tolist(), self.ew.tolist()))
 
     def subgraph_weight_at_most(self, threshold: int) -> "Graph":
         """New graph keeping exactly the edges of weight <= threshold."""
-        return Graph._from_items(self.n, self.max_weight,
-                                 ((u, v, w) for (u, v), w in self._weights.items()
-                                  if w <= threshold))
+        keep = self.ew <= threshold
+        return Graph._from_canonical(self.n, self.max_weight,
+                                     self.eu[keep], self.ev[keep], self.ew[keep])
 
     def __repr__(self):
         wpart = "" if self.max_weight is None else f", w<={self.max_weight}"
         return f"Graph(n={self.n}, m={self.m}{wpart})"
 
 
+def _line_edges(body: List[str], weighted: bool) -> Iterator[Tuple[int, int, int]]:
+    """The edges of body one line at a time, raising the first line's arity
+    or integer error when it is reached."""
+    for line in body:
+        parts = line.split()
+        if weighted:
+            if len(parts) != 3:
+                raise ValueError(
+                    f"weighted edge line must be 'u v weight', got {line.strip()!r}")
+            yield int(parts[0]), int(parts[1]), int(parts[2])
+        else:
+            if len(parts) != 2:
+                raise ValueError(f"unweighted edge line must be 'u v', got {line.strip()!r}")
+            yield int(parts[0]), int(parts[1]), 1
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format described in the module docstring."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
     header = lines[0].split()
-    if len(header) == 2:
-        n, m = int(header[0]), int(header[1])
-        max_weight = None
-    elif len(header) == 3:
-        n, m = int(header[0]), int(header[1])
-        max_weight = int(header[2])
-    else:
-        raise ValueError(f"header must be 'n m' or 'n m w', got {lines[0]!r}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} edges but file has {len(lines) - 1}")
-
-    def items():
-        for line in lines[1:]:
-            parts = line.split()
-            if max_weight is None:
-                if len(parts) != 2:
-                    raise ValueError(f"unweighted edge line must be 'u v', got {line!r}")
-                yield int(parts[0]), int(parts[1]), 1
-            else:
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"weighted edge line must be 'u v weight', got {line!r}")
-                yield int(parts[0]), int(parts[1]), int(parts[2])
-
-    return Graph._from_items(n, max_weight, items())
+    if len(header) not in (2, 3):
+        raise ValueError(f"header must be 'n m' or 'n m w', got {lines[0].strip()!r}")
+    n, m = int(header[0]), int(header[1])
+    max_weight = int(header[2]) if len(header) == 3 else None
+    body = lines[1:]
+    if len(body) != m:
+        raise ValueError(f"header declares {m} edges but file has {len(body)}")
+    _check_size(n, max_weight)
+    weighted = max_weight is not None
+    rows = _int_rows(body, 3 if weighted else 2)
+    if rows is None:
+        # Some line or token was refused: the walk raises the first error a
+        # line-by-line reader meets.
+        rows = np.array(_walk_edges(n, max_weight, _line_edges(body, weighted)),
+                        dtype=np.int64).reshape(-1, 3)
+    elif not weighted:
+        rows = np.column_stack((rows, np.ones(m, dtype=np.int64)))
+    return Graph._from_canonical(n, max_weight, *_canonical(n, max_weight, rows))
 
 
 def format_graph(g: Graph) -> str:
@@ -189,6 +284,7 @@ def save_graph(g: Graph, path):
 
 def connected_components_exact(g: Graph) -> List[List[int]]:
     """All connected components as sorted vertex lists, by smallest member."""
+    indptr, indices = g._rows
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
@@ -199,7 +295,7 @@ def connected_components_exact(g: Graph) -> List[List[int]]:
         stack = [start]
         while stack:
             u = stack.pop()
-            for v in g.neighbors(u):
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
@@ -209,7 +305,9 @@ def connected_components_exact(g: Graph) -> List[List[int]]:
 
 
 def kruskal_mst_weight(g: Graph) -> int:
-    """Minimum spanning tree weight via Kruskal; raises if g is disconnected."""
+    """Minimum spanning tree weight via Kruskal; raises if g is disconnected.
+    The canonical edges are already in (eu, ev) order, so a stable sort by
+    weight visits them in (weight, eu, ev) order."""
     parent = list(range(g.n))
 
     def find(x):
@@ -218,9 +316,10 @@ def kruskal_mst_weight(g: Graph) -> int:
             x = parent[x]
         return x
 
+    order = np.argsort(g.ew, kind="stable")
     total = 0
     used = 0
-    for u, v, w in sorted(g.edge_items(), key=lambda t: (t[2], t[0], t[1])):
+    for u, v, w in zip(g.eu[order].tolist(), g.ev[order].tolist(), g.ew[order].tolist()):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -234,10 +333,16 @@ def kruskal_mst_weight(g: Graph) -> int:
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:
     """New graph: g with edge (u,v) removed if present, else added with
-    weight. It is built from g's edge map in one pass; g is left as it is."""
-    key = Graph._key(u, v)
-    weights = dict(g._weights)
-    if weights.pop(key, None) is None:
-        weights[key] = weight
-    return Graph._from_items(g.n, g.max_weight,
-                             ((a, b, w) for (a, b), w in weights.items()))
+    weight, which is checked like any edge. g is left as it is."""
+    a, b = (u, v) if u < v else (v, u)
+    lo = int(np.searchsorted(g.eu, a, side="left"))
+    k = lo + int(np.searchsorted(g.ev[lo:np.searchsorted(g.eu, a, side="right")], b))
+    if g.has_edge(a, b):
+        return Graph._from_canonical(g.n, g.max_weight, np.delete(g.eu, k),
+                                     np.delete(g.ev, k), np.delete(g.ew, k))
+    weight = operator.index(weight)
+    error = _edge_error(g.n, g.max_weight, a, b, weight, False)
+    if error:
+        raise ValueError(error)
+    return Graph._from_canonical(g.n, g.max_weight, np.insert(g.eu, k, a),
+                                 np.insert(g.ev, k, b), np.insert(g.ew, k, weight))

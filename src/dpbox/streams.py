@@ -148,9 +148,9 @@ class UpdateStream:
 # A comment runs from '#' to the end of its line; these are the line
 # boundaries of str.splitlines.
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-# Ends each update line in the joined token list. With two tokens on every
-# line it sits at every third place; it is no integer, so the conversion
-# fails wherever else it sits.
+# Ends each line in the joined token list. With w tokens on every line it
+# sits at every (w + 1)-th place; it is no integer, so the conversion fails
+# wherever else it sits.
 _EOL = "\x00"
 
 
@@ -166,10 +166,30 @@ def _walk_lines(body: List[str]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def parse_stream(text: str) -> UpdateStream:
+def _content_lines(text: str) -> List[str]:
+    """The lines of text that hold anything once comments are cut."""
     if "#" in text:
         text = _COMMENT.sub("", text)
-    lines = list(filter(str.strip, text.splitlines()))
+    return list(filter(str.strip, text.splitlines()))
+
+
+def _int_rows(body: List[str], width: int) -> Optional[np.ndarray]:
+    """All tokens of body as an (m, width) int64 array, converted in one numpy
+    call, or None when some line does not hold exactly width tokens or some
+    token is no integer that fits in 64 bits."""
+    m = len(body)
+    tokens = f" {_EOL} ".join(body + [""]).split()
+    if len(tokens) != (width + 1) * m or tokens[width::width + 1] != [_EOL] * m:
+        return None
+    del tokens[width::width + 1]
+    try:
+        return np.array(tokens, dtype=np.int64).reshape(m, width)
+    except (ValueError, OverflowError):
+        return None
+
+
+def parse_stream(text: str) -> UpdateStream:
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty stream file")
     header = lines[0].split()
@@ -179,14 +199,7 @@ def parse_stream(text: str) -> UpdateStream:
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"header declares {m} updates but file has {len(body)}")
-    pairs = None
-    tokens = f" {_EOL} ".join(body + [""]).split()
-    if len(tokens) == 3 * m and tokens[2::3] == [_EOL] * m:
-        del tokens[2::3]
-        try:
-            pairs = np.array(tokens, dtype=np.int64).reshape(m, 2)
-        except (ValueError, OverflowError):
-            pass
+    pairs = _int_rows(body, 2)
     if pairs is None:
         pairs = _walk_lines(body)
     return UpdateStream(universe_size=n, updates=pairs, mode=mode)

@@ -350,6 +350,27 @@ def test_stream_item_beyond_int64_exits_2_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == "dpb: item 99999999999999999999 outside universe [0, 3)\n"
 
 
+@pytest.mark.parametrize("substrate,text,message", [
+    ("cc_exact", "3 2\n0 1\n1 0\n", "duplicate edge (0, 1)"),
+    ("cc_exact", "3 2\n0 1\n1 7\n", "edge (1,7) out of range for n=3"),
+    ("cc_exact", "3 2\n0 1\n1 x\n", "invalid literal for int() with base 10: 'x'"),
+    ("mst_exact", "3 2 2\n0 1 1\n1 2 3\n", "edge weight 3 exceeds declared bound 2"),
+    ("mst_exact", "3 2 2\n0 1 1\n1 2\n", "weighted edge line must be 'u v weight', got '1 2'"),
+    ("knapsack", "2 5\n1 1\n", "header declares 2 items but file has 1"),
+    ("knapsack", "1 5\n0 1\n", "sizes must be positive integers, got 0"),
+    ("knapsack", "1 5\n1 x\n", "could not convert string to float: 'x'"),
+])
+def test_malformed_graph_or_knapsack_file_exits_2_with_one_line(
+        tmp_path, capsys, substrate, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "substrate": substrate, "input": str(path), "epsilon": 1.0, "delta_f": 1.0,
+        "trials": 1})
+    assert main(["wrap", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"dpb: {message}\n"
+
+
 def test_l2_preset_too_large_grid_exits_2(tmp_path, capsys):
     # At alpha 0.2, delta 0.01 the tuned rho sizes a 288 x 518,368 AMS grid;
     # the sketch refuses it before drawing a coefficient.

@@ -128,6 +128,22 @@ def test_cc_estimate_memo_matches_memo_free_loop(n, m, kappa, seed):
     assert qg.queries == probes
 
 
+def test_cc_estimate_sum_is_the_running_sum_across_chunks():
+    # 111,112 starts span two summation chunks; the value must still be the
+    # float a running `inv_sum += 1.0 / c` loop in draw order gives.
+    g = random_graph(300, 250, make_rng(43))
+    params = CcEstimateParams(kappa=0.006)
+    assert params.sample_count > 65_536
+    value = cc_estimate(g, params, make_rng(44))
+    sizes = {}
+    inv_sum = 0.0
+    for u in make_rng(44).integers(0, g.n, size=params.sample_count).tolist():
+        if u not in sizes:
+            sizes[u] = _truncated_component_size(QueryGraph(g), u, params.bfs_cap)
+        inv_sum += 1.0 / sizes[u]
+    assert value.hex() == (g.n * inv_sum / params.sample_count).hex()
+
+
 def test_cc_estimate_matches_analytic_expectation():
     # E[estimate] = n * mean_u 1/min(|component(u)|, cap), exactly, because
     # starts are uniform. Triangle plus three isolated vertices, kappa = 1:

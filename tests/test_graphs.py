@@ -1,6 +1,7 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,3 +156,227 @@ def test_toggle_edge_copies():
     removed = toggle_edge(g, 0, 1)
     assert added.has_edge(1, 2) and not g.has_edge(1, 2)
     assert not removed.has_edge(0, 1) and g.has_edge(0, 1)
+
+
+# ------------------------------------------------------- CSR against a model
+
+
+class _Model:
+    """Dict-of-lists reference for a graph: the weight of each normalized
+    pair, and each vertex's neighbours as a sorted list."""
+
+    def __init__(self, n, weights, max_weight):
+        self.n, self.weights, self.max_weight = n, dict(weights), max_weight
+        self.adj = {u: [] for u in range(n)}
+        for a, b in weights:
+            self.adj[a].append(b)
+            self.adj[b].append(a)
+        for nbrs in self.adj.values():
+            nbrs.sort()
+
+    def toggled(self, u, v, weight):
+        weights = dict(self.weights)
+        if weights.pop((min(u, v), max(u, v)), None) is None:
+            weights[(min(u, v), max(u, v))] = weight
+        return _Model(self.n, weights, self.max_weight)
+
+    def at_most(self, threshold):
+        return _Model(self.n, {e: w for e, w in self.weights.items() if w <= threshold},
+                      self.max_weight)
+
+    def text(self):
+        items = sorted(self.weights.items())
+        if self.max_weight is None:
+            lines = [f"{self.n} {len(items)}"] + [f"{a} {b}" for (a, b), _ in items]
+        else:
+            lines = ([f"{self.n} {len(items)} {self.max_weight}"]
+                     + [f"{a} {b} {w}" for (a, b), w in items])
+        return "\n".join(lines) + "\n"
+
+
+def _assert_matches(g: Graph, model: _Model):
+    n = model.n
+    assert (g.n, g.m, g.max_weight) == (n, len(model.weights), model.max_weight)
+    assert g.edges() == sorted(model.weights)
+    assert g.edge_items() == [(a, b, w) for (a, b), w in sorted(model.weights.items())]
+    for u in range(n):
+        nbrs = g.neighbors(u)
+        assert type(nbrs) is list and nbrs == model.adj[u]
+        assert g.degree(u) == len(model.adj[u])
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            key = (min(u, v), max(u, v))
+            assert g.has_edge(u, v) == (key in model.weights)
+            if key in model.weights:
+                assert g.weight(u, v) == model.weights[key]
+            else:
+                with pytest.raises(KeyError):
+                    g.weight(u, v)
+    assert format_graph(g) == model.text()
+    # The CSR rows are the sorted neighbour lists, with aligned weights.
+    assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.m
+    for u in range(n):
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        assert g.indices[lo:hi].tolist() == model.adj[u]
+        assert g.weights[lo:hi].tolist() == [
+            model.weights[(min(u, v), max(u, v))] for v in model.adj[u]]
+    for column in (g.indptr, g.indices, g.weights, g.eu, g.ev, g.ew):
+        assert column.dtype == np.int64 and not column.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 9), data=st.data())
+def test_csr_graph_matches_dict_of_lists_model(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [e if data.draw(st.booleans()) else e[::-1] for e in edges]
+    max_weight = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+    weights = {(min(e), max(e)): 1 if max_weight is None
+               else data.draw(st.integers(1, max_weight)) for e in edges}
+    g = Graph(n, edges, None if max_weight is None else weights, max_weight)
+    model = _Model(n, weights, max_weight)
+    _assert_matches(g, model)
+    assert format_graph(parse_graph(model.text())) == model.text()
+    for threshold in range(0, (max_weight or 1) + 2):
+        _assert_matches(g.subgraph_weight_at_most(threshold), model.at_most(threshold))
+    if n >= 2:
+        u, v = data.draw(st.sampled_from(pairs))
+        u, v = (u, v) if data.draw(st.booleans()) else (v, u)
+        weight = data.draw(st.integers(1, max_weight or 4))
+        _assert_matches(toggle_edge(g, u, v, weight), model.toggled(u, v, weight))
+        _assert_matches(g, model)
+
+
+@pytest.mark.parametrize("u,v,weight,message", [
+    (0, 5, 1, "edge (0,5) out of range for n=3"),
+    (5, 0, 1, "edge (0,5) out of range for n=3"),
+    (-1, 2, 1, "edge (-1,2) out of range for n=3"),
+    (2, 2, 1, "self-loop at vertex 2 not allowed"),
+    (1, 2, 0, "edge weight must be a positive integer, got 0"),
+    (1, 2, 5, "edge weight 5 exceeds declared bound 4"),
+    (2, 1, -3, "edge weight must be a positive integer, got -3"),
+])
+def test_toggle_edge_checks_the_added_edge(u, v, weight, message):
+    g = Graph(3, [(0, 1)], {(0, 1): 2}, 4)
+    with pytest.raises(ValueError) as err:
+        toggle_edge(g, u, v, weight)
+    assert str(err.value) == message
+    # Removing an edge ignores the weight.
+    assert toggle_edge(g, 1, 0, 99).m == 0
+
+
+# ---------------------------------------------------- parse errors and parity
+
+
+def reference_parse(text):
+    """The line-by-line reader the array parser replaced: (n, max_weight,
+    sorted edge items), or the first ValueError it meets."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise ValueError("empty graph file")
+    header = lines[0].split()
+    if len(header) not in (2, 3):
+        raise ValueError(f"header must be 'n m' or 'n m w', got {lines[0]!r}")
+    n, m = int(header[0]), int(header[1])
+    max_weight = int(header[2]) if len(header) == 3 else None
+    if len(lines) - 1 != m:
+        raise ValueError(f"header declares {m} edges but file has {len(lines) - 1}")
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n!r}")
+    if max_weight is not None and max_weight < 1:
+        raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
+    weights = {}
+    for line in lines[1:]:
+        parts = line.split()
+        if max_weight is None:
+            if len(parts) != 2:
+                raise ValueError(f"unweighted edge line must be 'u v', got {line!r}")
+            u, v, w = int(parts[0]), int(parts[1]), 1
+        else:
+            if len(parts) != 3:
+                raise ValueError(f"weighted edge line must be 'u v weight', got {line!r}")
+            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} not allowed")
+        key = (min(u, v), max(u, v))
+        if key in weights:
+            raise ValueError(f"duplicate edge {key}")
+        if w < 1:
+            raise ValueError(f"edge weight must be a positive integer, got {w!r}")
+        if max_weight is not None and w > max_weight:
+            raise ValueError(f"edge weight {w} exceeds declared bound {max_weight}")
+        weights[key] = w
+    return n, max_weight, sorted((u, v, w) for (u, v), w in weights.items())
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, Graph):
+        result = (result.n, result.max_weight, result.edge_items())
+    return "ok", result
+
+
+_ODD_TOKENS = st.sampled_from([
+    "x", "1.5", "1e2", "0x1", "+2", "1_0", "١", "99999999999999999999",
+    "-99999999999999999999", "9223372036854775808", "\x00"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_parse_errors_match_the_line_by_line_reader(data):
+    n = data.draw(st.sampled_from([-1, 0, 1] + list(range(2, 8)) * 2))
+    max_weight = data.draw(st.sampled_from([None] * 4 + [0, 1, 2, 3, 5, 5]))
+    width = 2 if max_weight is None else 3
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    anything = st.one_of(st.integers(-2, n + 1), _ODD_TOKENS)
+    weight = st.one_of(*[st.integers(1, max_weight or 1)] * 8, st.integers(-1, 7), _ODD_TOKENS)
+    body = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        # Mostly valid edges, so that errors can sit deep in the file.
+        if data.draw(st.integers(0, 9)) == 0 or not pairs:
+            tokens = [data.draw(anything), data.draw(anything), data.draw(anything)]
+        else:
+            tokens = [*data.draw(st.sampled_from(pairs)), data.draw(weight)]
+        if width == 2:
+            tokens[2] = data.draw(anything)
+        arity = data.draw(st.sampled_from([width] * 19 + [width - 1, width + 1]))
+        tokens = tokens[:arity]
+        gap = data.draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        line = gap.join(map(str, tokens))
+        body.append(line + data.draw(st.sampled_from(["", " ", " # note", "#x 1 2"])))
+        if data.draw(st.integers(0, 5)) == 0:
+            body.append(data.draw(st.sampled_from(["", "   ", "# comment", "\t"])))
+    m = sum(1 for line in body if line.split("#", 1)[0].strip())
+    m += data.draw(st.sampled_from([0] * 19 + [-1, 1]))
+    header = f"{n} {m}" + ("" if max_weight is None else f" {max_weight}")
+    text = "\n".join([data.draw(st.sampled_from(["", "# head"])), header] + body) + "\n"
+    assert _outcome(parse_graph, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 2\n0 1\n1 0\n", "duplicate edge (0, 1)"),
+    ("4 3\n0 1\n2 2\n0 x\n", "self-loop at vertex 2 not allowed"),
+    ("4 3\n0 x\n2 2\n0 1\n", "invalid literal for int() with base 10: 'x'"),
+    ("3 3\n0 1\n0 1 7\n0 5\n", "unweighted edge line must be 'u v', got '0 1 7'"),
+    ("3 2\n0 99999999999999999999\n0 1\n", "edge (0,99999999999999999999) out of range for n=3"),
+    ("3 2 4\n0 1 99999999999999999999\n0 2 1\n",
+     "edge weight 99999999999999999999 exceeds declared bound 4"),
+    ("-2 1\n0 x\n", "vertex count must be nonnegative, got -2"),
+    ("3 1 0\n0 x 1\n", "max_weight must be >= 1, got 0"),
+    ("3 1\n\x001\n", "unweighted edge line must be 'u v', got '\\x001'"),
+    ("3 1 99999999999999999999\n0 1 9999999999999999999\n",
+     "edge weight 9999999999999999999 does not fit in a 64-bit integer"),
+])
+def test_parse_reports_the_first_error_in_file_order(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_graph(text)
+    assert str(err.value) == message

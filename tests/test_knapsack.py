@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.knapsack import (KnapsackInstance, format_knapsack, knapsack_exact,
                             knapsack_fptas, load_knapsack, parse_knapsack)
@@ -28,6 +30,19 @@ def test_parse_format_round_trip():
     # Non-integer values survive the round trip through repr.
     frac = KnapsackInstance(capacity=4, sizes=[2], values=[1.25])
     assert parse_knapsack(format_knapsack(frac)).values == (1.25,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 10 ** 30),
+       items=st.lists(st.tuples(st.integers(1, 10 ** 30),
+                                st.floats(min_value=0.0, allow_infinity=False)), max_size=12))
+def test_format_parse_round_trip_any_instance(capacity, items):
+    inst = KnapsackInstance(capacity=capacity, sizes=[s for s, _ in items],
+                            values=[v for _, v in items])
+    text = format_knapsack(inst)
+    back = parse_knapsack(text)
+    assert back == inst
+    assert format_knapsack(back) == text
 
 
 @pytest.mark.parametrize("bad", ["", "2 5\n1 1\n", "1\n1 1\n", "1 5\n1\n"])
