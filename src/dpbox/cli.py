@@ -24,7 +24,7 @@ the corresponding accuracy statements use; explicit config keys override
 preset values. Data-dependent preset values are derived from the loaded
 dataset: the cc preset, for instance, turns the fractional additive knob
 kappa_frac into kappa = kappa_frac*n, tau_override = kappa_frac*n/ln(n),
-delta = 1/n, and gamma = gamma_scale*ln(n).
+delta = 1/n, and gamma = ln(n).
 """
 
 from __future__ import annotations
@@ -50,16 +50,11 @@ from .substrates import (dataset_kind, default_delta_f, exact_value, make_substr
 __all__ = ["main"]
 
 _STATIC_PRESETS = {
-    "cc": {"substrate": "cc_estimate", "route": "laplace", "alpha": 0.5,
-           "kappa_frac": 0.1, "gamma_scale": 1.0},
-    "mst": {"substrate": "mst_estimate", "route": "laplace", "alpha": 0.2,
-            "kappa": 0.0, "gamma_scale": 1.0},
-    "l2": {"substrate": "l2_ams", "route": "laplace", "alpha": 0.2,
-           "kappa": 0.0, "delta": 0.01},
-    "f0": {"substrate": "f0_kmv", "route": "laplace", "alpha": 0.2,
-           "kappa": 0.0, "delta": 0.01},
-    "sw-de": {"substrate": "sw_de", "route": "laplace", "alpha": 0.2,
-              "kappa": 0.0, "delta": 0.01},
+    "cc": {"substrate": "cc_estimate", "alpha": 0.5, "kappa_frac": 0.1},
+    "mst": {"substrate": "mst_estimate", "alpha": 0.2},
+    "l2": {"substrate": "l2_ams", "alpha": 0.2, "delta": 0.01},
+    "f0": {"substrate": "f0_kmv", "alpha": 0.2, "delta": 0.01},
+    "sw-de": {"substrate": "sw_de", "alpha": 0.2, "delta": 0.01},
 }
 
 _LOADERS = {"graph": load_graph, "stream": load_stream, "knapsack": load_knapsack}
@@ -89,9 +84,9 @@ def _derive_preset_values(config: dict, dataset):
             raise CliError(f"preset {name!r} needs a graph with at least one vertex")
         log_n = math.log(max(n, 3))
         config.setdefault("delta", 1.0 / n)
-        config.setdefault("gamma", config.get("gamma_scale", 1.0) * log_n)
+        config.setdefault("gamma", log_n)
         if name == "cc":
-            frac = config.get("kappa_frac", 0.1)
+            frac = config["kappa_frac"]
             config.setdefault("kappa", frac * n)
             config.setdefault("tau_override", frac * n / log_n)
     elif name in ("l2", "f0", "sw-de"):

@@ -36,9 +36,11 @@ __all__ = [
 class QueryGraph:
     """Adjacency-query view of a Graph that counts every probe.
 
-    The estimators see the graph only through degree(u) and neighbor(u, i),
-    each of which costs one query. The counter persists across calls so a
-    trial harness can difference it around a run.
+    degree(u) and neighbor(u, i) cost one query each; they are the per-probe
+    model of the query meter, which the tests use. The truncated BFS of
+    cc_estimate reads the graph's cached rows directly and adds to the
+    counter, in bulk, what those probes would cost. The counter persists
+    across calls so a trial harness can difference it around a run.
 
     A view also remembers the truncated-BFS size of every (start, cap) pair
     cc_estimate has probed through it, in sizes[cap][start], an int64 array
@@ -56,10 +58,6 @@ class QueryGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def max_weight(self):
-        return self.graph.max_weight
 
     def degree(self, u: int) -> int:
         self.queries += 1

@@ -9,7 +9,7 @@ byte-identically.
 
 A Graph is a set of read-only int64 arrays: the canonical edge list eu < ev
 with weights ew, sorted by (eu, ev), and the same edges in compressed sparse
-row form, indptr/indices/weights, with each row sorted. One vectorised check
+row form, indptr/indices, with each row sorted. One vectorised check
 validates every edge. parse_graph converts every edge token in one numpy
 call; only a file that call rejects is walked line by line, so that the
 first error reported and its message are those of a line-by-line reader.
@@ -20,14 +20,13 @@ and neighboring datasets come from toggle_edge, which returns a new graph.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .streams import _content_lines, _int_rows
+from .streams import _INT64_MAX, _check_bytes, _content_lines, _frozen, _int_rows, _walk_lines
 
 __all__ = [
     "Graph",
@@ -40,14 +39,12 @@ __all__ = [
     "toggle_edge",
 ]
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _check_size(n, max_weight):
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n!r}")
     if max_weight is not None and max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
+    _check_bytes(8 * (2 * n + 1), f"graph on n={n} vertices", "row offsets and degree counts")
 
 
 def _edge_error(n, max_weight, u: int, v: int, w: int, duplicate: bool) -> Optional[str]:
@@ -108,12 +105,6 @@ def _canonical(n, max_weight, rows: np.ndarray):
     return eu, ev, w[order]
 
 
-def _frozen(column: np.ndarray) -> np.ndarray:
-    column = np.ascontiguousarray(column, dtype=np.int64)
-    column.flags.writeable = False
-    return column
-
-
 class Graph:
     """Immutable undirected graph on vertices 0..n-1 with optional integer
     edge weights.
@@ -122,12 +113,11 @@ class Graph:
     pairs and, for a weighted graph, their weights keyed by the normalized
     pair (min(u, v), max(u, v)). It keeps them as read-only int64 arrays:
     eu, ev, ew, the canonical edges (eu < ev) sorted by (eu, ev), and
-    indptr, indices, weights, the compressed sparse rows, where row u is
-    indices[indptr[u]:indptr[u + 1]], sorted, and weights holds the weight of
-    each entry. A Graph has no mutators: toggle_edge and
-    subgraph_weight_at_most return new graphs, so a graph object stands for
-    one fixed dataset and may key a memo by identity. neighbors() returns a
-    new list. max_weight is the declared weight bound w; unweighted graphs
+    indptr, indices, the compressed sparse rows, where row u is
+    indices[indptr[u]:indptr[u + 1]], sorted. A Graph has no mutators:
+    toggle_edge and subgraph_weight_at_most return new graphs, so a graph
+    object stands for one fixed dataset and may key a memo by identity.
+    neighbors() returns a new list. max_weight is the declared weight bound w; unweighted graphs
     have max_weight None and all edges carry weight 1.
     """
 
@@ -163,29 +153,29 @@ class Graph:
         self.eu, self.ev, self.ew = _frozen(eu), _frozen(ev), _frozen(ew)
         self.indptr = _frozen(indptr)
         self.indices = _frozen(dst[order])
-        self.weights = _frozen(np.concatenate((ew, ew))[order])
 
     @cached_property
     def _rows(self) -> Tuple[List[int], List[int]]:
         """indptr and indices as lists, for traversals in Python."""
         return self.indptr.tolist(), self.indices.tolist()
 
-    def _position(self, u: int, v: int) -> int:
-        """Index of v in row u, or -1 when (u, v) is no edge."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return -1
-        indptr, indices = self._rows
-        pos = bisect.bisect_left(indices, v, indptr[u], indptr[u + 1])
-        return pos if pos < indptr[u + 1] and indices[pos] == v else -1
+    def _locate(self, u: int, v: int) -> Tuple[int, bool]:
+        """(k, found) for the pair (min(u, v), max(u, v)): k is its place in
+        the canonical columns, where it is or would be inserted, and found
+        says whether it is an edge."""
+        a, b = (u, v) if u < v else (v, u)
+        lo, hi = np.searchsorted(self.eu, a, "left"), np.searchsorted(self.eu, a, "right")
+        k = int(lo + np.searchsorted(self.ev[lo:hi], b))
+        return k, bool(k < hi and self.ev[k] == b)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._position(u, v) >= 0
+        return self._locate(u, v)[1]
 
     def weight(self, u: int, v: int) -> int:
-        pos = self._position(u, v)
-        if pos < 0:
+        k, found = self._locate(u, v)
+        if not found:
             raise KeyError((min(u, v), max(u, v)))
-        return int(self.weights[pos])
+        return int(self.ew[k])
 
     def neighbors(self, u: int) -> List[int]:
         indptr, indices = self._rows
@@ -216,22 +206,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{wpart})"
 
 
-def _line_edges(body: List[str], weighted: bool) -> Iterator[Tuple[int, int, int]]:
-    """The edges of body one line at a time, raising the first line's arity
-    or integer error when it is reached."""
-    for line in body:
-        parts = line.split()
-        if weighted:
-            if len(parts) != 3:
-                raise ValueError(
-                    f"weighted edge line must be 'u v weight', got {line.strip()!r}")
-            yield int(parts[0]), int(parts[1]), int(parts[2])
-        else:
-            if len(parts) != 2:
-                raise ValueError(f"unweighted edge line must be 'u v', got {line.strip()!r}")
-            yield int(parts[0]), int(parts[1]), 1
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format described in the module docstring."""
     lines = _content_lines(text)
@@ -250,9 +224,13 @@ def parse_graph(text: str) -> Graph:
     rows = _int_rows(body, 3 if weighted else 2)
     if rows is None:
         # Some line or token was refused: the walk raises the first error a
-        # line-by-line reader meets.
-        rows = np.array(_walk_edges(n, max_weight, _line_edges(body, weighted)),
-                        dtype=np.int64).reshape(-1, 3)
+        # line-by-line reader meets, checking each edge as its line is read.
+        if weighted:
+            edges = _walk_lines(body, 3, "weighted edge line must be 'u v weight'")
+        else:
+            pairs = _walk_lines(body, 2, "unweighted edge line must be 'u v'")
+            edges = ((u, v, 1) for u, v in pairs)
+        rows = np.array(_walk_edges(n, max_weight, edges), dtype=np.int64).reshape(-1, 3)
     elif not weighted:
         rows = np.column_stack((rows, np.ones(m, dtype=np.int64)))
     return Graph._from_canonical(n, max_weight, *_canonical(n, max_weight, rows))
@@ -335,9 +313,8 @@ def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:
     """New graph: g with edge (u,v) removed if present, else added with
     weight, which is checked like any edge. g is left as it is."""
     a, b = (u, v) if u < v else (v, u)
-    lo = int(np.searchsorted(g.eu, a, side="left"))
-    k = lo + int(np.searchsorted(g.ev[lo:np.searchsorted(g.eu, a, side="right")], b))
-    if g.has_edge(a, b):
+    k, found = g._locate(a, b)
+    if found:
         return Graph._from_canonical(g.n, g.max_weight, np.delete(g.eu, k),
                                      np.delete(g.ev, k), np.delete(g.ew, k))
     weight = operator.index(weight)

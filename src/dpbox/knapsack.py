@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
+
+from .streams import _check_bytes, _content_lines
 
 __all__ = [
     "KnapsackInstance",
@@ -57,16 +59,12 @@ class KnapsackInstance:
 
 
 def parse_knapsack(text: str) -> KnapsackInstance:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines:
         raise ValueError("empty knapsack file")
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"header must be 'n B', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n B', got {lines[0].strip()!r}")
     n, capacity = int(header[0]), int(header[1])
     if len(lines) - 1 != n:
         raise ValueError(f"header declares {n} items but file has {len(lines) - 1}")
@@ -74,7 +72,7 @@ def parse_knapsack(text: str) -> KnapsackInstance:
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"item line must be 'size value', got {line!r}")
+            raise ValueError(f"item line must be 'size value', got {line.strip()!r}")
         sizes.append(int(parts[0]))
         values.append(float(parts[1]))
     return KnapsackInstance(capacity=capacity, sizes=sizes, values=values)
@@ -102,6 +100,8 @@ def _value_axis_dp(sizes, values, scaled, capacity) -> float:
     of the best feasible selection. scaled[i] = 0 items are skipped (they
     cannot raise the scaled objective)."""
     total_scaled = int(sum(scaled))
+    _check_bytes(16 * (total_scaled + 1), f"knapsack DP over {total_scaled + 1} scaled values",
+                 "size and value tables")
     best_size = np.full(total_scaled + 1, np.inf)
     best_size[0] = 0.0
     orig_value = np.zeros(total_scaled + 1)
@@ -117,19 +117,27 @@ def _value_axis_dp(sizes, values, scaled, capacity) -> float:
     return float(orig_value[feasible[-1]]) if feasible.size else 0.0
 
 
-def knapsack_exact(inst: KnapsackInstance) -> float:
-    """Exact optimum via DP over the value axis; integer values required."""
-    for v in inst.values:
+def _integers(values) -> List[int]:
+    """values as ints, for the exact DP; raises at the first non-integer."""
+    for v in values:
         if not float(v).is_integer():
-            raise ValueError(
-                f"exact knapsack DP needs integer values, got {v!r}")
+            raise ValueError(f"exact knapsack DP needs integer values, got {v!r}")
+    return [int(v) for v in values]
+
+
+def _fitting(inst: KnapsackInstance):
+    """(sizes, values) of the items that fit on their own; no feasible
+    selection holds any other."""
     kept = [(s, v) for s, v in zip(inst.sizes, inst.values) if s <= inst.capacity]
-    if not kept:
-        return 0.0
-    sizes = [s for s, _ in kept]
-    values = [v for _, v in kept]
-    scaled = [int(v) for v in values]
-    return _value_axis_dp(sizes, values, scaled, inst.capacity)
+    return [s for s, _ in kept], [v for _, v in kept]
+
+
+def knapsack_exact(inst: KnapsackInstance) -> float:
+    """Exact optimum via DP over the value axis; every item's value must be
+    an integer, even that of an item too large to fit."""
+    _integers(inst.values)
+    sizes, values = _fitting(inst)
+    return _value_axis_dp(sizes, values, _integers(values), inst.capacity)
 
 
 def knapsack_fptas(inst: KnapsackInstance, alpha: float) -> float:
@@ -138,20 +146,16 @@ def knapsack_fptas(inst: KnapsackInstance, alpha: float) -> float:
     Drops items that cannot fit, scales values by mu = alpha * v_max / n,
     floors them, and solves the scaled problem exactly; the selected set's
     unscaled value is returned and satisfies (1-alpha)*OPT <= out <= OPT.
-    alpha = 0 falls through to the exact DP.
+    alpha = 0, or no fitting item of positive value, runs the exact DP on the
+    fitting items, whose values must then be integers.
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if inst.n == 0:
-        return 0.0
-    kept = [(s, v) for s, v in zip(inst.sizes, inst.values) if s <= inst.capacity]
-    if not kept:
-        return 0.0
-    sizes = [s for s, _ in kept]
-    values = [v for _, v in kept]
-    v_max = max(values)
+    sizes, values = _fitting(inst)
+    v_max = max(values, default=0.0)
     if alpha == 0.0 or v_max == 0.0:
-        return knapsack_exact(KnapsackInstance(inst.capacity, sizes, values))
-    mu = alpha * v_max / len(kept)
-    scaled = [int(math.floor(v / mu)) for v in values]
+        scaled = _integers(values)
+    else:
+        mu = alpha * v_max / len(values)
+        scaled = [int(math.floor(v / mu)) for v in values]
     return _value_axis_dp(sizes, values, scaled, inst.capacity)

@@ -269,15 +269,15 @@ def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, route: str):
     return x, clamped, _SCALE_FACTORS[route] * bound / cfg.epsilon
 
 
-def _noised(value: float, cost: dict, params: ApproxParams, cfg: WrapConfig, rng,
-            route: str):
+def _release(substrate: TunableSubstrate, dataset, params: ApproxParams, cfg: WrapConfig,
+             rng, route: str) -> MechanismTrace:
+    """One trial of the route's wrapper: evaluate, calibrate, draw."""
+    value, cost = substrate.evaluate(dataset, params, rng)
     x, clamped, scale = _calibrate(value, params, cfg, route)
     draw = _SAMPLERS[route](scale, rng)
-    output = x + draw
-    trace = MechanismTrace(substrate_value=x, rho=params.alpha, tau=params.kappa,
-                           noise_scale=scale, noise_draw=draw, output=output,
-                           clamped=clamped, cost=cost)
-    return output, trace
+    return MechanismTrace(substrate_value=x, rho=params.alpha, tau=params.kappa,
+                          noise_scale=scale, noise_draw=draw, output=x + draw,
+                          clamped=clamped, cost=cost)
 
 
 def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -292,9 +292,9 @@ def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
     trace is for testing only and must not be released.
     """
-    params = route_params(substrate, cfg, "laplace")
-    value, cost = substrate.evaluate(dataset, params, rng)
-    return _noised(value, cost, params, cfg, rng, "laplace")
+    trace = _release(substrate, dataset, route_params(substrate, cfg, "laplace"), cfg, rng,
+                     "laplace")
+    return trace.output, trace
 
 
 def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -306,9 +306,9 @@ def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     returns x + Cauchy(6 * (4*rho*x + 4*tau + delta_f) / epsilon) with a
     trace. The released output is epsilon-DP when the contract holds.
     """
-    params = route_params(substrate, cfg, "cauchy")
-    value, cost = substrate.evaluate(dataset, params, rng)
-    return _noised(value, cost, params, cfg, rng, "cauchy")
+    trace = _release(substrate, dataset, route_params(substrate, cfg, "cauchy"), cfg, rng,
+                     "cauchy")
+    return trace.output, trace
 
 
 # Trials per TrialChunk: bounds the memory of a run whatever its trial count.
@@ -350,24 +350,21 @@ def wrap_trials(substrate: TunableSubstrate, dataset, cfg: WrapConfig, route: st
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     params = route_params(substrate, cfg, route)
-    sample = _SAMPLERS[route]
     if substrate.is_deterministic and trials:
         value, first_cost = substrate.evaluate(dataset, params, rng)
         x, _, scale = _calibrate(value, params, cfg, route)
     for start in range(0, trials, TRIAL_CHUNK):
         n = min(TRIAL_CHUNK, trials - start)
         if substrate.is_deterministic:
-            draw = sample(scale, rng, size=n)
+            draw = _SAMPLERS[route](scale, rng, size=n)
             values, scales = np.full(n, x), np.full(n, scale)
             cost = [first_cost if start == 0 else _CACHED_COST] + [_CACHED_COST] * (n - 1)
         else:
-            values, scales, draw = np.empty(n), np.empty(n), np.empty(n)
-            cost = []
-            for i in range(n):
-                value, trial_cost = substrate.evaluate(dataset, params, rng)
-                values[i], _, scales[i] = _calibrate(value, params, cfg, route)
-                draw[i] = sample(scales[i], rng)
-                cost.append(trial_cost)
+            runs = [_release(substrate, dataset, params, cfg, rng, route) for _ in range(n)]
+            values = np.array([t.substrate_value for t in runs])
+            scales = np.array([t.noise_scale for t in runs])
+            draw = np.array([t.noise_draw for t in runs])
+            cost = [t.cost for t in runs]
         yield TrialChunk(start=start, output=values + draw, substrate_value=values,
                          noise_scale=scales, noise_draw=draw, cost=cost,
                          rho=params.alpha, tau=params.kappa)
@@ -449,8 +446,6 @@ def to_pure_dp(value: float, grid: GridSpec, epsilon: float, delta: float, rng,
     clamped_neg = v < 0.0
     v = min(max(v, 0.0), grid.range_max)
     idx = int(math.ceil(v / grid.spacing - 1e-9))
-    if idx < 0:
-        idx = 0
     if idx > grid.num_points - 1:
         idx = grid.num_points - 1
     fallback = False

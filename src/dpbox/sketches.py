@@ -30,7 +30,7 @@ import statistics
 
 import numpy as np
 
-from .streams import UpdateStream
+from .streams import UpdateStream, _check_bytes
 
 __all__ = [
     "AmsSketch",
@@ -43,9 +43,6 @@ _SIGN_PRIME = np.uint64(2 ** 31 - 1)
 # Counters one AMS update pass touches, unless the sketch has more rows:
 # update_bulk takes max(1, _AMS_PASS_CELLS // rows) distinct items a pass.
 _AMS_PASS_CELLS = 2 ** 18
-# Largest footprint AmsSketch accepts: 8-byte counters, 6 coefficients per
-# row, and at most three rows x chunk buffers during an update pass.
-_AMS_MAX_BYTES = 2 ** 30
 
 
 def _ams_rows(fail_prob: float) -> int:
@@ -66,12 +63,10 @@ class AmsSketch:
             raise ValueError(
                 f"universe_size must lie in [1, {int(_SIGN_PRIME)}), got {universe_size!r}")
         chunk = max(1, _AMS_PASS_CELLS // int(rows))
-        need = 8 * int(rows) * (int(cols) + 6 + 3 * chunk)
-        if need > _AMS_MAX_BYTES:
-            raise ValueError(
-                f"AMS grid {rows} x {cols} needs {need / 2 ** 30:.1f} GiB for its "
-                f"counters, coefficients and update buffers, above the "
-                f"{_AMS_MAX_BYTES / 2 ** 30:g} GiB cap")
+        # 8-byte counters, 6 coefficients per row, and at most three rows x
+        # chunk buffers during an update pass.
+        _check_bytes(8 * int(rows) * (int(cols) + 6 + 3 * chunk), f"AMS grid {rows} x {cols}",
+                     "counters, coefficients and update buffers")
         self.rows = int(rows)
         self.cols = int(cols)
         self.universe_size = int(universe_size)

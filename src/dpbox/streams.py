@@ -15,7 +15,9 @@ File format: header "n m mode" with mode in {insert, turnstile}, then m
 lines "item delta". '#' starts a comment and blank lines are skipped.
 parse_stream converts every update token in one numpy call; only a file that
 call rejects is walked line by line, so that the first error reported and its
-message are those of a line-by-line reader.
+message are those of a line-by-line reader. The graph and knapsack readers
+share these line helpers, and the graph, knapsack and sketch modules its 1 GiB
+allocation cap, _check_bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +44,17 @@ __all__ = [
 
 _MODES = ("insert", "turnstile")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# The largest array dpbox allocates for one dataset, recount, DP table or
+# sketch. A request above it is refused before anything is allocated.
+_MAX_BYTES = 2 ** 30
+
+
+def _check_bytes(need: int, subject: str, contents: str):
+    """Raise the one-line refusal when subject's contents would take need
+    bytes, above _MAX_BYTES."""
+    if need > _MAX_BYTES:
+        raise ValueError(f"{subject} needs {need / 2 ** 30:.1f} GiB for its {contents}, "
+                         f"above the {_MAX_BYTES / 2 ** 30:g} GiB cap")
 
 
 def _update_error(n, insert: bool, item: int, delta: int) -> Optional[str]:
@@ -154,18 +167,6 @@ _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _EOL = "\x00"
 
 
-def _walk_lines(body: List[str]) -> List[Tuple[int, int]]:
-    """The line-by-line reader, run only on a file the vectorised parse
-    rejected: raise the first line's error, else return the pairs as ints."""
-    pairs = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"update line must be 'item delta', got {line.strip()!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return pairs
-
-
 def _content_lines(text: str) -> List[str]:
     """The lines of text that hold anything once comments are cut."""
     if "#" in text:
@@ -188,6 +189,17 @@ def _int_rows(body: List[str], width: int) -> Optional[np.ndarray]:
         return None
 
 
+def _walk_lines(body: List[str], width: int, arity: str) -> Iterator[Tuple[int, ...]]:
+    """The line-by-line reader, run only on a file _int_rows rejected: yield
+    each line's width integers, raising the first line's error when it is
+    reached; a line without width tokens gets "<arity>, got <line>"."""
+    for line in body:
+        parts = line.split()
+        if len(parts) != width:
+            raise ValueError(f"{arity}, got {line.strip()!r}")
+        yield tuple(map(int, parts))
+
+
 def parse_stream(text: str) -> UpdateStream:
     lines = _content_lines(text)
     if not lines:
@@ -201,7 +213,7 @@ def parse_stream(text: str) -> UpdateStream:
         raise ValueError(f"header declares {m} updates but file has {len(body)}")
     pairs = _int_rows(body, 2)
     if pairs is None:
-        pairs = _walk_lines(body)
+        pairs = list(_walk_lines(body, 2, "update line must be 'item delta'"))
     return UpdateStream(universe_size=n, updates=pairs, mode=mode)
 
 
@@ -222,6 +234,8 @@ def save_stream(s: UpdateStream, path):
 
 
 def exact_frequencies(s: UpdateStream) -> np.ndarray:
+    _check_bytes(8 * s.universe_size, f"exact recount over universe n={s.universe_size}",
+                 "frequency vector")
     freq = np.zeros(s.universe_size, dtype=np.int64)
     np.add.at(freq, s.items, s.deltas)
     return freq

@@ -1,12 +1,13 @@
 """Named substrates: tunable estimators packaged for the privacy wrappers.
 
 Each substrate is described once, by its entry in the registry at the
-bottom: the dataset kind its loader reads, its evaluate function and whether
-it is deterministic, the exact oracle of the quantity it estimates, its
-default global sensitivity delta_f, and, for the sublinear graph estimators,
-the worst-case query count of one evaluation. evaluate(dataset, params, rng,
-config) translates the wrapper's ApproxParams into the estimator's own knobs
-and returns (estimate, cost), cost counting what that one call used.
+bottom: the dataset kind its loader reads, the exact oracle of the quantity
+it estimates, its default global sensitivity delta_f, its evaluate function
+(an exact substrate evaluates its oracle) and whether it is deterministic,
+and, for the sublinear graph estimators, the worst-case query count of one
+evaluation. evaluate(dataset, params, rng, config) translates the wrapper's
+ApproxParams into the estimator's own knobs and returns (estimate, cost),
+cost counting what that one call used.
 Additive targets (ApproxParams.kappa) are in absolute output units
 throughout; the component-count substrate divides by n internally to reach
 the estimator's fractional knob. Exact oracles back the coverage harness,
@@ -86,10 +87,6 @@ def _clamped_fail(params: ApproxParams) -> float:
 
 # Evaluate functions: (dataset, params, rng, config) -> estimate or (estimate, cost).
 
-def _cc_exact(graph, params, rng, config):
-    return _component_count(graph, config)
-
-
 def _cc_knobs(n: int, params: ApproxParams):
     """cc_estimate's knobs for the absolute additive target params.kappa on n
     vertices (as a fraction of n, capped at 1), and the replica count whose
@@ -120,10 +117,6 @@ def _cc_estimate_queries(graph, params) -> float:
     return replicas * cc_params.max_queries
 
 
-def _mst_exact(graph, params, rng, config):
-    return _mst_weight(graph, config)
-
-
 def _mst_fail(params: ApproxParams) -> float:
     return min(max(params.fail_prob, 1e-12), 1.0 / 3.0)
 
@@ -152,10 +145,6 @@ def _knapsack(instance, params, rng, config):
     return knapsack_fptas(instance, params.alpha)
 
 
-def _l2_exact(stream, params, rng, config):
-    return _recount(stream, config, _l2_norm)
-
-
 def _l2_ams(stream, params, rng, config):
     """L2 norm via an AMS second-moment sketch.
 
@@ -170,10 +159,6 @@ def _l2_ams(stream, params, rng, config):
     sk.consume(stream)
     return math.sqrt(max(sk.estimate(), 0.0)), \
         {"space_words": sk.space_words, "items": stream.length}
-
-
-def _f0_exact(stream, params, rng, config):
-    return _recount(stream, config, _distinct_count)
 
 
 def _f0_kmv(stream, params, rng, config):
@@ -201,8 +186,7 @@ def _sw_de(stream, params, rng, config):
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
     for item in stream.items.tolist():
         hist.update(item)
-    space = sum(hist.family.sketch_at(i).space_words
-                for i in range(hist.instance_count()))
+    space = sum(sk.space_words for sk in hist.family.sketches)
     return hist.query(), {"space_words": space, "items": stream.length}
 
 
@@ -217,26 +201,28 @@ def _max_weight(graph) -> Optional[float]:
 @dataclass(frozen=True)
 class _Entry:
     kind: str                   # which loader reads the dataset: graph, stream, knapsack
-    evaluate: Callable          # (dataset, params, rng, config) -> estimate[, cost]
-    is_deterministic: bool
     exact: Callable             # (dataset, config) -> true value
     delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
+    # (dataset, params, rng, config) -> estimate[, cost]; None for an exact
+    # substrate, which evaluates its oracle.
+    evaluate: Optional[Callable] = None
+    is_deterministic: bool = True
     max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
 
 
 _REGISTRY = {
-    "cc_exact": _Entry("graph", _cc_exact, True, _component_count, _two),
-    "cc_estimate": _Entry("graph", _cc_estimate, False, _component_count, _two,
+    "cc_exact": _Entry("graph", _component_count, _two),
+    "cc_estimate": _Entry("graph", _component_count, _two, _cc_estimate, False,
                           _cc_estimate_queries),
-    "mst_exact": _Entry("graph", _mst_exact, True, _mst_weight, _max_weight),
-    "mst_estimate": _Entry("graph", _mst_estimate, False, _mst_weight, _max_weight,
+    "mst_exact": _Entry("graph", _mst_weight, _max_weight),
+    "mst_estimate": _Entry("graph", _mst_weight, _max_weight, _mst_estimate, False,
                            _mst_estimate_queries),
-    "knapsack": _Entry("knapsack", _knapsack, True, _knapsack_optimum, None),
-    "l2_exact": _Entry("stream", _l2_exact, True, _l2_norm, _two),
-    "l2_ams": _Entry("stream", _l2_ams, False, _l2_norm, _two),
-    "f0_exact": _Entry("stream", _f0_exact, True, _distinct_count, _two),
-    "f0_kmv": _Entry("stream", _f0_kmv, False, _distinct_count, _two),
-    "sw_de": _Entry("stream", _sw_de, False, _window_distinct_count, _two),
+    "knapsack": _Entry("knapsack", _knapsack_optimum, None, _knapsack),
+    "l2_exact": _Entry("stream", _l2_norm, _two),
+    "l2_ams": _Entry("stream", _l2_norm, _two, _l2_ams, False),
+    "f0_exact": _Entry("stream", _distinct_count, _two),
+    "f0_kmv": _Entry("stream", _distinct_count, _two, _f0_kmv, False),
+    "sw_de": _Entry("stream", _window_distinct_count, _two, _sw_de, False),
 }
 
 SUBSTRATE_NAMES = tuple(sorted(_REGISTRY))
@@ -248,10 +234,21 @@ def _entry(name: str) -> _Entry:
     return _REGISTRY[name]
 
 
+def _oracle_evaluate(dataset, params, rng, config, oracle, kind):
+    """An exact substrate's evaluation: its oracle's value, metering the
+    updates a stream recount reads."""
+    if kind == "stream":
+        return _recount(dataset, config, oracle)
+    return oracle(dataset, config)
+
+
 def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
     """Build a registered substrate; config supplies extras (e.g. window)."""
     entry = _entry(name)
-    fn = functools.partial(entry.evaluate, config=config or {})
+    evaluate = entry.evaluate
+    if evaluate is None:
+        evaluate = functools.partial(_oracle_evaluate, oracle=entry.exact, kind=entry.kind)
+    fn = functools.partial(evaluate, config=config or {})
     return TunableSubstrate(fn, is_deterministic=entry.is_deterministic, label=name)
 
 

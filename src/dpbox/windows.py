@@ -12,14 +12,14 @@ distinct count, xi = rho^2/2 for the second moment), which makes the answer a
 (1 +/- (rho + alpha + rho*alpha)) approximation when the per-instance
 estimator is itself (1 +/- alpha) accurate.
 
-A family object owns the per-instance state, in lists, behind four methods:
+A family object owns the per-instance state, in lists, behind three methods:
 ingest(item, starts) opens the instance at starts[-1] and feeds item to every
-instance, estimates() lists the estimates as floats, keep(indices) keeps the
-instances at those increasing indices, and sketch_at(i) returns instance i's
-sketch or None. Exact families (running distinct counts, per-instance item
-counts for F2) support the rho -> 0 limit and fast large-stream testing;
-SketchFamily plugs in bare KMV or AMS sketches, feeding each its item through
-update(item) (an AMS update's delta defaults to 1).
+instance, estimates() lists the estimates as floats, and keep(indices) keeps
+the instances at those increasing indices. Exact families (running distinct
+counts, per-instance item counts for F2) support the rho -> 0 limit and fast
+large-stream testing; SketchFamily plugs in bare KMV or AMS sketches, one per
+instance in its sketches list, feeding each its item through update(item)
+(an AMS update's delta defaults to 1).
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class DistinctExactFamily:
     def keep(self, indices: List[int]):
         self._counts = [self._counts[i] for i in indices]
 
-    def sketch_at(self, i: int):
-        return None
-
 
 class F2ExactFamily:
     """Per-instance exact second moments.
@@ -134,9 +131,6 @@ class F2ExactFamily:
         self._counts = [self._counts[i] for i in indices]
         self._f2 = [self._f2[i] for i in indices]
 
-    def sketch_at(self, i: int):
-        return None
-
 
 class SketchFamily:
     """One live sketch per instance, spawned from a parent rng."""
@@ -144,21 +138,18 @@ class SketchFamily:
     def __init__(self, factory: Callable, rng):
         self._factory = factory
         self._rng = rng
-        self._sketches: List = []
+        self.sketches: List = []
 
     def ingest(self, item: int, starts: List[int]):
-        self._sketches.append(self._factory(self._rng.spawn(1)[0]))
-        for sk in self._sketches:
+        self.sketches.append(self._factory(self._rng.spawn(1)[0]))
+        for sk in self.sketches:
             sk.update(item)
 
     def estimates(self) -> List[float]:
-        return [float(sk.estimate()) for sk in self._sketches]
+        return [float(sk.estimate()) for sk in self.sketches]
 
     def keep(self, indices: List[int]):
-        self._sketches = [self._sketches[i] for i in indices]
-
-    def sketch_at(self, i: int):
-        return self._sketches[i]
+        self.sketches = [self.sketches[i] for i in indices]
 
 
 def _prune(est: List[float], starts: List[int], cutoff: int, xi: float) -> List[int]:
@@ -188,12 +179,6 @@ class SmoothHistogram:
         self.family = family
         self.clock = 0
         self.starts: List[int] = []
-
-    @property
-    def instances(self):
-        """Ordered (start, sketch-or-None, current estimate) triples."""
-        est = self.family.estimates()
-        return [(s, self.family.sketch_at(i), est[i]) for i, s in enumerate(self.starts)]
 
     def instance_count(self) -> int:
         return len(self.starts)

@@ -371,6 +371,47 @@ def test_malformed_graph_or_knapsack_file_exits_2_with_one_line(
     assert capsys.readouterr().err == f"dpb: {message}\n"
 
 
+_HUGE = 10 ** 13
+
+
+@pytest.mark.parametrize("command,substrate,alpha,text,message", [
+    ("wrap", "cc_exact", 0.0, f"{_HUGE} 0\n",
+     f"graph on n={_HUGE} vertices needs 149011.6 GiB for its row offsets and degree "
+     "counts, above the 1 GiB cap"),
+    ("wrap", "l2_exact", 0.0, f"{_HUGE} 1 insert\n5 1\n",
+     f"exact recount over universe n={_HUGE} needs 74505.8 GiB for its frequency vector, "
+     "above the 1 GiB cap"),
+    ("wrap", "f0_exact", 0.0, f"{_HUGE} 1 insert\n5 1\n",
+     f"exact recount over universe n={_HUGE} needs 74505.8 GiB for its frequency vector, "
+     "above the 1 GiB cap"),
+    ("wrap", "knapsack", 0.0, "1 10\n3 1000000000000\n",
+     "knapsack DP over 1000000000001 scaled values needs 14901.2 GiB for its size and "
+     "value tables, above the 1 GiB cap"),
+    ("coverage", "knapsack", 0.5, "1 10\n3 1000000000000\n",
+     "knapsack DP over 1000000000001 scaled values needs 14901.2 GiB for its size and "
+     "value tables, above the 1 GiB cap"),
+])
+def test_oversized_exact_array_exits_2_before_allocating(
+        tmp_path, capsys, command, substrate, alpha, text, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "substrate": substrate, "input": str(path), "epsilon": 1.0, "alpha": alpha,
+        "delta_f": 1.0, "trials": 1})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"dpb: {message}\n"
+
+
+def test_kmv_on_a_huge_universe_still_runs(tmp_path):
+    # KMV keeps hashes of the items seen, not a vector over the universe.
+    path = tmp_path / "huge.stream"
+    path.write_text(f"{_HUGE} 1 insert\n5 1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {
+        "substrate": "f0_kmv", "input": str(path), "epsilon": 1.0, "alpha": 0.5,
+        "trials": 1})
+    assert main(["wrap", "--config", cfg]) == 0
+
+
 def test_l2_preset_too_large_grid_exits_2(tmp_path, capsys):
     # At alpha 0.2, delta 0.01 the tuned rho sizes a 288 x 518,368 AMS grid;
     # the sketch refuses it before drawing a coefficient.

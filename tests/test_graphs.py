@@ -213,14 +213,12 @@ def _assert_matches(g: Graph, model: _Model):
                 with pytest.raises(KeyError):
                     g.weight(u, v)
     assert format_graph(g) == model.text()
-    # The CSR rows are the sorted neighbour lists, with aligned weights.
+    # The CSR rows are the sorted neighbour lists.
     assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.m
     for u in range(n):
         lo, hi = g.indptr[u], g.indptr[u + 1]
         assert g.indices[lo:hi].tolist() == model.adj[u]
-        assert g.weights[lo:hi].tolist() == [
-            model.weights[(min(u, v), max(u, v))] for v in model.adj[u]]
-    for column in (g.indptr, g.indices, g.weights, g.eu, g.ev, g.ew):
+    for column in (g.indptr, g.indices, g.eu, g.ev, g.ew):
         assert column.dtype == np.int64 and not column.flags.writeable
 
 

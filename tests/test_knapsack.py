@@ -51,6 +51,26 @@ def test_parse_rejects_malformed(bad):
         parse_knapsack(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty knapsack file"),
+    ("# only a comment\n  \n", "empty knapsack file"),
+    ("1 2 3\n1 1\n", "header must be 'n B', got '1 2 3'"),
+    ("  7 # seven\n1 1\n", "header must be 'n B', got '7'"),
+    ("2 10\n1 1\n", "header declares 2 items but file has 1"),
+    ("2 10\n# a comment-only line is no item\n1 1\n",
+     "header declares 2 items but file has 1"),
+    ("1 10\n  1 2 3 # three tokens\n", "item line must be 'size value', got '1 2 3'"),
+    ("1 10\n4\n", "item line must be 'size value', got '4'"),
+    ("1 10\n1.5 2\n", "invalid literal for int() with base 10: '1.5'"),
+    ("1 10\n2 x\n", "could not convert string to float: 'x'"),
+    ("x 10\n", "invalid literal for int() with base 10: 'x'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_knapsack(text)
+    assert str(err.value) == message
+
+
 def test_exact_trivial_cases():
     single = KnapsackInstance(capacity=5, sizes=[3], values=[11.0])
     assert knapsack_exact(single) == 11.0
@@ -64,6 +84,12 @@ def test_exact_requires_integer_values():
     inst = KnapsackInstance(capacity=5, sizes=[1], values=[1.5])
     with pytest.raises(ValueError):
         knapsack_exact(inst)
+    # The exact oracle checks every item; the FPTAS at alpha 0 only those
+    # that fit.
+    oversized = KnapsackInstance(capacity=5, sizes=[2, 9], values=[4.0, 1.5])
+    with pytest.raises(ValueError, match="got 1.5"):
+        knapsack_exact(oversized)
+    assert knapsack_fptas(oversized, 0.0) == 4.0
 
 
 def test_exact_matches_brute_force():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbox.noise import make_rng
-from dpbox.sketches import (_AMS_MAX_BYTES, _AMS_PASS_CELLS, AmsSketch, KmvSketch,
-                             _kmv_hash)
-from dpbox.streams import UpdateStream, exact_distinct, exact_f2
+from dpbox.sketches import _AMS_PASS_CELLS, AmsSketch, KmvSketch, _kmv_hash
+from dpbox.streams import _MAX_BYTES, UpdateStream, exact_distinct, exact_f2
 from helpers import random_stream
 
 
@@ -52,13 +51,13 @@ def test_ams_refuses_oversized_grid_before_drawing():
     # The l2 preset's grid on the demo turnstile stream: 288 x 518,368.
     rng = make_rng(0)
     state = rng.bit_generator.state
-    assert _ams_footprint(288, 518_368) > _AMS_MAX_BYTES
+    assert _ams_footprint(288, 518_368) > _MAX_BYTES
     with pytest.raises(ValueError, match="AMS grid 288 x 518368 needs 1.1 GiB"):
         AmsSketch(288, 518_368, 20, rng)
     assert rng.bit_generator.state == state
     # The stream benchmark's and criterion 08's grids stay far below the cap.
     for rows, cols in ((211, 528), (87, 400)):
-        assert _ams_footprint(rows, cols) < _AMS_MAX_BYTES / 8
+        assert _ams_footprint(rows, cols) < _MAX_BYTES / 8
         assert AmsSketch(rows, cols, 150, rng).counters.shape == (rows, cols)
 
 

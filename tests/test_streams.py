@@ -292,7 +292,8 @@ def test_format_parse_round_trip(s):
     assert _same_stream(s, t)
     assert format_stream(t) == text
     # The line walk that reports errors reads a valid file the same way.
-    walked = UpdateStream(s.universe_size, _walk_lines(text.splitlines()[1:]), s.mode)
+    walked = UpdateStream(s.universe_size, list(_walk_lines(text.splitlines()[1:], 2, "")),
+                          s.mode)
     assert _same_stream(walked, t)
 
 

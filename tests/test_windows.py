@@ -340,19 +340,10 @@ def test_sketch_family_tracks_instances():
     h = smooth_histogram_distinct(50, 0.3, 0.5, 0.4, rng)
     for it in range(120):
         h.update(it % 17)
-        triples = h.instances
-        assert len(triples) == h.instance_count()
-        starts = [s for s, _, _ in triples]
-        assert starts == sorted(starts)
-        for _, sk, est in triples:
-            assert sk is not None
+        assert len(h.family.sketches) == len(h.starts) == h.instance_count()
+        assert h.starts == sorted(h.starts)
+        for est in h.family.estimates():
             assert est >= 0.0
-
-
-def test_exact_families_have_no_sketch_objects():
-    h = smooth_histogram_distinct(10, 0.2, 0.2, 0.2, make_rng(0), exact=True)
-    h.update(1)
-    assert h.instances[0][1] is None
 
 
 def test_update_wrapper():
