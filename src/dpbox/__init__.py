@@ -12,7 +12,7 @@ them against, and an empirical privacy auditor.
 
 from .noise import make_rng, sample_cauchy, sample_laplace
 from .mechanisms import (ApproxParams, GridSpec, MechanismTrace, TunableSubstrate,
-                         WrapConfig, boost_replicas, lemma_fptas_bounds,
+                         WrapConfig, accuracy_interval, boost_replicas, lemma_fptas_bounds,
                          median_replicas, pure_dp_fallback_prob, route_params,
                          smooth_bound, theorem_main_bounds, to_pure_dp, tune_rho_cauchy,
                          tune_rho_laplace, wrap_cauchy, wrap_laplace, wrap_trials)
@@ -33,7 +33,7 @@ from .windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
                       smooth_histogram_distinct, smooth_histogram_f2,
                       smoothness_check_de, smoothness_check_f2)
 from .audit import AuditReport, audit_samples, estimate_epsilon
-from .substrates import (SUBSTRATE_NAMES, dataset_kind, default_delta_f, exact_value,
-                         make_substrate, query_budget)
+from .substrates import (SUBSTRATE_NAMES, audit_neighbor, dataset_kind, default_delta_f,
+                         exact_value, load_dataset, make_substrate, query_budget)
 
 __version__ = "0.1.0"

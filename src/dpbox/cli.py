@@ -4,11 +4,13 @@
                   [--debug-trace]
 
 Commands: wrap (run a wrapped mechanism, emit CSV), audit (empirical epsilon
-report, JSON), coverage (Monte-Carlo check of the accuracy interval, JSON),
-bench (resource counters and budget assertions, JSON). Configuration is a
-JSON object; command-line flags override config keys of the same meaning.
-The counts "trials" and "bins" and the "seed" must be JSON integers: trials
->= 1 (>= 1000 for audit), 2 <= bins <= trials, seed >= 0.
+report, JSON), coverage (Monte-Carlo check of the route's accuracy_interval,
+JSON), bench (resource counters and budget assertions, JSON). Configuration
+is a JSON object; command-line flags override config keys of the same
+meaning. Unknown keys, non-string names and paths, and bad counts ("trials"
+>= 1, >= 1000 for audit; 2 <= "bins" <= trials; "seed" >= 0; all JSON
+integers) exit 2 before any file is read. Both "input" and "input_prime" are
+read by substrates.load_dataset.
 
 Every run is reproducible byte-for-byte from (config, seed). wrap, coverage
 and bench draw all their trials, one after another, from the one rng stream
@@ -20,11 +22,10 @@ whose deterministic value was recalled, not computed, shows "cached": 1:
 every trial of a run after the first.
 
 Presets (config key "preset") bundle a substrate with the parameter choices
-the corresponding accuracy statements use; explicit config keys override
-preset values. Data-dependent preset values are derived from the loaded
-dataset: the cc preset, for instance, turns the fractional additive knob
-kappa_frac into kappa = kappa_frac*n, tau_override = kappa_frac*n/ln(n),
-delta = 1/n, and gamma = ln(n).
+its accuracy statement uses; explicit config keys override them. Values that
+depend on the data come from the loaded dataset: the cc preset turns the
+fraction kappa_frac into kappa = kappa_frac*n, tau_override =
+kappa_frac*n/ln(n), delta = 1/n and gamma = ln(n).
 """
 
 from __future__ import annotations
@@ -38,14 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .audit import audit_samples
-from .graphs import load_graph, toggle_edge
-from .knapsack import load_knapsack
-from .mechanisms import (ApproxParams, WrapConfig, lemma_fptas_bounds, route_params,
-                         theorem_main_bounds, wrap_trials)
+from .mechanisms import ApproxParams, WrapConfig, accuracy_interval, route_params, wrap_trials
 from .noise import make_rng
-from .streams import load_stream, stream_neighbor
-from .substrates import (dataset_kind, default_delta_f, exact_value, make_substrate,
-                         query_budget)
+from .substrates import (audit_neighbor, default_delta_f, exact_value, load_dataset,
+                         make_substrate, query_budget)
 
 __all__ = ["main"]
 
@@ -57,22 +54,31 @@ _STATIC_PRESETS = {
     "sw-de": {"substrate": "sw_de", "alpha": 0.2, "delta": 0.01},
 }
 
-_LOADERS = {"graph": load_graph, "stream": load_stream, "knapsack": load_knapsack}
+# Every key a config may set: the keys read here, and sw_de's window.
+_TEXT_KEYS = ("substrate", "preset", "input", "input_prime", "route", "out")
+_KEYS = frozenset(_TEXT_KEYS + (
+    "epsilon", "delta", "alpha", "kappa", "delta_f", "gamma", "tau_override", "kappa_frac",
+    "trials", "seed", "bins", "delta_slack", "epsilon_limit", "toggle", "toggle_weight",
+    "debug_trace", "window"))
 
 
 class CliError(Exception):
     pass
 
 
-def _apply_preset(config: dict) -> dict:
+def _apply_preset(config) -> dict:
+    """config, a JSON object of known keys, merged over its preset's values."""
+    if not isinstance(config, dict):
+        raise CliError("config must be a JSON object")
+    for key, value in config.items():
+        if key not in _KEYS:
+            raise CliError(f"{key!r} is not a config key; known: {', '.join(sorted(_KEYS))}")
+        if key in _TEXT_KEYS and not isinstance(value, str):
+            raise CliError(f"{key!r} must be a string, got {value!r}")
     name = config.get("preset")
-    if name is None:
-        return dict(config)
-    if name not in _STATIC_PRESETS:
+    if name is not None and name not in _STATIC_PRESETS:
         raise CliError(f"unknown preset {name!r}; known: {', '.join(sorted(_STATIC_PRESETS))}")
-    merged = dict(_STATIC_PRESETS[name])
-    merged.update(config)
-    return merged
+    return {**_STATIC_PRESETS.get(name, {}), **config}
 
 
 def _derive_preset_values(config: dict, dataset):
@@ -86,7 +92,7 @@ def _derive_preset_values(config: dict, dataset):
         config.setdefault("delta", 1.0 / n)
         config.setdefault("gamma", log_n)
         if name == "cc":
-            frac = config["kappa_frac"]
+            frac = _real(config, "kappa_frac", None)
             config.setdefault("kappa", frac * n)
             config.setdefault("tau_override", frac * n / log_n)
     elif name in ("l2", "f0", "sw-de"):
@@ -101,6 +107,14 @@ def _count(config: dict, key: str, default: int, low: int) -> int:
     return value
 
 
+def _real(config: dict, key: str, default) -> float:
+    """The number config[key] (default when unset) as a float."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 class _Run(NamedTuple):
     substrate: object
     dataset: object
@@ -108,53 +122,47 @@ class _Run(NamedTuple):
     route: str
     params: ApproxParams
 
+    def trials(self, dataset, trials: int, seed: int, stream: int = 0):
+        """The TrialChunks of `trials` releases on dataset, drawn from the rng
+        stream (seed, stream)."""
+        return wrap_trials(self.substrate, dataset, self.wrap_cfg, self.route,
+                           make_rng(seed, stream), trials)
+
 
 def _build_run(config: dict) -> _Run:
     """Resolve (substrate, dataset, WrapConfig, route, params) from a merged config."""
     if "substrate" not in config:
         raise CliError("config needs a 'substrate' (or a 'preset' that sets one)")
     name = config["substrate"]
-    kind = dataset_kind(name)
+    substrate = make_substrate(name, config)
     if "input" not in config:
         raise CliError("config needs an 'input' dataset path")
-    try:
-        dataset = _LOADERS[kind](config["input"])
-    except OSError as exc:
-        raise CliError(f"cannot read {kind} file {config['input']!r}: {exc}") from exc
+    dataset = load_dataset(name, config["input"])
     _derive_preset_values(config, dataset)
     if "epsilon" not in config:
         raise CliError("config needs 'epsilon'")
-    delta_f = config["delta_f"] if "delta_f" in config else default_delta_f(name, dataset)
+    delta_f = (_real(config, "delta_f", None) if "delta_f" in config
+               else default_delta_f(name, dataset))
     if delta_f is None:
         raise CliError(f"substrate {name!r} has no default sensitivity; set 'delta_f'")
     wrap_cfg = WrapConfig(
-        epsilon=float(config["epsilon"]),
-        delta=float(config.get("delta", 1e-6)),
-        alpha=float(config.get("alpha", 0.0)),
-        kappa=float(config.get("kappa", 0.0)),
-        delta_f=float(delta_f),
-        gamma=float(config.get("gamma", 1.0)),
+        epsilon=_real(config, "epsilon", None), delta=_real(config, "delta", 1e-6),
+        alpha=_real(config, "alpha", 0.0), kappa=_real(config, "kappa", 0.0),
+        delta_f=delta_f, gamma=_real(config, "gamma", 1.0),
         tau_override=(None if config.get("tau_override") is None
-                      else float(config["tau_override"])),
-    )
+                      else _real(config, "tau_override", None)))
     route = config.get("route", "laplace")
-    substrate = make_substrate(name, config)
     return _Run(substrate, dataset, wrap_cfg, route, route_params(substrate, wrap_cfg, route))
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        return sys.stdout.write(text)
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _trials(run: _Run, dataset, trials: int, seed: int, stream: int = 0):
-    """The TrialChunks of `trials` releases of run on dataset, drawn from the
-    rng stream (seed, stream)."""
-    return wrap_trials(run.substrate, dataset, run.wrap_cfg, run.route,
-                       make_rng(seed, stream), trials)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path!r}: {exc}") from exc
 
 
 def run_wrap(config: dict) -> int:
@@ -163,7 +171,7 @@ def run_wrap(config: dict) -> int:
     debug = bool(config.get("debug_trace", False))
     rows = ["trial,substrate_value,output,noise_scale,rho,tau" if debug
             else "trial,output"]
-    for chunk in _trials(run, run.dataset, trials, seed):
+    for chunk in run.trials(run.dataset, trials, seed):
         columns = ([chunk.substrate_value, chunk.output, chunk.noise_scale] if debug
                    else [chunk.output])
         tail = f",{chunk.rho!r},{chunk.tau!r}" if debug else ""
@@ -177,20 +185,9 @@ def _toggle(config: dict):
     """(u, v, weight) of the edge a graph audit toggles: "toggle", two
     integers (default [0, 1]), and "toggle_weight", an integer >= 1."""
     pair = config.get("toggle", [0, 1])
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
-            isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair)):
         raise CliError(f"'toggle' must be a list of two integers, got {pair!r}")
     return pair[0], pair[1], _count(config, "toggle_weight", 1, 1)
-
-
-def _neighbor_dataset(config: dict, dataset, kind, seed: int, toggle):
-    if "input_prime" in config:
-        return _LOADERS[kind](config["input_prime"])
-    if kind == "graph":
-        return toggle_edge(dataset, *toggle)
-    if kind == "stream":
-        return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
-    raise CliError("audit of a knapsack instance needs an explicit 'input_prime' file")
 
 
 def run_audit(config: dict) -> int:
@@ -198,21 +195,23 @@ def run_audit(config: dict) -> int:
     bins = _count(config, "bins", 40, 2)
     if bins > trials:
         raise CliError(f"'bins' must be at most 'trials' = {trials}, got {bins}")
-    delta_slack = float(config.get("delta_slack", 0.0))
+    delta_slack = _real(config, "delta_slack", 0.0)
     if not (0.0 <= delta_slack < 1.0):
         raise CliError(f"'delta_slack' must lie in [0, 1), got {delta_slack!r}")
+    limit = (None if config.get("epsilon_limit") is None
+             else _real(config, "epsilon_limit", None))
     toggle = _toggle(config)
     run = _build_run(config)
-    neighbor = _neighbor_dataset(config, run.dataset, dataset_kind(config["substrate"]),
-                                 seed, toggle)
-    out_a = np.concatenate([c.output for c in _trials(run, run.dataset, trials, seed, 0)])
-    out_b = np.concatenate([c.output for c in _trials(run, neighbor, trials, seed, 1)])
+    name = config["substrate"]
+    neighbor = (load_dataset(name, config["input_prime"]) if "input_prime" in config
+                else audit_neighbor(name, run.dataset, toggle, seed))
+    out_a = np.concatenate([c.output for c in run.trials(run.dataset, trials, seed, 0)])
+    out_b = np.concatenate([c.output for c in run.trials(neighbor, trials, seed, 1)])
     report = audit_samples(out_a, out_b, bins, delta_slack)
     _emit(report.to_json() + "\n", config.get("out"))
-    limit = config.get("epsilon_limit")
-    if limit is not None and report.epsilon_hat > float(limit):
-        print(f"audit: epsilon_hat {report.epsilon_hat:.4f} exceeds limit {limit}",
-              file=sys.stderr)
+    if limit is not None and report.epsilon_hat > limit:
+        print(f"audit: epsilon_hat {report.epsilon_hat:.4f} exceeds limit "
+              f"{config['epsilon_limit']}", file=sys.stderr)
         return 1
     return 0
 
@@ -220,31 +219,16 @@ def run_audit(config: dict) -> int:
 def run_coverage(config: dict) -> int:
     trials, seed = _count(config, "trials", 1000, 1), _count(config, "seed", 0, 0)
     run = _build_run(config)
-    wrap_cfg = run.wrap_cfg
     exact = exact_value(config["substrate"], run.dataset, config)
-    if run.route == "laplace":
-        alpha_p, kappa_p, additive = theorem_main_bounds(wrap_cfg)
-        lo = (1.0 - alpha_p) * exact - kappa_p - additive
-        hi = (1.0 + alpha_p) * exact + kappa_p + additive
-        target = 1.0 - wrap_cfg.delta - math.exp(-wrap_cfg.gamma)
-    else:
-        mult, add_kappa, add_sens = lemma_fptas_bounds(
-            run.params.alpha, run.params.kappa, wrap_cfg.delta_f, wrap_cfg.epsilon,
-            wrap_cfg.gamma)
-        lo = (1.0 - mult) * exact - add_kappa - add_sens
-        hi = (1.0 + mult) * exact + add_kappa + add_sens
-        target = 0.9
+    lo, hi, target = accuracy_interval(exact, run.wrap_cfg, run.route)
     inside = sum(int(np.count_nonzero((lo <= c.output) & (c.output <= hi)))
-                 for c in _trials(run, run.dataset, trials, seed))
+                 for c in run.trials(run.dataset, trials, seed))
     coverage = inside / trials
-    sigma = math.sqrt(target * (1.0 - target) / trials)
-    threshold = target - 3.0 * sigma
+    threshold = target - 3.0 * math.sqrt(target * (1.0 - target) / trials)
     passed = coverage >= threshold
     _emit(json.dumps({
-        "coverage": coverage, "target": target, "threshold": threshold,
-        "passed": passed, "trials": trials, "exact": exact,
-        "interval": [lo, hi],
-    }) + "\n", config.get("out"))
+        "coverage": coverage, "target": target, "threshold": threshold, "passed": passed,
+        "trials": trials, "exact": exact, "interval": [lo, hi]}) + "\n", config.get("out"))
     return 0 if passed else 1
 
 
@@ -253,19 +237,16 @@ def run_bench(config: dict) -> int:
     run = _build_run(config)
     budget = query_budget(config["substrate"], run.dataset, run.params)
     per_trial = []
-    ok = True
-    for chunk in _trials(run, run.dataset, trials, seed):
+    for chunk in run.trials(run.dataset, trials, seed):
         for t, output, trial_cost in zip(range(chunk.start, trials), chunk.output.tolist(),
                                          chunk.cost):
             cost = {k: v for k, v in trial_cost.items() if v}
-            if cost.get("queries", 0) > budget:
-                ok = False
             per_trial.append({"trial": t, "output": output, **cost})
+    ok = all(row.get("queries", 0) <= budget for row in per_trial)
     _emit(json.dumps({
         "substrate": config["substrate"], "trials": trials,
         "query_budget": None if math.isinf(budget) else budget,
-        "within_budget": ok, "per_trial": per_trial,
-    }) + "\n", config.get("out"))
+        "within_budget": ok, "per_trial": per_trial}) + "\n", config.get("out"))
     return 0 if ok else 1
 
 
@@ -286,20 +267,14 @@ def main(argv=None) -> int:
         p.add_argument("--debug-trace", action="store_true", default=None)
     args = parser.parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"dpb: cannot load config {args.config!r}: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print("dpb: config must be a JSON object", file=sys.stderr)
-        return 2
-    try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+            raise CliError(f"cannot load config {args.config!r}: {exc}") from exc
         config = _apply_preset(config)
-        for key, value in (("seed", args.seed), ("trials", args.trials),
-                           ("out", args.out), ("debug_trace", args.debug_trace)):
-            if value is not None:
-                config[key] = value
+        # The flags seed, trials, out and debug_trace override the config.
+        config.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
         return _COMMANDS[args.command](config)
     except (CliError, ValueError) as exc:
         print(f"dpb: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Sublinear graph estimators with query accounting, plus their exact oracles.
 
 cc_estimate approximates the number of connected components to additive
-kappa*n by bounded-depth BFS from sampled vertices; mst_weight_estimate
-reduces MST weight on integer-weighted graphs to component counts of
-bounded-weight subgraphs. Both record how much of the graph they touched
-through a QueryGraph, whose counter is the substance of the sublinearity
-claims: the budget depends only on the accuracy knobs, never on n or m.
+kappa*n by bounded-depth BFS from sampled vertices; cc_median takes the
+median of several runs, sized by cc_knobs, and is the one median-boosted
+count that both the cc_estimate substrate and mst_weight_estimate use.
+mst_weight_estimate reduces MST weight on integer-weighted graphs to
+component counts of bounded-weight subgraphs. Both record how much of the
+graph they touched through a QueryGraph, whose counter is the substance of
+the sublinearity claims: the budget depends only on the accuracy knobs,
+never on n or m.
 
 cc_exact and mst_weight_exact are the ground-truth counterparts used for
 calibration and testing.
@@ -27,7 +30,8 @@ __all__ = [
     "CcEstimateParams",
     "cc_exact",
     "cc_estimate",
-    "mst_level_knobs",
+    "cc_knobs",
+    "cc_median",
     "mst_weight_exact",
     "mst_weight_estimate",
 ]
@@ -81,7 +85,7 @@ class CcEstimateParams:
     s = ceil(4/kappa^2) sampled start vertices and a BFS truncation threshold
     of ceil(2/kappa) discovered vertices. A single run fails with probability
     at most 1/3 by Chebyshev; callers that need less take the median of
-    median_replicas(fail_prob) runs.
+    several runs with cc_median.
     """
 
     kappa: float
@@ -159,9 +163,8 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     replacement; for each, a BFS truncated at bfs_cap discovered vertices
     yields c_i = min(|component(u_i)|, bfs_cap). Returns (n/s) * sum(1/c_i),
     which always lies in [n/bfs_cap, n] and satisfies |estimate - C| <= kappa*n
-    with probability >= 2/3 (the median of median_replicas(fail) runs drives
-    it lower). Total query cost is < params.max_queries regardless of the
-    graph.
+    with probability >= 2/3 (cc_median drives it lower). Total query cost
+    is < params.max_queries regardless of the graph.
 
     A start the view has already probed at this cap reuses its size (see
     QueryGraph), so runs that share a view pay only for the starts new to
@@ -190,11 +193,19 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     return n * inv_sum / params.sample_count
 
 
-def mst_level_knobs(max_weight: int, alpha: float, fail_prob: float):
-    """Per-level cc_estimate knobs of mst_weight_estimate, and the replica
-    count whose median meets the per-level failure fail_prob/max_weight."""
-    return (CcEstimateParams(kappa=alpha / (2.0 * max_weight)),
-            median_replicas(fail_prob / max_weight))
+def cc_knobs(kappa: float, fail_prob: float):
+    """(params, replicas) of cc_median for additive error kappa*n (kappa
+    capped at 1) with probability at least 1 - fail_prob: the median of
+    median_replicas(fail_prob) runs. At most replicas * params.max_queries
+    queries."""
+    return CcEstimateParams(kappa=min(kappa, 1.0)), median_replicas(fail_prob)
+
+
+def cc_median(g, knobs, rng) -> float:
+    """The median of the cc_estimate runs that knobs = cc_knobs(...) asks for,
+    on g. Pass a QueryGraph so the runs share one memo of probed starts."""
+    params, replicas = knobs
+    return statistics.median([cc_estimate(g, params, rng) for _ in range(replicas)])
 
 
 def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
@@ -202,11 +213,10 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
 
     Uses the identity MST = n - w + sum_{i=1}^{w-1} C^(i), where C^(i) counts
     components of the subgraph keeping edges of weight <= i. Each C^(i) is
-    cc_estimate at per-level additive target kappa_i = alpha/(2w), the median
-    of enough runs for per-level failure fail_prob/w (mst_level_knobs), so
-    the total is a (1 +/- alpha) approximation with probability
-    >= 1 - fail_prob. Rejects disconnected inputs and out-of-range weights.
-    w = 1 forces weight n - 1 with no queries.
+    cc_median at per-level additive target kappa_i = alpha/(2w) and per-level
+    failure fail_prob/w, so the total is a (1 +/- alpha) approximation with
+    probability >= 1 - fail_prob. Rejects disconnected inputs and
+    out-of-range weights. w = 1 forces weight n - 1 with no queries.
 
     Each level gets its own QueryGraph, so the replicas of one level share
     one memo of probed starts. The connectivity precheck is a full O(n + m)
@@ -226,11 +236,10 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     n = graph.n
     if w == 1:
         return float(n - 1)
-    params, replicas = mst_level_knobs(w, alpha, fail_prob)
+    knobs = cc_knobs(alpha / (2.0 * w), fail_prob / w)
     total = float(n - w)
     for i in range(1, w):
         sub = QueryGraph(graph.subgraph_weight_at_most(i))
-        vals = [cc_estimate(sub, params, rng) for _ in range(replicas)]
-        total += statistics.median(vals)
+        total += cc_median(sub, knobs, rng)
         qg.queries += sub.queries
     return total

@@ -55,6 +55,7 @@ __all__ = [
     "to_pure_dp",
     "theorem_main_bounds",
     "lemma_fptas_bounds",
+    "accuracy_interval",
 ]
 
 
@@ -504,3 +505,31 @@ def lemma_fptas_bounds(rho: float, tau: float, delta_f: float, epsilon: float,
     add_kappa = 24.0 * (rho + 1.0) * gamma * tau / epsilon
     add_sens = 6.0 * delta_f * gamma / epsilon
     return mult, add_kappa, add_sens
+
+
+def accuracy_interval(exact: float, cfg: WrapConfig, route: str):
+    """(lo, hi, target): the interval the route's release of a substrate whose
+    true value is exact lands in with probability at least target.
+
+    "laplace" uses theorem_main_bounds(cfg), with target 1 - delta - e^-gamma;
+    a config where that target is not positive promises nothing and raises
+    ValueError. "cauchy" uses lemma_fptas_bounds at the rho and tau the route
+    tunes, with target 9/10.
+    """
+    if route == "laplace":
+        target = 1.0 - cfg.delta - math.exp(-cfg.gamma)
+        if target <= 0.0:
+            raise ValueError(
+                f"the accuracy statement needs delta + e^-gamma < 1, got delta {cfg.delta!r}"
+                f" and gamma {cfg.gamma!r}")
+        mult, add_kappa, additive = theorem_main_bounds(cfg)
+    elif route == "cauchy":
+        mult, add_kappa, additive = lemma_fptas_bounds(
+            tune_rho_cauchy(cfg.alpha, cfg.epsilon), cfg.tau(), cfg.delta_f, cfg.epsilon,
+            cfg.gamma)
+        target = 0.9
+    else:
+        raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    lo = (1.0 - mult) * exact - add_kappa - additive
+    hi = (1.0 + mult) * exact + add_kappa + additive
+    return lo, hi, target

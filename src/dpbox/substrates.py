@@ -12,30 +12,38 @@ Additive targets (ApproxParams.kappa) are in absolute output units
 throughout; the component-count substrate divides by n internally to reach
 the estimator's fractional knob. Exact oracles back the coverage harness,
 the tests and the sketches' alpha = 0 answers.
+
+The dataset kinds are owned here too: load_dataset reads a substrate's
+dataset with its kind's loader, and audit_neighbor gives the neighbour an
+audit compares it with (an edge toggle for a graph, a drawn neighbour for a
+stream, none for a knapsack instance).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate, cc_exact,
-                               mst_level_knobs, mst_weight_estimate, mst_weight_exact)
-from .knapsack import knapsack_exact, knapsack_fptas
-from .mechanisms import ApproxParams, TunableSubstrate, median_replicas
+from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median,
+                               mst_weight_estimate, mst_weight_exact)
+from .graphs import load_graph, toggle_edge
+from .knapsack import knapsack_exact, knapsack_fptas, load_knapsack
+from .mechanisms import ApproxParams, TunableSubstrate
+from .noise import make_rng
 from .sketches import AmsSketch, KmvSketch
-from .streams import exact_distinct, exact_l2
+from .streams import exact_distinct, exact_l2, load_stream, stream_neighbor
 from .windows import smooth_histogram_distinct
 
 __all__ = [
     "SUBSTRATE_NAMES",
     "make_substrate",
     "dataset_kind",
+    "load_dataset",
+    "audit_neighbor",
     "exact_value",
     "default_delta_f",
     "query_budget",
@@ -87,25 +95,18 @@ def _clamped_fail(params: ApproxParams) -> float:
 
 # Evaluate functions: (dataset, params, rng, config) -> estimate or (estimate, cost).
 
-def _cc_knobs(n: int, params: ApproxParams):
-    """cc_estimate's knobs for the absolute additive target params.kappa on n
-    vertices (as a fraction of n, capped at 1), and the replica count whose
-    median meets params.fail_prob."""
-    return (CcEstimateParams(kappa=min(params.kappa / n, 1.0)),
-            median_replicas(params.fail_prob))
-
-
 def _cc_estimate(graph, params, rng, config):
-    """The median of replicas that share one QueryGraph, hence one memo of
-    probed starts: cost["queries"] pays for each distinct start once."""
+    """cc_median at the absolute additive target params.kappa, a fraction
+    params.kappa/n of the vertices. Its replicas share one QueryGraph, hence
+    one memo of probed starts: cost["queries"] pays for each distinct start
+    once."""
     if params.kappa <= 0.0:
         raise ValueError("cc_estimate needs a positive additive budget kappa")
     if graph.n == 0:
         return 0.0, {"queries": 0}
     qg = QueryGraph(graph)
-    cc_params, replicas = _cc_knobs(qg.n, params)
-    vals = [cc_estimate(qg, cc_params, rng) for _ in range(replicas)]
-    return statistics.median(vals), {"queries": qg.queries}
+    value = cc_median(qg, cc_knobs(params.kappa / qg.n, params.fail_prob), rng)
+    return value, {"queries": qg.queries}
 
 
 def _cc_estimate_queries(graph, params) -> float:
@@ -113,7 +114,7 @@ def _cc_estimate_queries(graph, params) -> float:
         return math.inf
     if graph.n == 0:
         return 0.0
-    cc_params, replicas = _cc_knobs(graph.n, params)
+    cc_params, replicas = cc_knobs(params.kappa / graph.n, params.fail_prob)
     return replicas * cc_params.max_queries
 
 
@@ -136,7 +137,8 @@ def _mst_estimate_queries(graph, params) -> float:
         return math.inf
     if w < 2:
         return 0.0
-    level_params, replicas = mst_level_knobs(w, params.alpha, _mst_fail(params))
+    # The per-level knobs of mst_weight_estimate; the two must agree.
+    level_params, replicas = cc_knobs(params.alpha / (2.0 * w), _mst_fail(params) / w)
     return (w - 1) * replicas * level_params.max_queries
 
 
@@ -255,6 +257,37 @@ def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
 def dataset_kind(name: str) -> str:
     """Which loader the substrate's dataset needs: graph, stream, or knapsack."""
     return _entry(name).kind
+
+
+# The kind table: the loader of each dataset kind, and audit_neighbor's rule
+# for it. The benchmark's span tracer (perfbench/spans.py) patches module
+# attributes and flat dicts only, so loaders stay values of this dict and
+# audit_neighbor calls module-global names: then it sees every load and
+# neighbour.
+_LOADERS = {"graph": load_graph, "stream": load_stream, "knapsack": load_knapsack}
+
+
+def load_dataset(name: str, path: str):
+    """The dataset at path, read by the loader of the substrate's kind. A file
+    that cannot be opened raises ValueError: cannot read <kind> file ..."""
+    kind = dataset_kind(name)
+    try:
+        return _LOADERS[kind](path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from exc
+
+
+def audit_neighbor(name: str, dataset, toggle, seed: int):
+    """The neighbour an audit compares dataset with when no second file is
+    given: the graph with the edge toggle = (u, v, weight) toggled, or a
+    stream neighbour drawn from the rng stream (seed, 2^31). A knapsack
+    instance has no canonical neighbour."""
+    kind = dataset_kind(name)
+    if kind == "graph":
+        return toggle_edge(dataset, *toggle)
+    if kind == "stream":
+        return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
+    raise ValueError("audit of a knapsack instance needs an explicit 'input_prime' file")
 
 
 def exact_value(name: str, dataset, config: dict = None) -> float:

@@ -116,11 +116,23 @@ def test_cc_preset_derives_knobs_from_the_graph(tmp_path):
     {"substrate": "cc_exact", "input": "data/missing.graph", "epsilon": 1.0},
     {"substrate": "cc_estimate", "input": "data/demo_cc.graph",
      "epsilon": 1.0, "kappa": 1.0, "route": "cauchy"},
+    # Values of the wrong type.
+    {"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": None},
+    {"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 1.0,
+     "alpha": [1]},
+    {"substrate": "cc_exact", "input": None, "epsilon": 1.0},
+    {"substrate": ["cc_exact"], "input": "data/demo_cc.graph", "epsilon": 1.0},
+    {"preset": "cc", "input": "data/demo_cc.graph", "epsilon": 1.0, "kappa_frac": None},
+    # "out" must be a string: an integer would be opened as a file descriptor.
+    # (A list is the case here, so a missing check cannot close stdout.)
+    {"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 1.0,
+     "out": ["out.csv"]},
 ])
 def test_bad_configs_exit_2(tmp_path, payload, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["wrap", "--config", cfg]) == 2
-    assert "dpb:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("dpb:") and err.count("\n") == 1
 
 
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys):
@@ -141,6 +153,25 @@ def test_knapsack_audit_requires_explicit_neighbor(tmp_path, capsys):
     })
     assert main(["audit", "--config", cfg]) == 2
     assert "input_prime" in capsys.readouterr().err
+
+
+def test_missing_input_prime_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "substrate": "knapsack", "input": "data/demo_knapsack.txt",
+        "input_prime": str(tmp_path / "absent.txt"),
+        "epsilon": 1.0, "delta_f": 50.0, "alpha": 0.1,
+    })
+    assert main(["audit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb: cannot read knapsack file") and err.count("\n") == 1
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, CC_EXACT_TINY_NOISE)
+    out = tmp_path / "absent-dir" / "out.csv"
+    assert main(["wrap", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dpb: cannot write {str(out)!r}") and err.count("\n") == 1
 
 
 def test_audit_stream_substrate_report_and_limit(tmp_path, capsys):
@@ -229,6 +260,18 @@ def test_coverage_cauchy_route_passes(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
     assert payload["target"] == 0.9
+
+
+def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, capsys):
+    # 1 - delta - e^-gamma = 1 - 0.9 - 0.37 < 0: the theorem promises nothing.
+    cfg = write_config(tmp_path, {
+        "substrate": "cc_exact", "input": "data/demo_cc.graph",
+        "epsilon": 10.0, "delta": 0.9, "alpha": 0.9, "gamma": 1.0,
+    })
+    assert main(["coverage", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb: ") and err.count("\n") == 1
+    assert "delta" in err and "gamma" in err and "math domain" not in err
 
 
 def test_bench_reports_query_budget(tmp_path):
@@ -455,6 +498,8 @@ def test_bench_marks_recalled_deterministic_trials(tmp_path):
     ("audit", {"trials": 1000, "bins": 1}),
     ("audit", {"trials": 1000, "bins": False}),
     ("audit", {"trials": 1000, "delta_slack": 1.0}),
+    ("coverage", {"gamma_scale": 2.0}),
+    ("wrap", {"epsilonn": 1.0}),
 ])
 def test_bad_counts_exit_2_before_loading(tmp_path, capsys, command, payload):
     # The input file does not exist: a count error must be reported first.
@@ -462,7 +507,8 @@ def test_bad_counts_exit_2_before_loading(tmp_path, capsys, command, payload):
                                       **payload))
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    key = next(k for k in ("bins", "delta_slack", "seed", "trials") if k in payload)
+    key = next(k for k in ("bins", "delta_slack", "seed", "trials", "gamma_scale",
+                           "epsilonn") if k in payload)
     assert err.startswith(f"dpb: '{key}'") and err.count("\n") == 1
 
 
