@@ -101,6 +101,10 @@ class WrapConfig:
     tau_override: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("epsilon", "kappa", "delta_f", "gamma", "tau_override"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if not (0.0 < self.delta < 1.0):

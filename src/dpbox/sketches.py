@@ -10,23 +10,33 @@ unbiased F2 estimate with variance at most 2*(F2^2 - F4)/c, as for the mean
 of c independent AGMS counters, so the median over rows lies in
 (1 +/- alpha)*F2 with probability >= 1 - delta. The sketch holds r*c
 counters and 6*r coefficients (space_words), and an update touches r
-counters. A sketch whose counters, coefficients and update buffers would
-pass 1 GiB is refused at construction, before any coefficient is drawn.
+counters. A grid whose counters, coefficients and update buffers would pass
+1 GiB is refused at construction, before any coefficient is drawn, and when
+append_rows would grow it there.
 
 KmvSketch retains the k = ceil(16/alpha^2) smallest distinct 64-bit hash
 values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Its whole state
-is one reps x w float array of per-copy ascending minima (w <= k, +inf pads
-shorter rows), and single and bulk inserts share one merge that hashes each
-item once under all copies' salts. space_words counts the words held, not
-the reps*k capacity. Insertion-only: a deletion cannot be undone once a hash
-is retained, so turnstile streams are rejected. Below k distinct items the
-sketch is exact.
+is one rows x w float array of per-row ascending minima (w <= k, +inf pads
+shorter rows). Single and bulk inserts share one merge: a step hashes up to
+max(1, 2^22 // rows) distinct items under all rows' salts at once, so its
+buffer holds at most rows x (w + step) floats, sorts each row once, and sorts
+again only when an already held hash was marked +inf as a duplicate. A merge
+whose minima and step buffer would pass 1 GiB is refused before hashing.
+space_words counts the words held, not the reps*k capacity. Insertion-only:
+a deletion cannot be undone once a hash is retained, so turnstile streams are
+rejected. Below k distinct items the sketch is exact.
+
+Both sketches keep their rows in arrays that can be stacked: append_rows
+puts another sketch's rows below, take_rows keeps a subset, and row_values
+gives the per-row estimates that estimate() takes the median of. A
+sliding-window family (windows.SketchFamily) keeps every live instance as a
+block of rows of one stacked sketch, so one update call feeds them all; the
+rows of a block are bit for bit those of the instance's own sketch.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 
@@ -45,12 +55,31 @@ _SIGN_PRIME = np.uint64(2 ** 31 - 1)
 _AMS_PASS_CELLS = 2 ** 18
 
 
+def block_medians(values: np.ndarray, block: int) -> np.ndarray:
+    """The median of each run of `block` consecutive values, bit for bit as
+    np.median computes it (the middle value, or the mean of the middle two)."""
+    v = np.sort(values.reshape(-1, block), axis=1)
+    mid = block // 2
+    return v[:, mid] if block % 2 else (v[:, mid - 1] + v[:, mid]) / 2
+
+
 def _ams_rows(fail_prob: float) -> int:
     return int(math.ceil(48.0 * math.log(2.0 / fail_prob)))
 
 
 def _ams_cols(alpha: float) -> int:
     return int(math.ceil(16.0 / alpha ** 2))
+
+
+def _ams_chunk(rows: int) -> int:
+    return max(1, _AMS_PASS_CELLS // rows)
+
+
+def _check_ams_grid(rows: int, cols: int):
+    """Refuse a grid whose 8-byte counters, 6 coefficients per row and three
+    rows x chunk update buffers would pass the cap."""
+    _check_bytes(8 * rows * (cols + 6 + 3 * _ams_chunk(rows)), f"AMS grid {rows} x {cols}",
+                 "counters, coefficients and update buffers")
 
 
 class AmsSketch:
@@ -62,21 +91,14 @@ class AmsSketch:
         if not (1 <= universe_size < int(_SIGN_PRIME)):
             raise ValueError(
                 f"universe_size must lie in [1, {int(_SIGN_PRIME)}), got {universe_size!r}")
-        chunk = max(1, _AMS_PASS_CELLS // int(rows))
-        # 8-byte counters, 6 coefficients per row, and at most three rows x
-        # chunk buffers during an update pass.
-        _check_bytes(8 * int(rows) * (int(cols) + 6 + 3 * chunk), f"AMS grid {rows} x {cols}",
-                     "counters, coefficients and update buffers")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.universe_size = int(universe_size)
-        self._chunk = chunk
-        self.counters = np.zeros((self.rows, self.cols), dtype=np.int64)
+        rows, self.cols, self.universe_size = int(rows), int(cols), int(universe_size)
+        _check_ams_grid(rows, self.cols)
+        self.counters = np.zeros((rows, self.cols), dtype=np.int64)
         # Row r: coeffs[r, :2] = (a, b) of its bucket hash, a drawn from
         # [1, p) so two items share a bucket with probability <= 1/cols, and
         # coeffs[r, 2:] its sign polynomial, highest degree first.
         self.coeffs = rng.integers([1, 0, 0, 0, 0, 0], int(_SIGN_PRIME),
-                                   size=(self.rows, 6), dtype=np.uint64)
+                                   size=(rows, 6), dtype=np.uint64)
 
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, universe_size: int, rng):
@@ -88,8 +110,24 @@ class AmsSketch:
         return cls(_ams_rows(fail_prob), _ams_cols(alpha), universe_size, rng)
 
     @property
+    def rows(self) -> int:
+        return self.counters.shape[0]
+
+    @property
     def space_words(self) -> int:
         return self.counters.size + self.coeffs.size
+
+    def append_rows(self, other: "AmsSketch"):
+        """Stack other's rows, counters and coefficients, below these."""
+        if (other.cols, other.universe_size) != (self.cols, self.universe_size):
+            raise ValueError("appended AMS rows must share cols and universe_size")
+        _check_ams_grid(self.rows + other.rows, self.cols)
+        self.counters = np.concatenate([self.counters, other.counters])
+        self.coeffs = np.concatenate([self.coeffs, other.coeffs])
+
+    def take_rows(self, index):
+        """Keep the rows at index, in that order."""
+        self.counters, self.coeffs = self.counters[index], self.coeffs[index]
 
     def update(self, item: int, delta: int = 1):
         self.update_bulk([item], [delta])
@@ -117,11 +155,12 @@ class AmsSketch:
         a, b, c3, c2, c1, c0 = self.coeffs.T[:, :, None]
         first_cell = np.arange(self.rows, dtype=np.uint64)[:, None] * np.uint64(self.cols)
         p = _SIGN_PRIME
-        for lo in range(0, uniq.size, self._chunk):
-            x = uniq[None, lo:lo + self._chunk]
+        chunk = _ams_chunk(self.rows)
+        for lo in range(0, uniq.size, chunk):
+            x = uniq[None, lo:lo + chunk]
             cell = (a * x + b) % p % np.uint64(self.cols) + first_cell
             odd = (((c3 * x + c2) % p * x + c1) % p * x + c0) % p & np.uint64(1)
-            step = (2 * odd.view(np.int64) - 1) * net[lo:lo + self._chunk]
+            step = (2 * odd.view(np.int64) - 1) * net[lo:lo + chunk]
             np.add.at(self.counters.reshape(-1), cell.view(np.int64).ravel(), step.ravel())
 
     def consume(self, stream: UpdateStream):
@@ -129,33 +168,49 @@ class AmsSketch:
             raise ValueError("stream universe exceeds sketch universe")
         self.update_bulk(stream.items, stream.deltas)
 
-    def estimate(self) -> float:
-        """Median over rows of the row's sum of squared counters."""
+    def row_values(self) -> np.ndarray:
+        """Each row's sum of squared counters."""
         z = self.counters.astype(np.float64)
-        return float(np.median((z * z).sum(axis=1)))
+        return (z * z).sum(axis=1)
+
+    def estimate(self) -> float:
+        """Median over rows of row_values."""
+        return float(block_medians(self.row_values(), self.rows)[0])
 
 
 # splitmix64 finalizer; uint64 in, uint64 out, all arithmetic mod 2^64.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-# Distinct items hashed per merge step of KmvSketch.
-_KMV_CHUNK = 4096
+# Hashes one KmvSketch merge step computes over all rows: a step takes
+# max(1, _KMV_STEP_WORDS // rows) distinct items.
+_KMV_STEP_WORDS = 2 ** 22
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    z = x.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The finalizer applied in place to the uint64 array z, which it returns."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _kmv_hash(items: np.ndarray, salt: np.uint64) -> np.ndarray:
     """Map items to floats in (0, 1]: the (item+1)-th splitmix64 output of the
     stream seeded by salt, scaled by 2^-64 with a +1 offset so 0 is excluded."""
     idx = (items.astype(np.uint64) + np.uint64(1)) * _GOLDEN + salt
-    h = _mix64(idx)
-    return (h.astype(np.float64) + 1.0) * 2.0 ** -64
+    h = _mix64(idx).astype(np.float64)
+    h += 1.0
+    h *= 2.0 ** -64
+    return h
+
+
+def _width(minima: np.ndarray) -> int:
+    """Columns of ascending, +inf-padded rows that hold a finite value in
+    some row: the most values any row holds."""
+    return int(np.count_nonzero(minima.min(axis=0, initial=np.inf) < np.inf))
 
 
 class KmvSketch:
@@ -168,7 +223,8 @@ class KmvSketch:
         self.reps = int(reps)
         self.salts = rng.integers(0, 2 ** 63, size=self.reps, dtype=np.uint64)
         # Row r: the smallest distinct hashes under salts[r], ascending, at
-        # most k; rows shorter than the widest are padded with +inf.
+        # most k; rows shorter than the widest are padded with +inf. Stacked
+        # sketches hold several blocks of reps rows (append_rows).
         self.minima = np.empty((self.reps, 0), dtype=np.float64)
 
     @classmethod
@@ -182,8 +238,37 @@ class KmvSketch:
         return cls(k, reps, rng)
 
     @property
+    def rows(self) -> int:
+        return self.salts.size
+
+    @property
     def space_words(self) -> int:
-        return self.minima.size + self.reps
+        """Words held: each block of reps rows at its own width (the most
+        minima a row of it holds), plus the salts."""
+        held = self._held().reshape(-1, self.reps).max(axis=1, initial=0)
+        return int(held.sum()) * self.reps + self.rows
+
+    def _held(self) -> np.ndarray:
+        """Minima held per row."""
+        return np.count_nonzero(self.minima < np.inf, axis=1)
+
+    def append_rows(self, other: "KmvSketch"):
+        """Stack other's rows, salts and minima, below these, padding the
+        narrower minima with +inf."""
+        if (other.k, other.reps) != (self.k, self.reps):
+            raise ValueError("appended KMV rows must share k and reps")
+        rows = self.rows + other.rows
+        width = max(self.minima.shape[1], other.minima.shape[1])
+        _check_bytes(8 * rows * width, f"KMV sketch of {rows} rows x {width}", "minima")
+        minima = np.full((rows, width), np.inf)
+        minima[:self.rows, :self.minima.shape[1]] = self.minima
+        minima[self.rows:, :other.minima.shape[1]] = other.minima
+        self.salts, self.minima = np.concatenate([self.salts, other.salts]), minima
+
+    def take_rows(self, index):
+        """Keep the rows at index, in that order, trimmed to their widest."""
+        self.salts, minima = self.salts[index], self.minima[index]
+        self.minima = minima[:, :_width(minima)]
 
     def update(self, item: int):
         self._merge(np.array([item], dtype=np.int64))
@@ -195,25 +280,43 @@ class KmvSketch:
         self._merge(np.unique(np.asarray(items, dtype=np.int64)))
 
     def _merge(self, uniq: np.ndarray):
-        """Fold distinct items into every row, hashing each chunk under all
-        salts at once, so the buffer holds at most reps x (k + chunk) words."""
-        for lo in range(0, uniq.size, _KMV_CHUNK):
-            hashes = _kmv_hash(uniq[None, lo:lo + _KMV_CHUNK], self.salts[:, None])
-            rows = np.sort(np.concatenate([self.minima, hashes], axis=1), axis=1)
-            rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
-            rows.sort(axis=1)
-            width = min(self.k, int(np.isfinite(rows).sum(axis=1).max()))
-            self.minima = rows[:, :width].copy()
+        """Fold distinct items into every row. A step hashes its items under
+        all salts at once and sorts each row once; a hash equal to its left
+        neighbour is a repeat, is marked +inf, and forces one more sort."""
+        rows, step = self.rows, max(1, _KMV_STEP_WORDS // self.rows)
+        width = min(self.k, self.minima.shape[1] + uniq.size)
+        _check_bytes(8 * rows * (width + min(step, uniq.size)),
+                     f"KMV sketch of {rows} rows x {width} minima", "minima and merge buffer")
+        for lo in range(0, uniq.size, step):
+            hashes = _kmv_hash(uniq[None, lo:lo + step], self.salts[:, None])
+            held = self.minima.shape[1]
+            merged = np.concatenate([self.minima, hashes], axis=1)
+            merged.sort(axis=1)
+            dup = merged[:, 1:] == merged[:, :-1]
+            dup &= merged[:, 1:] < np.inf
+            if dup.any():
+                # Rows are sorted but for the new +inf marks: timsort's runs
+                # make this second pass close to linear.
+                merged[:, 1:][dup] = np.inf
+                merged.sort(axis=1, kind="stable")
+            # The widest row held `held` minima and no row loses any, so only
+            # the new columns can widen the sketch.
+            width = min(self.k, held + _width(merged[:, held:]))
+            self.minima = merged if width == merged.shape[1] else merged[:, :width].copy()
 
     def consume(self, stream: UpdateStream):
         if stream.mode != "insert":
             raise ValueError("KMV is insertion-only; turnstile streams are not supported")
         self.update_bulk(stream.items)
 
-    def estimate(self) -> float:
-        """Median over rows of the held count below k, else (k-1)/(k-th minimum)."""
-        copies = np.isfinite(self.minima).sum(axis=1).astype(np.float64)
+    def row_values(self) -> np.ndarray:
+        """Each row's estimate: its held count below k, else (k-1)/(k-th minimum)."""
+        values = self._held().astype(np.float64)
         if self.minima.shape[1] == self.k:
-            full = copies == self.k
-            copies[full] = (self.k - 1) / self.minima[full, -1]
-        return float(statistics.median(copies.tolist()))
+            full = values == self.k
+            values[full] = (self.k - 1) / self.minima[full, -1]
+        return values
+
+    def estimate(self) -> float:
+        """Median over rows of row_values."""
+        return float(block_medians(self.row_values(), self.rows)[0])

@@ -188,8 +188,7 @@ def _sw_de(stream, params, rng, config):
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
     for item in stream.items.tolist():
         hist.update(item)
-    space = sum(sk.space_words for sk in hist.family.sketches)
-    return hist.query(), {"space_words": space, "items": stream.length}
+    return hist.query(), {"space_words": hist.family.space_words, "items": stream.length}
 
 
 def _two(dataset) -> float:

@@ -12,14 +12,18 @@ distinct count, xi = rho^2/2 for the second moment), which makes the answer a
 (1 +/- (rho + alpha + rho*alpha)) approximation when the per-instance
 estimator is itself (1 +/- alpha) accurate.
 
-A family object owns the per-instance state, in lists, behind three methods:
+A family object owns the per-instance state behind three methods:
 ingest(item, starts) opens the instance at starts[-1] and feeds item to every
 instance, estimates() lists the estimates as floats, and keep(indices) keeps
 the instances at those increasing indices. Exact families (running distinct
 counts, per-instance item counts for F2) support the rho -> 0 limit and fast
-large-stream testing; SketchFamily plugs in bare KMV or AMS sketches, one per
-instance in its sketches list, feeding each its item through update(item)
-(an AMS update's delta defaults to 1).
+large-stream testing. SketchFamily plugs in KMV or AMS sketches as one
+stacked sketch: each instance is built by the factory on its own child rng,
+as a lone sketch would be, and its rows are appended to the stack, so one
+update(item) call feeds every instance (an AMS update's delta defaults to
+1), one row_values pass and a median per block give every estimate, and
+keep selects row blocks. Each block holds the rows the instance's own sketch
+would hold, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List
 
-from .sketches import AmsSketch, KmvSketch
+import numpy as np
+
+from .sketches import AmsSketch, KmvSketch, block_medians
 
 __all__ = [
     "SmoothnessParams",
@@ -133,23 +139,44 @@ class F2ExactFamily:
 
 
 class SketchFamily:
-    """One live sketch per instance, spawned from a parent rng."""
+    """Every live instance as a block of rows of one stacked sketch.
+
+    Instance i owns rows [i*block, (i+1)*block), block being the row count
+    of a sketch the factory builds; each instance's sketch is built on a
+    child rng spawned from the parent one.
+    """
 
     def __init__(self, factory: Callable, rng):
         self._factory = factory
         self._rng = rng
-        self.sketches: List = []
+        self._stack = None
+        self._block = 0
+        self.count = 0
+
+    @property
+    def space_words(self) -> int:
+        """Words held by the live instances, each counted as a lone sketch."""
+        return 0 if self._stack is None else self._stack.space_words
 
     def ingest(self, item: int, starts: List[int]):
-        self.sketches.append(self._factory(self._rng.spawn(1)[0]))
-        for sk in self.sketches:
-            sk.update(item)
+        sketch = self._factory(self._rng.spawn(1)[0])
+        if self._stack is None:
+            self._stack, self._block = sketch, sketch.rows
+        else:
+            self._stack.append_rows(sketch)
+        self.count += 1
+        self._stack.update(item)
 
     def estimates(self) -> List[float]:
-        return [float(sk.estimate()) for sk in self.sketches]
+        if self._stack is None:
+            return []
+        return block_medians(self._stack.row_values(), self._block).tolist()
 
     def keep(self, indices: List[int]):
-        self.sketches = [self.sketches[i] for i in indices]
+        if len(indices) < self.count:
+            blocks = np.asarray(indices, dtype=np.intp)[:, None] * self._block
+            self._stack.take_rows((blocks + np.arange(self._block)).ravel())
+            self.count = len(indices)
 
 
 def _prune(est: List[float], starts: List[int], cutoff: int, xi: float) -> List[int]:

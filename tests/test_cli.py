@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpbox import streams
 from dpbox.audit import audit_samples
 from dpbox.cli import main
 from dpbox.graphs import load_graph, toggle_edge
@@ -133,6 +134,33 @@ def test_bad_configs_exit_2(tmp_path, payload, capsys):
     assert main(["wrap", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dpb:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["epsilon", "kappa", "delta_f", "gamma", "tau_override"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_config_values_exit_2_naming_the_field(tmp_path, capsys, key, value):
+    # JSON's Infinity and NaN parse to floats. An infinite gamma would give
+    # coverage a NaN interval, and the refusal must name the field at fault.
+    cfg = write_config(tmp_path, {**CC_EXACT_TINY_NOISE, key: value})
+    for command in ("wrap", "coverage"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == f"dpb: {key} must be finite, got {value!r}\n"
+
+
+@pytest.mark.parametrize("preset, minima", [("f0", 30), ("sw-de", 1)])
+def test_kmv_over_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, preset, minima):
+    # With the cap cut to 1,000 bytes, the f0 preset's bulk insert of the
+    # demo stream's 30 distinct items and the sw-de preset's first update
+    # are refused before any hashing, with one line.
+    monkeypatch.setattr(streams, "_MAX_BYTES", 1000)
+    window = {"window": 10} if preset == "sw-de" else {}
+    cfg = write_config(tmp_path, {"preset": preset, "input": "data/demo_stream_insert.txt",
+                                  "epsilon": 1.0, **window})
+    assert main(["wrap", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb: KMV sketch of 72 rows x %d minima needs" % minima)
+    assert err.count("\n") == 1
 
 
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys):

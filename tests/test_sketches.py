@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpbox import sketches, streams
 from dpbox.noise import make_rng
 from dpbox.sketches import _AMS_PASS_CELLS, AmsSketch, KmvSketch, _kmv_hash
 from dpbox.streams import _MAX_BYTES, UpdateStream, exact_distinct, exact_f2
@@ -301,6 +302,92 @@ def test_kmv_any_split_into_updates_matches_one_bulk_insert(k, reps, items, data
     assert split.estimate() == whole.estimate()
     assert _held_rows(whole) == _reference_minima(items, k, whole.salts)
     assert whole.space_words == whole.minima.size + reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), reps=st.integers(1, 5), step_words=st.integers(1, 30),
+       items=st.lists(st.integers(0, 60), max_size=80))
+def test_kmv_multi_step_merge_matches_one_at_a_time(k, reps, step_words, items):
+    # With the step budget cut down, one bulk insert takes several merge
+    # steps (down to one item each); its rows must equal inserting the
+    # items one by one, bit for bit.
+    single = KmvSketch(k, reps, make_rng(32))
+    for item in items:
+        single.update(item)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketches, "_KMV_STEP_WORDS", step_words)
+        stepped = KmvSketch(k, reps, make_rng(32))
+        stepped.update_bulk(items)
+    assert np.array_equal(stepped.minima, single.minima)
+    assert stepped.estimate().hex() == single.estimate().hex()
+    assert stepped.space_words == single.space_words
+
+
+def test_kmv_refuses_oversized_merge_before_hashing(monkeypatch):
+    # 200 new items into 8 empty rows: 200 minima and a 200-item step per
+    # row, 8 * 8 * 400 = 25,600 bytes.
+    sk = KmvSketch(k=1000, reps=8, rng=make_rng(24))
+    monkeypatch.setattr(streams, "_MAX_BYTES", 25_599)
+    with pytest.raises(ValueError, match="KMV sketch of 8 rows x 200 minima needs"):
+        sk.update_bulk(np.arange(200))
+    assert sk.minima.shape == (8, 0)
+    monkeypatch.setattr(streams, "_MAX_BYTES", 25_600)
+    sk.update_bulk(np.arange(200))
+    assert sk.estimate() == 200.0
+    # Past k the minima stop growing: 200 more items into full rows of
+    # k = 300 need 8 * 8 * (300 + 200) bytes, not 8 * 8 * (1000 + 200).
+    monkeypatch.setattr(streams, "_MAX_BYTES", _MAX_BYTES)
+    full = KmvSketch(k=300, reps=8, rng=make_rng(24))
+    full.update_bulk(np.arange(1000))
+    monkeypatch.setattr(streams, "_MAX_BYTES", 8 * 8 * 500 - 1)
+    with pytest.raises(ValueError, match="KMV sketch of 8 rows x 300 minima needs"):
+        full.update_bulk(np.arange(1000, 1200))
+    monkeypatch.setattr(streams, "_MAX_BYTES", 8 * 8 * 500)
+    full.update_bulk(np.arange(1000, 1200))
+
+
+def test_stacked_rows_refused_past_the_cap(monkeypatch):
+    kmv = KmvSketch(k=50, reps=4, rng=make_rng(25))
+    kmv.update_bulk(np.arange(10))
+    ams = AmsSketch(4, 100, 50, make_rng(26))
+    # One more block fits; a second would pass the cap.
+    monkeypatch.setattr(streams, "_MAX_BYTES", 8 * 8 * 10)
+    kmv.append_rows(KmvSketch(k=50, reps=4, rng=make_rng(27)))
+    with pytest.raises(ValueError, match="KMV sketch of 12 rows x 10 needs"):
+        kmv.append_rows(KmvSketch(k=50, reps=4, rng=make_rng(28)))
+    assert kmv.rows == 8
+    monkeypatch.setattr(streams, "_MAX_BYTES", _ams_footprint(8, 100))
+    ams.append_rows(AmsSketch(4, 100, 50, make_rng(29)))
+    with pytest.raises(ValueError, match="AMS grid 12 x 100 needs"):
+        ams.append_rows(AmsSketch(4, 100, 50, make_rng(30)))
+    assert ams.rows == 8
+
+
+def test_stacked_rows_keep_each_block_bit_for_bit():
+    # append_rows then take_rows: every row keeps its own state, and the
+    # narrower block is padded and trimmed back.
+    a, b = KmvSketch(6, 3, make_rng(33)), KmvSketch(6, 3, make_rng(34))
+    a.update_bulk(np.arange(40))
+    b.update_bulk([1, 2])
+    stack = KmvSketch(6, 3, make_rng(33))
+    stack.update_bulk(np.arange(40))
+    stack.append_rows(b)
+    assert stack.rows == 6 and stack.minima.shape == (6, 6)
+    assert stack.space_words == a.space_words + b.space_words
+    assert stack.row_values().tolist() == a.row_values().tolist() + b.row_values().tolist()
+    stack.take_rows([3, 4, 5])
+    assert np.array_equal(stack.minima, b.minima)
+    assert np.array_equal(stack.salts, b.salts)
+    x, y = AmsSketch(3, 5, 20, make_rng(35)), AmsSketch(3, 5, 20, make_rng(36))
+    x.update_bulk([1, 2, 2], [1, 1, 1])
+    y.update(7)
+    x.append_rows(y)
+    x.take_rows([3, 4, 5])
+    assert np.array_equal(x.counters, y.counters) and np.array_equal(x.coeffs, y.coeffs)
+    with pytest.raises(ValueError):
+        a.append_rows(KmvSketch(7, 3, make_rng(0)))
+    with pytest.raises(ValueError):
+        x.append_rows(AmsSketch(3, 6, 20, make_rng(0)))
 
 
 def test_kmv_rejects_turnstile():

@@ -2,7 +2,9 @@
 hook it patches, sees calls through each, and leaves the query meter as it
 is. A renamed or bypassed hook would otherwise show only in a traced run.
 The CLI's own dataset loads and audit neighbours count too: a loader table
-or neighbour rule the tracer cannot patch would drop them from the spans."""
+or neighbour rule the tracer cannot patch would drop them from the spans.
+The stream round does the same for the KMV hooks, which the sliding-window
+family must reach through KmvSketch.update."""
 
 import contextlib
 import importlib.util
@@ -89,3 +91,28 @@ def test_traced_graph_round_records_spans_and_the_same_queries(tmp_path):
     calls = dict(tracer.calls)
     _round(tmp_path)
     assert tracer.calls == calls
+
+
+_STREAM_RUNS = (
+    ("wrap", {"preset": "f0", "input": "data/demo_stream_insert.txt", "epsilon": 1.0,
+              "debug_trace": True}),
+    ("wrap", {"preset": "sw-de", "input": "data/demo_stream_insert.txt", "window": 10,
+              "epsilon": 1.0, "debug_trace": True}),
+)
+
+
+def test_traced_stream_round_sees_kmv_updates_and_the_same_outputs(tmp_path):
+    spans = _load_spans()
+    plain = [_cli(tmp_path, i, *run) for i, run in enumerate(_STREAM_RUNS)]
+    tracer = spans.Tracer()
+    patches = spans.install(tracer, dpbox)
+    try:
+        traced = [_cli(tmp_path, i, *run) for i, run in enumerate(_STREAM_RUNS)]
+    finally:
+        patches.off()
+    assert traced == plain
+    assert tracer.calls["sketches.kmv"] > 0
+    assert tracer.calls["windows.update"] == 200
+    # One bulk insert of the 200-item demo stream for f0, and one update per
+    # stream item for sw_de, whatever the number of live instances.
+    assert tracer.counters["sketches.kmv_updates"] == 200 + 200

@@ -1,12 +1,18 @@
 import itertools
 import math
+import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpbox.mechanisms import ApproxParams
 from dpbox.noise import make_rng
+from dpbox.sketches import AmsSketch, KmvSketch
+from dpbox.streams import load_stream
+from dpbox.substrates import make_substrate
 from dpbox.windows import (DistinctExactFamily, F2ExactFamily, SketchFamily,
                            SmoothHistogram, SmoothnessParams, _prune,
                            smooth_histogram_distinct,
@@ -335,14 +341,90 @@ def test_ams_backed_window_combined_error():
     assert hits >= math.ceil(0.95 * checks)
 
 
+class _LoneSketchFamily:
+    """Reference family: one lone sketch per instance, each fed on its own."""
+
+    def __init__(self, factory, rng):
+        self.factory, self.rng, self.sketches = factory, rng, []
+
+    def ingest(self, item, starts):
+        self.sketches.append(self.factory(self.rng.spawn(1)[0]))
+        for sk in self.sketches:
+            sk.update(item)
+
+    def estimates(self):
+        return [sk.estimate() for sk in self.sketches]
+
+    def keep(self, indices):
+        self.sketches = [self.sketches[i] for i in indices]
+
+
+def _assert_stacked_equals_lone(factory, items, window, rho, xi, seed, median):
+    stacked = SmoothHistogram(window, SmoothnessParams(rho, xi),
+                              SketchFamily(factory, make_rng(seed)))
+    lone = SmoothHistogram(window, SmoothnessParams(rho, xi),
+                           _LoneSketchFamily(factory, make_rng(seed)))
+    for item in items:
+        stacked.update(item)
+        lone.update(item)
+        assert stacked.starts == lone.starts
+        assert ([e.hex() for e in stacked.family.estimates()] ==
+                [e.hex() for e in lone.family.estimates()])
+        assert stacked.query().hex() == lone.query().hex()
+        # Words are counted per instance, at each one's own width.
+        assert stacked.family.space_words == sum(sk.space_words for sk in lone.family.sketches)
+        for sk in lone.family.sketches:
+            assert sk.estimate().hex() == median(sk.row_values().tolist()).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), reps=st.integers(1, 5), window=st.integers(1, 12),
+       items=st.lists(st.integers(0, 15), max_size=60), seed=st.integers(0, 2 ** 16))
+def test_stacked_kmv_family_equals_lone_sketches(k, reps, window, items, seed):
+    # Small k, so rows fill up and the (k-1)/(k-th minimum) branch runs; the
+    # lone estimate is the plain median over rows that KMV always took.
+    _assert_stacked_equals_lone(lambda child: KmvSketch(k, reps, child), items, window,
+                                0.3, 0.3, seed, statistics.median)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 6), window=st.integers(1, 12),
+       items=st.lists(st.integers(0, 15), max_size=60), seed=st.integers(0, 2 ** 16))
+def test_stacked_ams_family_equals_lone_sketches(rows, cols, window, items, seed):
+    _assert_stacked_equals_lone(lambda child: AmsSketch(rows, cols, 16, child), items,
+                                window, 0.6, 0.18, seed, lambda v: float(np.median(v)))
+
+
+def test_sw_de_space_words_counts_each_instance_at_its_own_width():
+    # The sw-de preset on the demo stream: instances hold different numbers
+    # of minima, so the stack is padded, but the cost counts each one as a
+    # lone sketch would hold it.
+    stream = load_stream("data/demo_stream_insert.txt")
+    params = ApproxParams(alpha=0.2, kappa=0.0, fail_prob=0.01)
+    value, cost = make_substrate("sw_de", {"window": 10}).evaluate(stream, params, make_rng(9))
+    third = params.alpha / 3.0
+    lone = SmoothHistogram(10, SmoothnessParams(third, third), _LoneSketchFamily(
+        lambda child: KmvSketch.from_accuracy(third, params.fail_prob, child), make_rng(9)))
+    for item in stream.items.tolist():
+        lone.update(item)
+    assert value.hex() == lone.query().hex()
+    sketches = lone.family.sketches
+    assert cost["space_words"] == sum(sk.minima.size + sk.reps for sk in sketches)
+    widths = [sk.minima.shape[1] for sk in sketches]
+    assert min(widths) < max(widths)
+    assert cost["space_words"] < len(sketches) * sketches[0].reps * (max(widths) + 1)
+
+
 def test_sketch_family_tracks_instances():
     rng = make_rng(78)
     h = smooth_histogram_distinct(50, 0.3, 0.5, 0.4, rng)
     for it in range(120):
         h.update(it % 17)
-        assert len(h.family.sketches) == len(h.starts) == h.instance_count()
+        assert h.family.count == len(h.starts) == h.instance_count()
         assert h.starts == sorted(h.starts)
-        for est in h.family.estimates():
+        estimates = h.family.estimates()
+        assert len(estimates) == h.family.count
+        for est in estimates:
             assert est >= 0.0
 
 
