@@ -1,8 +1,9 @@
 """Empirical privacy audit: bound the realized privacy loss from samples.
 
 estimate_epsilon runs a mechanism many times on each of two neighboring
-datasets; audit_samples histograms both output samples on a shared grid and
-reports the largest per-bin log probability ratio, widened to an
+datasets, every run on its own rng stream, whose generators noise.make_rngs
+builds in batches; audit_samples histograms both output samples on a shared
+grid and reports the largest per-bin log probability ratio, widened to an
 upper-confidence value with Wilson intervals. The estimate can refute a
 privacy claim (epsilon_hat well above the claimed epsilon) but can never
 certify one: events thinner than the bin-mass floor are invisible to it,
@@ -19,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .noise import make_rng
+from .noise import make_rngs
 
 __all__ = ["AuditReport", "audit_samples", "estimate_epsilon"]
 
@@ -99,17 +100,20 @@ def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
                      delta_slack: float = 0.0, seed: int = 0) -> AuditReport:
     """Upper-confidence estimate of the privacy loss of mech between d and d'.
 
-    mech is called as mech(dataset, rng) -> real; trial t draws from the rng
-    streams (seed, 2t) for d and (seed, 2t+1) for d_prime, so runs are
-    reproducible and embarrassingly parallel in principle. The two samples
-    go to audit_samples.
+    mech is called as mech(dataset, rng) -> real, with a fresh generator on
+    every call: trial t draws from the rng streams (seed, 2t) for d and
+    (seed, 2t+1) for d_prime, each equal to make_rng(seed, stream), so runs
+    are reproducible and embarrassingly parallel in principle. The two
+    samples go to audit_samples. A negative seed raises ValueError before
+    mech is called.
     """
     _check_audit_args(trials, bins, delta_slack)
+    rngs = make_rngs(seed, range(2 * trials))
     out_a = np.empty(trials)
     out_b = np.empty(trials)
     for t in range(trials):
-        out_a[t] = mech(d, make_rng(seed, 2 * t))
-        out_b[t] = mech(d_prime, make_rng(seed, 2 * t + 1))
+        out_a[t] = mech(d, next(rngs))
+        out_b[t] = mech(d_prime, next(rngs))
     return audit_samples(out_a, out_b, bins, delta_slack)
 
 

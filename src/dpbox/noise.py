@@ -3,7 +3,9 @@
 Both samplers use explicit inverse-CDF transforms so that a fixed seed yields
 the same sequence on every run and platform, independent of any library
 internals for these distributions. Scale 0 is the degenerate "no noise" case
-and returns exactly 0. Tail facts used by the tests:
+and returns exactly 0. make_rng builds the generator of one (seed, stream)
+pair; make_rngs builds the same generators for many streams in batches. Tail
+facts used by the tests:
 
     Laplace(b):  Pr[|X| >= l*b] = exp(-l)
     Cauchy(b):   Pr[|X| >= l*b] = 1 - (2/pi) * arctan(l)
@@ -11,9 +13,23 @@ and returns exactly 0. Tail facts used by the tests:
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import islice
+from typing import Iterable, Iterator
 
-__all__ = ["make_rng", "sample_laplace", "sample_cauchy"]
+import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
+
+__all__ = ["make_rng", "make_rngs", "sample_laplace", "sample_cauchy"]
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+# make_rngs replays that hash, so they must stay numpy's.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+# Streams hashed per batch: their seed rows take at most 2 MiB.
+_RNG_CHUNK = 1 << 16
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -24,6 +40,117 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     produces the same sequence.
     """
     return np.random.default_rng([int(seed), int(stream)])
+
+
+def make_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator per stream, each equal to make_rng(seed, stream) bit for bit.
+
+    numpy's SeedSequence([seed, stream]) hashes its entropy words into the
+    state it gives PCG64, which costs far more than the PCG64 and Generator
+    built from that state. Here the hash runs as 32-bit array arithmetic over
+    up to 2^16 streams at a time, and each generator is built from its row
+    when the iterator reaches it. Spawning from a generator is also that of
+    make_rng: the SeedSequence is built on the first spawn.
+
+    Raises:
+        ValueError: at the call for a negative seed; when reached, for a
+            negative stream.
+    """
+    seed = int(seed)
+    seed_words, _ = _entropy_words([seed])
+    return _batched_rngs(seed, seed_words[0], iter(streams))
+
+
+def _batched_rngs(seed, seed_words, streams):
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    while chunk := [int(s) for s in islice(streams, _RNG_CHUNK)]:
+        words, counts = _entropy_words(chunk)
+        rows = np.empty((len(chunk), 4), dtype=np.uint64)
+        for count in np.unique(counts):
+            pick = counts == count
+            prefix = np.broadcast_to(seed_words, (int(pick.sum()), len(seed_words)))
+            rows[pick] = _pcg64_rows(np.hstack([prefix, words[pick, :count]]))
+        for stream, row in zip(chunk, rows):
+            yield generator(pcg64(_SeedRow(row, [seed, stream])))
+
+
+def _entropy_words(values):
+    """The 32-bit words numpy's SeedSequence takes from each nonnegative int,
+    least significant first (0 is one zero word): a (len(values), width)
+    uint32 matrix, zero-padded on the right, and each value's word count."""
+    if min(values) < 0:
+        raise ValueError(f"seeds and streams must be nonnegative, got {min(values)}")
+    top = max(values)
+    width = max(1, -(-top.bit_length() // 32))
+    ints = np.array(values, dtype=np.uint64 if top < 2 ** 64 else object)
+    words = np.stack([(ints >> (32 * k)) & _MASK32 for k in range(width)],
+                     axis=1).astype(np.uint32)
+    nonzero = words != 0
+    counts = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    return words, counts
+
+
+def _pcg64_rows(entropy):
+    """SeedSequence(entropy row).generate_state(4, np.uint64) for every row of
+    an (n, L) uint32 matrix, as an (n, 4) uint64 array. The multipliers step
+    the same way for every row, so they stay Python ints."""
+    n, length = entropy.shape
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, length):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    const = _INIT_B
+    state = np.empty((n, 2 * _POOL_WORDS), dtype=np.uint32)
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    # Pairs of words read as little-endian uint64, as numpy does on any host.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedRow(ISpawnableSeedSequence):
+    """Seeds PCG64 with the row that SeedSequence(entropy) would generate for
+    it. Any other request, and spawn, goes to that SeedSequence itself, built
+    on first use, so spawned children match make_rng's too."""
+
+    def __init__(self, row, entropy):
+        self._row = row
+        self._entropy = entropy
+        self._sequence = None
+
+    def _seq(self):
+        if self._sequence is None:
+            self._sequence = np.random.SeedSequence(self._entropy)
+        return self._sequence
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self._row
+        return self._seq().generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self._seq().spawn(n_children)
 
 
 def _check_scale(scale) -> float:

@@ -209,6 +209,9 @@ class _Entry:
     evaluate: Optional[Callable] = None
     is_deterministic: bool = True
     max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
+    # Called with the config by make_substrate; raises ValueError on a bad extra
+    # key, so the CLI refuses such a config before it reads any file.
+    check_config: Optional[Callable] = None
 
 
 _REGISTRY = {
@@ -223,7 +226,8 @@ _REGISTRY = {
     "l2_ams": _Entry("stream", _l2_norm, _two, _l2_ams, False),
     "f0_exact": _Entry("stream", _distinct_count, _two),
     "f0_kmv": _Entry("stream", _distinct_count, _two, _f0_kmv, False),
-    "sw_de": _Entry("stream", _window_distinct_count, _two, _sw_de, False),
+    "sw_de": _Entry("stream", _window_distinct_count, _two, _sw_de, False,
+                    check_config=_window),
 }
 
 SUBSTRATE_NAMES = tuple(sorted(_REGISTRY))
@@ -244,8 +248,11 @@ def _oracle_evaluate(dataset, params, rng, config, oracle, kind):
 
 
 def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
-    """Build a registered substrate; config supplies extras (e.g. window)."""
+    """Build a registered substrate; config supplies extras (e.g. window),
+    which are checked here."""
     entry = _entry(name)
+    if entry.check_config is not None:
+        entry.check_config(config or {})
     evaluate = entry.evaluate
     if evaluate is None:
         evaluate = functools.partial(_oracle_evaluate, oracle=entry.exact, kind=entry.kind)

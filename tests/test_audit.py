@@ -185,6 +185,43 @@ def test_audit_samples_is_the_histogram_half_of_estimate_epsilon():
     assert audit_samples(outputs[0.0], outputs[1.0], 12, 0.005) == report
 
 
+def test_every_mechanism_call_gets_its_own_generator():
+    seen = []
+
+    def recording_mech(d, rng):
+        seen.append(rng)
+        return laplace_shift_mech(d, rng)
+
+    estimate_epsilon(recording_mech, 0.0, 1.0, trials=1000, bins=10, seed=3)
+    assert len(seen) == 2000
+    assert all(isinstance(rng, np.random.Generator) for rng in seen)
+    assert len({id(rng) for rng in seen}) == 2000
+
+
+def test_a_kept_generator_leaves_other_trials_unchanged():
+    kept = []
+
+    def keeping_mech(d, rng):
+        # Keeps the first call's generator and draws from it on every later call.
+        if kept:
+            kept[0].random(3)
+        else:
+            kept.append(rng)
+        return laplace_shift_mech(d, rng)
+
+    args = dict(trials=1000, bins=10, seed=8)
+    assert (estimate_epsilon(keeping_mech, 0.0, 1.0, **args)
+            == estimate_epsilon(laplace_shift_mech, 0.0, 1.0, **args))
+
+
+def test_negative_seed_is_refused_before_the_mechanism_runs():
+    calls = []
+    with pytest.raises(ValueError):
+        estimate_epsilon(lambda d, rng: calls.append(d) or d, 0.0, 1.0, trials=1000,
+                         bins=10, seed=-1)
+    assert calls == []
+
+
 def test_audit_samples_validation():
     with pytest.raises(ValueError):
         audit_samples(np.zeros(1000), np.zeros(1001), bins=10)

@@ -402,6 +402,14 @@ def test_sw_de_window_0_exits_2(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_sw_de_window_is_checked_before_the_input_is_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SW_DE_EXACT, window=0,
+                                      input=str(tmp_path / "missing.txt")))
+    assert main(["wrap", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "dpb: sw_de needs an integer 'window' >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("preset", ["cc", "mst"])
 def test_graph_presets_on_empty_graph_exit_2(tmp_path, capsys, preset):
     graph = tmp_path / "empty.graph"

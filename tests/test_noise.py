@@ -1,9 +1,12 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpbox.noise import make_rng, sample_cauchy, sample_laplace
+from dpbox.noise import make_rng, make_rngs, sample_cauchy, sample_laplace
 
 
 def test_make_rng_reproducible():
@@ -16,6 +19,51 @@ def test_make_rng_streams_differ():
     a = make_rng(42, 0).random(8)
     b = make_rng(42, 1).random(8)
     assert not np.array_equal(a, b)
+
+
+def _assert_same_as_make_rng(rngs, seed, streams):
+    rngs = list(rngs)
+    assert len(rngs) == len(streams)
+    for rng, stream in zip(rngs, streams):
+        assert rng.bit_generator.state == make_rng(seed, stream).bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 130 - 1),
+       streams=st.lists(st.integers(0, 2 ** 64 - 1), max_size=6))
+def test_make_rngs_equals_make_rng(seed, streams):
+    # Seeds and streams of one to five 32-bit words: more than four entropy
+    # words in all take SeedSequence's extra mixing loop.
+    _assert_same_as_make_rng(make_rngs(seed, streams), seed, streams)
+
+
+@pytest.mark.parametrize("seed,streams", [
+    (3, []),
+    (2 ** 32, [0, 1, 2 ** 32 - 1, 2 ** 32]),
+    (5, [2 ** 64, 7, 2 ** 100 + 3]),
+])
+def test_make_rngs_fixed_cases(seed, streams):
+    _assert_same_as_make_rng(make_rngs(seed, streams), seed, streams)
+
+
+def test_make_rngs_across_the_batch_edge():
+    # Streams are hashed 2^16 at a time; 65536 is the first of the second batch.
+    tail = islice(make_rngs(7, range(65538)), 65535, None)
+    _assert_same_as_make_rng(tail, 7, [65535, 65536, 65537])
+
+
+def test_make_rngs_spawn_like_make_rng():
+    batched, reference = next(make_rngs(3, [5])), make_rng(3, 5)
+    for n in (2, 1):
+        assert ([c.bit_generator.state for c in batched.spawn(n)]
+                == [c.bit_generator.state for c in reference.spawn(n)])
+
+
+def test_make_rngs_rejects_negative_seeds_and_streams():
+    with pytest.raises(ValueError):
+        make_rngs(-1, [0])
+    with pytest.raises(ValueError):
+        list(make_rngs(0, [1, -1]))
 
 
 def test_laplace_fixed_seed_values():
