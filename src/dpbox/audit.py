@@ -102,10 +102,10 @@ def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
 
     mech is called as mech(dataset, rng) -> real, with a fresh generator on
     every call: trial t draws from the rng streams (seed, 2t) for d and
-    (seed, 2t+1) for d_prime, each equal to make_rng(seed, stream), so runs
-    are reproducible and embarrassingly parallel in principle. The two
-    samples go to audit_samples. A negative seed raises ValueError before
-    mech is called.
+    (seed, 2t+1) for d_prime, each equal to make_rng(seed, stream) (and built
+    by it for a seed of 2^64 or more), so runs are reproducible and
+    embarrassingly parallel in principle. The two samples go to
+    audit_samples. A negative seed raises ValueError before mech is called.
     """
     _check_audit_args(trials, bins, delta_slack)
     rngs = make_rngs(seed, range(2 * trials))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .graphs import Graph, connected_components_exact, kruskal_mst_weight
 from .mechanisms import median_replicas
+from .streams import _check_bytes
 
 __all__ = [
     "QueryGraph",
@@ -32,6 +33,7 @@ __all__ = [
     "cc_estimate",
     "cc_knobs",
     "cc_median",
+    "mst_level_knobs",
     "mst_weight_exact",
     "mst_weight_estimate",
 ]
@@ -178,6 +180,8 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     if n == 0:
         return 0.0
     cap = params.bfs_cap
+    _check_bytes(8 * params.sample_count,
+                 f"cc_estimate with {params.sample_count} sampled starts", "start vertices")
     sizes = qg.sizes.get(cap)
     if sizes is None:
         sizes = qg.sizes[cap] = np.zeros(n, dtype=np.int64)
@@ -208,6 +212,12 @@ def cc_median(g, knobs, rng) -> float:
     return statistics.median([cc_estimate(g, params, rng) for _ in range(replicas)])
 
 
+def mst_level_knobs(alpha: float, fail_prob: float, w: int):
+    """cc_knobs of each of the w - 1 levels of mst_weight_estimate: additive
+    error alpha/(2w) of the vertices, failure fail_prob/w."""
+    return cc_knobs(alpha / (2.0 * w), fail_prob / w)
+
+
 def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     """Estimate MST weight on a connected graph with integer weights in [1, w].
 
@@ -236,7 +246,7 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     n = graph.n
     if w == 1:
         return float(n - 1)
-    knobs = cc_knobs(alpha / (2.0 * w), fail_prob / w)
+    knobs = mst_level_knobs(alpha, fail_prob, w)
     total = float(n - w)
     for i in range(1, w):
         sub = QueryGraph(graph.subgraph_weight_at_most(i))

@@ -1,11 +1,11 @@
 """Seeded samplers for the two heavy-tailed noise distributions used by the wrappers.
 
-Both samplers use explicit inverse-CDF transforms so that a fixed seed yields
-the same sequence on every run and platform, independent of any library
-internals for these distributions. Scale 0 is the degenerate "no noise" case
-and returns exactly 0. make_rng builds the generator of one (seed, stream)
-pair; make_rngs builds the same generators for many streams in batches. Tail
-facts used by the tests:
+Both samplers use explicit inverse-CDF transforms, one body for a scalar and
+an array draw, so that a fixed seed yields the same sequence on every run and
+platform, independent of any library internals for these distributions. Scale
+0 is the degenerate "no noise" case and returns exactly 0. make_rng builds the
+generator of one (seed, stream) pair; make_rngs builds the same generators for
+many streams in batches. Tail facts used by the tests:
 
     Laplace(b):  Pr[|X| >= l*b] = exp(-l)
     Cauchy(b):   Pr[|X| >= l*b] = 1 - (2/pi) * arctan(l)
@@ -49,7 +49,8 @@ def make_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator
     state it gives PCG64, which costs far more than the PCG64 and Generator
     built from that state. Here the hash runs as 32-bit array arithmetic over
     up to 2^16 streams at a time, and each generator is built from its row
-    when the iterator reaches it. Spawning from a generator is also that of
+    when the iterator reaches it. A seed or stream of 2^64 or more gets
+    make_rng(seed, stream) itself. Spawning from a generator is also that of
     make_rng: the SeedSequence is built on the first spawn.
 
     Raises:
@@ -57,50 +58,44 @@ def make_rngs(seed: int, streams: Iterable[int]) -> Iterator[np.random.Generator
             negative stream.
     """
     seed = int(seed)
-    seed_words, _ = _entropy_words([seed])
-    return _batched_rngs(seed, seed_words[0], iter(streams))
+    if seed < 0:
+        raise ValueError(f"seeds and streams must be nonnegative, got {seed}")
+    if seed >= 2 ** 64:
+        return (make_rng(seed, stream) for stream in streams)
+    return _batched_rngs(seed, iter(streams))
 
 
-def _batched_rngs(seed, seed_words, streams):
+def _batched_rngs(seed, streams):
+    # SeedSequence reads an int as its 32-bit words, least significant first,
+    # and hashes zero words at the end of its 4-word pool as if they were
+    # absent. So the seed's one or two words, two words of any stream below
+    # 2^64 and zeros give the state of SeedSequence([seed, stream]).
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed > _MASK32 else [])
+    k = len(seed_words)
     generator, pcg64 = np.random.Generator, np.random.PCG64
     while chunk := [int(s) for s in islice(streams, _RNG_CHUNK)]:
-        words, counts = _entropy_words(chunk)
-        rows = np.empty((len(chunk), 4), dtype=np.uint64)
-        for count in np.unique(counts):
-            pick = counts == count
-            prefix = np.broadcast_to(seed_words, (int(pick.sum()), len(seed_words)))
-            rows[pick] = _pcg64_rows(np.hstack([prefix, words[pick, :count]]))
-        for stream, row in zip(chunk, rows):
-            yield generator(pcg64(_SeedRow(row, [seed, stream])))
-
-
-def _entropy_words(values):
-    """The 32-bit words numpy's SeedSequence takes from each nonnegative int,
-    least significant first (0 is one zero word): a (len(values), width)
-    uint32 matrix, zero-padded on the right, and each value's word count."""
-    if min(values) < 0:
-        raise ValueError(f"seeds and streams must be nonnegative, got {min(values)}")
-    top = max(values)
-    width = max(1, -(-top.bit_length() // 32))
-    ints = np.array(values, dtype=np.uint64 if top < 2 ** 64 else object)
-    words = np.stack([(ints >> (32 * k)) & _MASK32 for k in range(width)],
-                     axis=1).astype(np.uint32)
-    nonzero = words != 0
-    counts = np.where(nonzero.any(axis=1), width - np.argmax(nonzero[:, ::-1], axis=1), 1)
-    return words, counts
+        fits = [0 <= s < 2 ** 64 for s in chunk]
+        ints = np.array([s if ok else 0 for s, ok in zip(chunk, fits)], dtype="<u8")
+        entropy = np.zeros((len(chunk), _POOL_WORDS), dtype=np.uint32)
+        entropy[:, :k] = seed_words
+        entropy[:, k:k + 2] = ints.view("<u4").reshape(-1, 2)
+        for stream, ok, row in zip(chunk, fits, _pcg64_rows(entropy)):
+            yield generator(pcg64(_SeedRow(row, [seed, stream]))) if ok \
+                else make_rng(seed, stream)
 
 
 def _pcg64_rows(entropy):
     """SeedSequence(entropy row).generate_state(4, np.uint64) for every row of
-    an (n, L) uint32 matrix, as an (n, 4) uint64 array. The multipliers step
+    an (n, 4) uint32 matrix, as an (n, 4) uint64 array. The multipliers step
     the same way for every row, so they stay Python ints."""
-    n, length = entropy.shape
-    const = _INIT_A
+    # One hash step for both constant pairs: (A) mixes the entropy into the
+    # pool, (B) hashes the pool, cycled twice, into the state.
+    const, mult = _INIT_A, _MULT_A
 
     def hashmix(value):
         nonlocal const
         value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
+        const = (const * mult) & _MASK32
         value = value * np.uint32(const)
         return value ^ (value >> np.uint32(16))
 
@@ -108,23 +103,14 @@ def _pcg64_rows(entropy):
         result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return result ^ (result >> np.uint32(16))
 
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_WORDS)]
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_WORDS)]
     for src in range(_POOL_WORDS):
         for dst in range(_POOL_WORDS):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_WORDS, length):
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
 
-    const = _INIT_B
-    state = np.empty((n, 2 * _POOL_WORDS), dtype=np.uint32)
-    for i in range(2 * _POOL_WORDS):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> np.uint32(16))
+    const, mult = _INIT_B, _MULT_B
+    state = np.stack([hashmix(word) for word in pool + pool], axis=1)
     # Pairs of words read as little-endian uint64, as numpy does on any host.
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -170,15 +156,11 @@ def sample_laplace(scale, rng: np.random.Generator, size=None):
         ValueError: if the scale is negative or not finite.
     """
     b = _check_scale(scale)
-    if size is None:
-        if b == 0.0:
-            return 0.0
-        u = rng.random() - 0.5
-        return float(-b * np.sign(u) * np.log1p(-2.0 * abs(u)))
     if b == 0.0:
-        return np.zeros(size)
+        return 0.0 if size is None else np.zeros(size)
     u = rng.random(size) - 0.5
-    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    x = -b * np.sign(u) * np.log1p(-2.0 * abs(u))
+    return float(x) if size is None else x
 
 
 def sample_cauchy(scale, rng: np.random.Generator, size=None):
@@ -191,12 +173,7 @@ def sample_cauchy(scale, rng: np.random.Generator, size=None):
         ValueError: if the scale is negative or not finite.
     """
     b = _check_scale(scale)
-    if size is None:
-        if b == 0.0:
-            return 0.0
-        u = rng.random()
-        return float(b * np.tan(np.pi * (u - 0.5)))
     if b == 0.0:
-        return np.zeros(size)
-    u = rng.random(size)
-    return b * np.tan(np.pi * (u - 0.5))
+        return 0.0 if size is None else np.zeros(size)
+    x = b * np.tan(np.pi * (rng.random(size) - 0.5))
+    return float(x) if size is None else x

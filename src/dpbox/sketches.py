@@ -63,6 +63,14 @@ def block_medians(values: np.ndarray, block: int) -> np.ndarray:
     return v[:, mid] if block % 2 else (v[:, mid - 1] + v[:, mid]) / 2
 
 
+def _check_accuracy(alpha: float, fail_prob: float):
+    """The arguments of from_accuracy: alpha and fail_prob in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (0.0 < fail_prob < 1.0):
+        raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
+
+
 def _ams_rows(fail_prob: float) -> int:
     return int(math.ceil(48.0 * math.log(2.0 / fail_prob)))
 
@@ -103,10 +111,7 @@ class AmsSketch:
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, universe_size: int, rng):
         """Size the grid for a (1 +/- alpha) estimate at failure <= fail_prob."""
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        if not (0.0 < fail_prob < 1.0):
-            raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
+        _check_accuracy(alpha, fail_prob)
         return cls(_ams_rows(fail_prob), _ams_cols(alpha), universe_size, rng)
 
     @property
@@ -229,10 +234,7 @@ class KmvSketch:
 
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, rng):
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        if not (0.0 < fail_prob < 1.0):
-            raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
+        _check_accuracy(alpha, fail_prob)
         k = int(math.ceil(16.0 / alpha ** 2))
         reps = int(math.ceil(12.0 * math.log(2.0 / fail_prob)))
         return cls(k, reps, rng)

@@ -5,7 +5,7 @@ bottom: the dataset kind its loader reads, the exact oracle of the quantity
 it estimates, its default global sensitivity delta_f, its evaluate function
 (an exact substrate evaluates its oracle) and whether it is deterministic,
 and, for the sublinear graph estimators, the worst-case query count of one
-evaluation. evaluate(dataset, params, rng, config) translates the wrapper's
+evaluation. evaluate(dataset, params, rng) translates the wrapper's
 ApproxParams into the estimator's own knobs and returns (estimate, cost),
 cost counting what that one call used.
 Additive targets (ApproxParams.kappa) are in absolute output units
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median,
+from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median, mst_level_knobs,
                                mst_weight_estimate, mst_weight_exact)
 from .graphs import load_graph, toggle_edge
 from .knapsack import knapsack_exact, knapsack_fptas, load_knapsack
@@ -50,52 +50,52 @@ __all__ = [
 ]
 
 
-# Exact oracles: (dataset, config) -> the true value.
+# Exact oracles: (dataset, **extras) -> the true value.
 
-def _component_count(graph, config) -> float:
+def _component_count(graph) -> float:
     return float(cc_exact(graph))
 
 
-def _mst_weight(graph, config) -> float:
+def _mst_weight(graph) -> float:
     return float(mst_weight_exact(graph))
 
 
-def _knapsack_optimum(instance, config) -> float:
+def _knapsack_optimum(instance) -> float:
     return knapsack_exact(instance)
 
 
-def _l2_norm(stream, config) -> float:
+def _l2_norm(stream) -> float:
     return exact_l2(stream)
 
 
-def _distinct_count(stream, config) -> float:
+def _distinct_count(stream) -> float:
     return float(exact_distinct(stream))
 
 
-def _window(config) -> int:
-    """The sliding-window length config["window"], an integer >= 1."""
+def _window(config) -> dict:
+    """sw_de's extras: the sliding-window length config["window"], an integer >= 1."""
     window = config.get("window")
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise ValueError(f"sw_de needs an integer 'window' >= 1, got {window!r}")
-    return window
+    return {"window": window}
 
 
-def _window_distinct_count(stream, config) -> float:
-    return float(np.unique(stream.items[-_window(config):]).size)
+def _window_distinct_count(stream, window) -> float:
+    return float(np.unique(stream.items[-window:]).size)
 
 
-def _recount(stream, config, oracle):
+def _recount(stream, oracle, **extras):
     """An exact stream answer, metering the updates read."""
-    return oracle(stream, config), {"items": stream.length}
+    return oracle(stream, **extras), {"items": stream.length}
 
 
 def _clamped_fail(params: ApproxParams) -> float:
     return min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
 
 
-# Evaluate functions: (dataset, params, rng, config) -> estimate or (estimate, cost).
+# Evaluate functions: (dataset, params, rng, **extras) -> estimate or (estimate, cost).
 
-def _cc_estimate(graph, params, rng, config):
+def _cc_estimate(graph, params, rng):
     """cc_median at the absolute additive target params.kappa, a fraction
     params.kappa/n of the vertices. Its replicas share one QueryGraph, hence
     one memo of probed starts: cost["queries"] pays for each distinct start
@@ -122,7 +122,7 @@ def _mst_fail(params: ApproxParams) -> float:
     return min(max(params.fail_prob, 1e-12), 1.0 / 3.0)
 
 
-def _mst_estimate(graph, params, rng, config):
+def _mst_estimate(graph, params, rng):
     """Multiplicative only, so params.kappa is slack."""
     if params.alpha <= 0.0:
         raise ValueError("mst_weight_estimate needs a positive alpha")
@@ -137,17 +137,16 @@ def _mst_estimate_queries(graph, params) -> float:
         return math.inf
     if w < 2:
         return 0.0
-    # The per-level knobs of mst_weight_estimate; the two must agree.
-    level_params, replicas = cc_knobs(params.alpha / (2.0 * w), _mst_fail(params) / w)
+    level_params, replicas = mst_level_knobs(params.alpha, _mst_fail(params), w)
     return (w - 1) * replicas * level_params.max_queries
 
 
-def _knapsack(instance, params, rng, config):
+def _knapsack(instance, params, rng):
     """Profit-scaling FPTAS; deterministic, hence Cauchy-route eligible."""
     return knapsack_fptas(instance, params.alpha)
 
 
-def _l2_ams(stream, params, rng, config):
+def _l2_ams(stream, params, rng):
     """L2 norm via an AMS second-moment sketch.
 
     A (1 +/- alpha') factor on F2 becomes (1 +/- alpha) on its square root
@@ -155,7 +154,7 @@ def _l2_ams(stream, params, rng, config):
     sketch is sized at that widened target.
     """
     if params.alpha == 0.0:
-        return _recount(stream, config, _l2_norm)
+        return _recount(stream, _l2_norm)
     alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
     sk = AmsSketch.from_accuracy(alpha_f2, _clamped_fail(params), stream.universe_size, rng)
     sk.consume(stream)
@@ -163,27 +162,26 @@ def _l2_ams(stream, params, rng, config):
         {"space_words": sk.space_words, "items": stream.length}
 
 
-def _f0_kmv(stream, params, rng, config):
+def _f0_kmv(stream, params, rng):
     """Distinct count via KMV; insertion-only streams."""
     if params.alpha == 0.0:
-        return _recount(stream, config, _distinct_count)
+        return _recount(stream, _distinct_count)
     sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
     sk.consume(stream)
     return sk.estimate(), {"space_words": sk.space_words, "items": stream.length}
 
 
-def _sw_de(stream, params, rng, config):
-    """Distinct count over the last config["window"] updates via a smooth histogram.
+def _sw_de(stream, params, rng, window):
+    """Distinct count over the last window updates via a smooth histogram.
 
     The end-to-end relative target params.alpha is split three ways:
     histogram rho = sketch alpha = alpha/3, leaving
     rho + alpha + rho*alpha <= 7*alpha/9 of slack used.
     """
-    window = _window(config)
     if stream.mode != "insert":
         raise ValueError("sliding-window distinct count needs an insertion-only stream")
     if params.alpha == 0.0:
-        return _recount(stream, config, _window_distinct_count)
+        return _recount(stream, _window_distinct_count, window=window)
     third = params.alpha / 3.0
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
     for item in stream.items.tolist():
@@ -202,16 +200,16 @@ def _max_weight(graph) -> Optional[float]:
 @dataclass(frozen=True)
 class _Entry:
     kind: str                   # which loader reads the dataset: graph, stream, knapsack
-    exact: Callable             # (dataset, config) -> true value
+    exact: Callable             # (dataset, **extras) -> true value
     delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
-    # (dataset, params, rng, config) -> estimate[, cost]; None for an exact
+    # (dataset, params, rng, **extras) -> estimate[, cost]; None for an exact
     # substrate, which evaluates its oracle.
     evaluate: Optional[Callable] = None
     is_deterministic: bool = True
     max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
-    # Called with the config by make_substrate; raises ValueError on a bad extra
-    # key, so the CLI refuses such a config before it reads any file.
-    check_config: Optional[Callable] = None
+    # config -> the extras that make_substrate and exact_value bind; raises
+    # ValueError on a bad extra key, so the CLI refuses it before reading a file.
+    extras: Callable = lambda config: {}
 
 
 _REGISTRY = {
@@ -227,7 +225,7 @@ _REGISTRY = {
     "f0_exact": _Entry("stream", _distinct_count, _two),
     "f0_kmv": _Entry("stream", _distinct_count, _two, _f0_kmv, False),
     "sw_de": _Entry("stream", _window_distinct_count, _two, _sw_de, False,
-                    check_config=_window),
+                    extras=_window),
 }
 
 SUBSTRATE_NAMES = tuple(sorted(_REGISTRY))
@@ -239,24 +237,22 @@ def _entry(name: str) -> _Entry:
     return _REGISTRY[name]
 
 
-def _oracle_evaluate(dataset, params, rng, config, oracle, kind):
+def _oracle_evaluate(dataset, params, rng, oracle, kind, **extras):
     """An exact substrate's evaluation: its oracle's value, metering the
     updates a stream recount reads."""
     if kind == "stream":
-        return _recount(dataset, config, oracle)
-    return oracle(dataset, config)
+        return _recount(dataset, oracle, **extras)
+    return oracle(dataset, **extras)
 
 
 def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
     """Build a registered substrate; config supplies extras (e.g. window),
-    which are checked here."""
+    which are checked and bound here."""
     entry = _entry(name)
-    if entry.check_config is not None:
-        entry.check_config(config or {})
     evaluate = entry.evaluate
     if evaluate is None:
         evaluate = functools.partial(_oracle_evaluate, oracle=entry.exact, kind=entry.kind)
-    fn = functools.partial(evaluate, config=config or {})
+    fn = functools.partial(evaluate, **entry.extras(config or {}))
     return TunableSubstrate(fn, is_deterministic=entry.is_deterministic, label=name)
 
 
@@ -298,7 +294,8 @@ def audit_neighbor(name: str, dataset, toggle, seed: int):
 
 def exact_value(name: str, dataset, config: dict = None) -> float:
     """Ground-truth value of the quantity the named substrate estimates."""
-    return _entry(name).exact(dataset, config or {})
+    entry = _entry(name)
+    return entry.exact(dataset, **entry.extras(config or {}))
 
 
 def default_delta_f(name: str, dataset) -> Optional[float]:

@@ -391,15 +391,14 @@ SW_DE_EXACT = {
 def test_sw_de_without_window_exits_2(tmp_path, capsys, command):
     cfg = write_config(tmp_path, SW_DE_EXACT)
     assert main([command, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("dpb:") and "window" in err and err.count("\n") == 1
+    assert capsys.readouterr().err == "dpb: sw_de needs an integer 'window' >= 1, got None\n"
 
 
 def test_sw_de_window_0_exits_2(tmp_path, capsys):
     # At alpha 0 a window of 0 used to release the count over the whole stream.
     cfg = write_config(tmp_path, dict(SW_DE_EXACT, window=0))
     assert main(["wrap", "--config", cfg]) == 2
-    assert "window" in capsys.readouterr().err
+    assert capsys.readouterr().err == "dpb: sw_de needs an integer 'window' >= 1, got 0\n"
 
 
 def test_sw_de_window_is_checked_before_the_input_is_read(tmp_path, capsys):
@@ -469,6 +468,10 @@ _HUGE = 10 ** 13
     ("coverage", "knapsack", 0.5, "1 10\n3 1000000000000\n",
      "knapsack DP over 1000000000001 scaled values needs 14901.2 GiB for its size and "
      "value tables, above the 1 GiB cap"),
+    # w = 50 makes the tuned per-level kappa tiny, so cc_estimate's start sample huge.
+    ("wrap", "mst_estimate", 0.5, "3 2 50\n0 1 50\n1 2 1\n",
+     "cc_estimate with 5324425870 sampled starts needs 39.7 GiB for its start vertices, "
+     "above the 1 GiB cap"),
 ])
 def test_oversized_exact_array_exits_2_before_allocating(
         tmp_path, capsys, command, substrate, alpha, text, message):
@@ -478,6 +481,30 @@ def test_oversized_exact_array_exits_2_before_allocating(
         "substrate": substrate, "input": str(path), "epsilon": 1.0, "alpha": alpha,
         "delta_f": 1.0, "trials": 1})
     assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"dpb: {message}\n"
+
+
+# A 60-vertex path whose first edge weighs w = 50 and the rest 1.
+_W50_PATH = "60 59 50\n0 1 50\n" + "".join(f"{v - 1} {v} 1\n" for v in range(2, 60))
+
+
+@pytest.mark.parametrize("config,text,message", [
+    ({"substrate": "cc_estimate", "input": "data/demo_cc.graph", "kappa": 0.0005,
+      "delta_f": 1.0}, None,
+     "cc_estimate with 2304000000 sampled starts needs 17.2 GiB for its start vertices, "
+     "above the 1 GiB cap"),
+    ({"preset": "mst"}, _W50_PATH,
+     "cc_estimate with 4325386034 sampled starts needs 32.2 GiB for its start vertices, "
+     "above the 1 GiB cap"),
+])
+def test_oversized_start_sample_exits_2_before_allocating(
+        tmp_path, capsys, config, text, message):
+    if text is not None:
+        path = tmp_path / "tree.graph"
+        path.write_text(text, encoding="utf-8")
+        config = dict(config, input=str(path))
+    cfg = write_config(tmp_path, dict(config, epsilon=1.0, trials=1))
+    assert main(["wrap", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"dpb: {message}\n"
 
 

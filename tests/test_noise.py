@@ -41,6 +41,9 @@ def test_make_rngs_equals_make_rng(seed, streams):
     (3, []),
     (2 ** 32, [0, 1, 2 ** 32 - 1, 2 ** 32]),
     (5, [2 ** 64, 7, 2 ** 100 + 3]),
+    # Either side of the 2^64 edge, past which make_rngs calls make_rng.
+    (2 ** 64 - 1, [0, 2 ** 64 - 1]),
+    (2 ** 64, [0, 1]),
 ])
 def test_make_rngs_fixed_cases(seed, streams):
     _assert_same_as_make_rng(make_rngs(seed, streams), seed, streams)
