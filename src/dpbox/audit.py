@@ -28,6 +28,15 @@ __all__ = ["AuditReport", "audit_samples", "estimate_epsilon"]
 _WILSON_Z = 2.0
 
 
+def _check_audit_args(trials: int, bins: int, delta_slack: float):
+    if trials < 1000:
+        raise ValueError(f"audits need >= 1000 trials, got {trials!r}")
+    if bins < 2:
+        raise ValueError(f"audits need >= 2 bins, got {bins!r}")
+    if not (0.0 <= delta_slack < 1.0):
+        raise ValueError(f"delta_slack must lie in [0, 1), got {delta_slack!r}")
+
+
 @dataclass
 class AuditReport:
     """Outcome of one audit run.
@@ -50,10 +59,7 @@ class AuditReport:
     def __post_init__(self):
         if self.epsilon_hat < 0.0:
             raise ValueError(f"epsilon_hat must be >= 0, got {self.epsilon_hat!r}")
-        if self.trials < 1000:
-            raise ValueError(f"audits need >= 1000 trials, got {self.trials!r}")
-        if self.bins < 2:
-            raise ValueError(f"audits need >= 2 bins, got {self.bins!r}")
+        _check_audit_args(self.trials, self.bins, self.delta_slack)
 
     @property
     def argmax_bin(self) -> Optional[int]:
@@ -85,15 +91,6 @@ def _wilson(p_hat: float, n: int) -> Tuple[float, float]:
     center = (p_hat + z2 / (2.0 * n)) / denom
     half = _WILSON_Z * math.sqrt(p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)) / denom
     return max(center - half, 0.0), min(center + half, 1.0)
-
-
-def _check_audit_args(trials: int, bins: int, delta_slack: float):
-    if trials < 1000:
-        raise ValueError(f"audits need >= 1000 trials, got {trials!r}")
-    if bins < 2:
-        raise ValueError(f"audits need >= 2 bins, got {bins!r}")
-    if not (0.0 <= delta_slack < 1.0):
-        raise ValueError(f"delta_slack must lie in [0, 1), got {delta_slack!r}")
 
 
 def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,

@@ -17,13 +17,12 @@ calibration and testing.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import Graph, connected_components_exact, kruskal_mst_weight
-from .mechanisms import median_replicas
+from .mechanisms import block_medians, median_replicas
 from .streams import _check_bytes
 
 __all__ = [
@@ -209,7 +208,8 @@ def cc_median(g, knobs, rng) -> float:
     """The median of the cc_estimate runs that knobs = cc_knobs(...) asks for,
     on g. Pass a QueryGraph so the runs share one memo of probed starts."""
     params, replicas = knobs
-    return statistics.median([cc_estimate(g, params, rng) for _ in range(replicas)])
+    runs = np.array([cc_estimate(g, params, rng) for _ in range(replicas)])
+    return float(block_medians(runs, replicas)[0])
 
 
 def mst_level_knobs(alpha: float, fail_prob: float, w: int):

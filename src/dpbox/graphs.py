@@ -58,6 +58,8 @@ def _edge_error(n, max_weight, u: int, v: int, w: int, duplicate: bool) -> Optio
         return f"duplicate edge {(min(u, v), max(u, v))}"
     if w < 1:
         return f"edge weight must be a positive integer, got {w!r}"
+    if max_weight is None and w != 1:
+        return f"edges of an unweighted graph weigh 1, got {w!r}"
     if max_weight is not None and w > max_weight:
         return f"edge weight {w} exceeds declared bound {max_weight}"
     if w > _INT64_MAX:
@@ -96,8 +98,7 @@ def _canonical(n, max_weight, rows: np.ndarray):
     duplicate = np.zeros(u.size, dtype=bool)
     duplicate[order[1:][(eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])]] = True
     bad = duplicate | (lo < 0) | (hi >= n) | (lo == hi) | (w < 1)
-    if max_weight is not None:
-        bad |= w > max_weight
+    bad |= w > (1 if max_weight is None else max_weight)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(_edge_error(n, max_weight, int(u[i]), int(v[i]), int(w[i]),
@@ -118,7 +119,7 @@ class Graph:
     toggle_edge and subgraph_weight_at_most return new graphs, so a graph
     object stands for one fixed dataset and may key a memo by identity.
     neighbors() returns a new list. max_weight is the declared weight bound w; unweighted graphs
-    have max_weight None and all edges carry weight 1.
+    have max_weight None and all edges carry weight 1, so any other weight is refused.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = (),
@@ -237,17 +238,12 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    """Serialize canonically: sorted edges, normalized endpoints, newline end."""
-    out = []
-    if g.max_weight is None:
-        out.append(f"{g.n} {g.m}")
-        for u, v in g.edges():
-            out.append(f"{u} {v}")
-    else:
-        out.append(f"{g.n} {g.m} {g.max_weight}")
-        for u, v, w in g.edge_items():
-            out.append(f"{u} {v} {w}")
-    return "\n".join(out) + "\n"
+    """Serialize canonically: sorted edges, normalized endpoints, newline end.
+    A weighted graph's header and edge lines carry one more column."""
+    width = 2 if g.max_weight is None else 3
+    header = (g.n, g.m, g.max_weight)[:width]
+    rows = zip(*(column.tolist() for column in (g.eu, g.ev, g.ew)[:width]))
+    return "\n".join(" ".join(map(str, row)) for row in [header, *rows]) + "\n"
 
 
 def load_graph(path) -> Graph:

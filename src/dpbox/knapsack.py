@@ -10,6 +10,7 @@ text format: a header "n B" followed by n lines "size value".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -28,6 +29,12 @@ __all__ = [
 ]
 
 
+def _positive_integer(x) -> bool:
+    """Whether x is a number of integer value >= 1: 5 and 5.0 are; 2.5, "5",
+    inf and nan are not."""
+    return isinstance(x, numbers.Real) and x >= 1 and x == x // 1
+
+
 @dataclass(frozen=True)
 class KnapsackInstance:
     """Items with positive integer sizes and nonnegative real values; an
@@ -38,17 +45,17 @@ class KnapsackInstance:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        if int(self.capacity) != self.capacity or self.capacity < 1:
+        if not _positive_integer(self.capacity):
             raise ValueError(f"capacity must be a positive integer, got {self.capacity!r}")
         object.__setattr__(self, "capacity", int(self.capacity))
         if len(self.sizes) != len(self.values):
             raise ValueError(
                 f"sizes ({len(self.sizes)}) and values ({len(self.values)}) differ in length")
+        for s in self.sizes:
+            if not _positive_integer(s):
+                raise ValueError(f"sizes must be positive integers, got {s!r}")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for s in self.sizes:
-            if s < 1:
-                raise ValueError(f"sizes must be positive integers, got {s!r}")
         for v in self.values:
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"values must be nonnegative finite reals, got {v!r}")

@@ -18,9 +18,9 @@ the same either way, since deterministic substrates draw nothing from the rng.
 wrap_trials runs many trials of either wrapper on one rng, and draws the
 noise of a deterministic substrate as one vector per chunk of trials.
 median_replicas is the one rule by which randomized substrates shrink their
-failure probability by replication, and to_pure_dp post-processes an
-(epsilon, delta) output onto a finite grid so the overall release is pure
-epsilon-DP.
+failure probability by replication, and block_medians the one median they
+take. to_pure_dp post-processes an (epsilon, delta) output onto a finite grid
+so the overall release is pure epsilon-DP.
 """
 
 from __future__ import annotations
@@ -393,13 +393,22 @@ def median_replicas(fail_prob: float) -> int:
     return 1 if fail_prob >= 1.0 / 3.0 else boost_replicas(fail_prob)
 
 
+def block_medians(values: np.ndarray, block: int) -> np.ndarray:
+    """The median of each run of `block` consecutive values, bit for bit as
+    np.median computes it (the middle value, or the mean of the middle two)."""
+    v = np.sort(values.reshape(-1, block), axis=1)
+    mid = block // 2
+    return v[:, mid] if block % 2 else (v[:, mid - 1] + v[:, mid]) / 2
+
+
 @dataclass
 class GridSpec:
     """Rounding grid for the approximate-to-pure post-processing step.
 
     range_max is an a-priori upper bound on the mechanism's output and spacing
     the grid pitch; the grid points are {0, spacing, ..., floor(M/g)*g}, and
-    num_points = floor(M/g) + 1 is derived, never passed.
+    num_points = floor(M/g) + 1 is derived, never passed, and at most 2^63 - 1,
+    so that a fallback draw fits numpy's int64 range.
     """
 
     range_max: float
@@ -411,7 +420,11 @@ class GridSpec:
             raise ValueError(f"range_max must be a positive real, got {self.range_max!r}")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        self.num_points = int(math.floor(self.range_max / self.spacing + 1e-9)) + 1
+        last = self.range_max / self.spacing + 1e-9
+        if not (math.isfinite(last) and math.floor(last) < 2 ** 63 - 1):
+            raise ValueError(f"a grid of range_max {self.range_max!r} and spacing "
+                             f"{self.spacing!r} has more than 2^63 - 1 points")
+        self.num_points = math.floor(last) + 1
 
     def point(self, i: int) -> float:
         return i * self.spacing

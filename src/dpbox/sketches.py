@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from .mechanisms import block_medians
 from .streams import UpdateStream, _check_bytes
 
 __all__ = [
@@ -53,14 +54,6 @@ _SIGN_PRIME = np.uint64(2 ** 31 - 1)
 # Counters one AMS update pass touches, unless the sketch has more rows:
 # update_bulk takes max(1, _AMS_PASS_CELLS // rows) distinct items a pass.
 _AMS_PASS_CELLS = 2 ** 18
-
-
-def block_medians(values: np.ndarray, block: int) -> np.ndarray:
-    """The median of each run of `block` consecutive values, bit for bit as
-    np.median computes it (the middle value, or the mean of the middle two)."""
-    v = np.sort(values.reshape(-1, block), axis=1)
-    mid = block // 2
-    return v[:, mid] if block % 2 else (v[:, mid - 1] + v[:, mid]) / 2
 
 
 def _check_accuracy(alpha: float, fail_prob: float):

@@ -7,7 +7,12 @@ it estimates, its default global sensitivity delta_f, its evaluate function
 and, for the sublinear graph estimators, the worst-case query count of one
 evaluation. evaluate(dataset, params, rng) translates the wrapper's
 ApproxParams into the estimator's own knobs and returns (estimate, cost),
-cost counting what that one call used.
+cost counting what that one call used. An entry names its oracle itself
+(cc_exact, mst_weight_exact, exact_l2, exact_distinct), and exact_value
+returns the oracle's value as a float. Only the knapsack entry names a
+wrapper, _knapsack_optimum: the benchmark's span tracer (perfbench/spans.py)
+patches knapsack_exact only where it is a module global, while the other
+oracles call patched globals of their own modules.
 Additive targets (ApproxParams.kappa) are in absolute output units
 throughout; the component-count substrate divides by n internally to reach
 the estimator's fractional knob. Exact oracles back the coverage harness,
@@ -33,7 +38,6 @@ from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median, mst_le
 from .graphs import load_graph, toggle_edge
 from .knapsack import knapsack_exact, knapsack_fptas, load_knapsack
 from .mechanisms import ApproxParams, TunableSubstrate
-from .noise import make_rng
 from .sketches import AmsSketch, KmvSketch
 from .streams import exact_distinct, exact_l2, load_stream, stream_neighbor
 from .windows import smooth_histogram_distinct
@@ -50,26 +54,10 @@ __all__ = [
 ]
 
 
-# Exact oracles: (dataset, **extras) -> the true value.
-
-def _component_count(graph) -> float:
-    return float(cc_exact(graph))
-
-
-def _mst_weight(graph) -> float:
-    return float(mst_weight_exact(graph))
-
-
 def _knapsack_optimum(instance) -> float:
+    """knapsack_exact, called through this module's global, where the span
+    tracer patches it (see the module docstring)."""
     return knapsack_exact(instance)
-
-
-def _l2_norm(stream) -> float:
-    return exact_l2(stream)
-
-
-def _distinct_count(stream) -> float:
-    return float(exact_distinct(stream))
 
 
 def _window(config) -> dict:
@@ -80,8 +68,8 @@ def _window(config) -> dict:
     return {"window": window}
 
 
-def _window_distinct_count(stream, window) -> float:
-    return float(np.unique(stream.items[-window:]).size)
+def _distinct_in_window(stream, window) -> int:
+    return np.unique(stream.items[-window:]).size
 
 
 def _recount(stream, oracle, **extras):
@@ -154,7 +142,7 @@ def _l2_ams(stream, params, rng):
     sketch is sized at that widened target.
     """
     if params.alpha == 0.0:
-        return _recount(stream, _l2_norm)
+        return _recount(stream, exact_l2)
     alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
     sk = AmsSketch.from_accuracy(alpha_f2, _clamped_fail(params), stream.universe_size, rng)
     sk.consume(stream)
@@ -165,7 +153,7 @@ def _l2_ams(stream, params, rng):
 def _f0_kmv(stream, params, rng):
     """Distinct count via KMV; insertion-only streams."""
     if params.alpha == 0.0:
-        return _recount(stream, _distinct_count)
+        return _recount(stream, exact_distinct)
     sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
     sk.consume(stream)
     return sk.estimate(), {"space_words": sk.space_words, "items": stream.length}
@@ -181,7 +169,7 @@ def _sw_de(stream, params, rng, window):
     if stream.mode != "insert":
         raise ValueError("sliding-window distinct count needs an insertion-only stream")
     if params.alpha == 0.0:
-        return _recount(stream, _window_distinct_count, window=window)
+        return _recount(stream, _distinct_in_window, window=window)
     third = params.alpha / 3.0
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
     for item in stream.items.tolist():
@@ -200,7 +188,7 @@ def _max_weight(graph) -> Optional[float]:
 @dataclass(frozen=True)
 class _Entry:
     kind: str                   # which loader reads the dataset: graph, stream, knapsack
-    exact: Callable             # (dataset, **extras) -> true value
+    exact: Callable             # (dataset, **extras) -> the true value, a number
     delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
     # (dataset, params, rng, **extras) -> estimate[, cost]; None for an exact
     # substrate, which evaluates its oracle.
@@ -213,18 +201,17 @@ class _Entry:
 
 
 _REGISTRY = {
-    "cc_exact": _Entry("graph", _component_count, _two),
-    "cc_estimate": _Entry("graph", _component_count, _two, _cc_estimate, False,
-                          _cc_estimate_queries),
-    "mst_exact": _Entry("graph", _mst_weight, _max_weight),
-    "mst_estimate": _Entry("graph", _mst_weight, _max_weight, _mst_estimate, False,
+    "cc_exact": _Entry("graph", cc_exact, _two),
+    "cc_estimate": _Entry("graph", cc_exact, _two, _cc_estimate, False, _cc_estimate_queries),
+    "mst_exact": _Entry("graph", mst_weight_exact, _max_weight),
+    "mst_estimate": _Entry("graph", mst_weight_exact, _max_weight, _mst_estimate, False,
                            _mst_estimate_queries),
     "knapsack": _Entry("knapsack", _knapsack_optimum, None, _knapsack),
-    "l2_exact": _Entry("stream", _l2_norm, _two),
-    "l2_ams": _Entry("stream", _l2_norm, _two, _l2_ams, False),
-    "f0_exact": _Entry("stream", _distinct_count, _two),
-    "f0_kmv": _Entry("stream", _distinct_count, _two, _f0_kmv, False),
-    "sw_de": _Entry("stream", _window_distinct_count, _two, _sw_de, False,
+    "l2_exact": _Entry("stream", exact_l2, _two),
+    "l2_ams": _Entry("stream", exact_l2, _two, _l2_ams, False),
+    "f0_exact": _Entry("stream", exact_distinct, _two),
+    "f0_kmv": _Entry("stream", exact_distinct, _two, _f0_kmv, False),
+    "sw_de": _Entry("stream", _distinct_in_window, _two, _sw_de, False,
                     extras=_window),
 }
 
@@ -279,23 +266,23 @@ def load_dataset(name: str, path: str):
         raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from exc
 
 
-def audit_neighbor(name: str, dataset, toggle, seed: int):
+def audit_neighbor(name: str, dataset, toggle, rng):
     """The neighbour an audit compares dataset with when no second file is
     given: the graph with the edge toggle = (u, v, weight) toggled, or a
-    stream neighbour drawn from the rng stream (seed, 2^31). A knapsack
-    instance has no canonical neighbour."""
+    stream neighbour drawn from rng. A knapsack instance has no canonical
+    neighbour."""
     kind = dataset_kind(name)
     if kind == "graph":
         return toggle_edge(dataset, *toggle)
     if kind == "stream":
-        return stream_neighbor(dataset, make_rng(seed, 2 ** 31))
+        return stream_neighbor(dataset, rng)
     raise ValueError("audit of a knapsack instance needs an explicit 'input_prime' file")
 
 
 def exact_value(name: str, dataset, config: dict = None) -> float:
     """Ground-truth value of the quantity the named substrate estimates."""
     entry = _entry(name)
-    return entry.exact(dataset, **entry.extras(config or {}))
+    return float(entry.exact(dataset, **entry.extras(config or {})))
 
 
 def default_delta_f(name: str, dataset) -> Optional[float]:

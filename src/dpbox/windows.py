@@ -36,7 +36,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .sketches import AmsSketch, KmvSketch, block_medians
+from .mechanisms import block_medians
+from .sketches import AmsSketch, KmvSketch
 
 __all__ = [
     "SmoothnessParams",

@@ -113,6 +113,8 @@ def test_report_validation():
         AuditReport(epsilon_hat=0.0, delta_slack=0.0, trials=10, bins=10)
     with pytest.raises(ValueError):
         AuditReport(epsilon_hat=0.0, delta_slack=0.0, trials=1000, bins=1)
+    with pytest.raises(ValueError, match=r"delta_slack must lie in \[0, 1\), got 1.0"):
+        AuditReport(epsilon_hat=0.0, delta_slack=1.0, trials=1000, bins=10)
 
 
 def test_report_json_schema():

@@ -260,6 +260,14 @@ def test_audit_rejects_non_integer_toggle(tmp_path, capsys, bad):
     assert err.startswith("dpb: 'toggle") and err.count("\n") == 1
 
 
+def test_audit_refuses_a_weighted_toggle_on_an_unweighted_graph(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 1.0,
+        "trials": 1000, "toggle": [0, 3], "toggle_weight": 5})
+    assert main(["audit", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "dpb: edges of an unweighted graph weigh 1, got 5\n"
+
+
 def test_coverage_laplace_route_passes(tmp_path):
     cfg = write_config(tmp_path, {
         "substrate": "cc_exact", "input": "data/demo_cc.graph",
@@ -563,6 +571,11 @@ def test_bench_marks_recalled_deterministic_trials(tmp_path):
     ("audit", {"trials": 1000, "delta_slack": 1.0}),
     ("coverage", {"gamma_scale": 2.0}),
     ("wrap", {"epsilonn": 1.0}),
+    # More trials than the 1 GiB cap lets the command hold (see cli._COMMANDS).
+    ("audit", {"trials": 100_000_000}),
+    ("wrap", {"trials": 30_000_000}),
+    ("wrap", {"trials": 5_000_000, "debug_trace": True}),
+    ("bench", {"trials": 10_000_000}),
 ])
 def test_bad_counts_exit_2_before_loading(tmp_path, capsys, command, payload):
     # The input file does not exist: a count error must be reported first.

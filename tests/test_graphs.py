@@ -44,6 +44,8 @@ def test_add_edge_validation():
         Graph(3, [(0, 2)], {(0, 2): 0}, max_weight=4)  # nonpositive weight
     with pytest.raises(ValueError):
         Graph(3, [(0, 2)], {(0, 2): 5}, max_weight=4)  # above declared bound
+    with pytest.raises(ValueError, match="edges of an unweighted graph weigh 1, got 7"):
+        Graph(3, [(0, 1)], {(0, 1): 7})  # weighted edge, unweighted graph
     with pytest.raises(ValueError):
         Graph(-1)
 
@@ -240,7 +242,7 @@ def test_csr_graph_matches_dict_of_lists_model(n, data):
     if n >= 2:
         u, v = data.draw(st.sampled_from(pairs))
         u, v = (u, v) if data.draw(st.booleans()) else (v, u)
-        weight = data.draw(st.integers(1, max_weight or 4))
+        weight = data.draw(st.integers(1, max_weight or 1))
         _assert_matches(toggle_edge(g, u, v, weight), model.toggled(u, v, weight))
         _assert_matches(g, model)
 
@@ -261,6 +263,14 @@ def test_toggle_edge_checks_the_added_edge(u, v, weight, message):
     assert str(err.value) == message
     # Removing an edge ignores the weight.
     assert toggle_edge(g, 1, 0, 99).m == 0
+
+
+def test_toggle_edge_keeps_unweighted_edges_at_weight_1():
+    g = parse_graph("4 3\n0 1\n1 2\n2 3\n")
+    with pytest.raises(ValueError, match="edges of an unweighted graph weigh 1, got 5"):
+        toggle_edge(g, 0, 3, 5)
+    added = toggle_edge(g, 0, 3)
+    assert parse_graph(format_graph(added)).edge_items() == added.edge_items()
 
 
 # ---------------------------------------------------- parse errors and parity

@@ -14,6 +14,9 @@ def test_instance_validation():
         KnapsackInstance(capacity=0, sizes=[1], values=[1.0])
     with pytest.raises(ValueError):
         KnapsackInstance(capacity=5, sizes=[0], values=[1.0])
+    with pytest.raises(ValueError, match="sizes must be positive integers, got 2.5"):
+        KnapsackInstance(capacity=5, sizes=[2.5, 3], values=[1, 2])
+    assert KnapsackInstance(capacity=5.0, sizes=[2.0], values=[1]).sizes == (2,)
     with pytest.raises(ValueError):
         KnapsackInstance(capacity=5, sizes=[1, 2], values=[1.0])
     with pytest.raises(ValueError):

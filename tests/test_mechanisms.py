@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import statistics
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from dpbox.graphs import Graph, toggle_edge
 from dpbox.knapsack import KnapsackInstance
 from dpbox import mechanisms
 from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
-                              TunableSubstrate, WrapConfig, boost_replicas,
+                              TunableSubstrate, WrapConfig, block_medians, boost_replicas,
                               lemma_fptas_bounds, median_replicas,
                               pure_dp_fallback_prob, smooth_bound,
                               theorem_main_bounds, to_pure_dp,
@@ -418,6 +419,22 @@ def test_median_replicas_rule():
         median_replicas(0.0)
 
 
+# Signed zeros compare equal, so two sorts may order them differently; the
+# estimates medianed here are never -0.0.
+_MEDIAN_VALUES = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.integers(1, 9), blocks=st.integers(1, 3), data=st.data())
+def test_block_medians_match_statistics_median(block, blocks, data):
+    values = data.draw(st.lists(_MEDIAN_VALUES, min_size=block * blocks,
+                                max_size=block * blocks))
+    want = [statistics.median(values[i:i + block]) for i in range(0, len(values), block)]
+    with np.errstate(over="ignore"):  # two huge middle values sum to inf on both sides
+        got = block_medians(np.array(values), block).tolist()
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 # ---------------------------------------------------------------- pure-DP grid
 
 
@@ -433,6 +450,10 @@ def test_grid_spec_points():
         GridSpec(range_max=0.0, spacing=0.5)
     with pytest.raises(ValueError):
         GridSpec(range_max=1.0, spacing=-0.5)
+    # More points than an int64 draw can index: an infinite count, and 10^20 + 1.
+    for range_max, spacing in ((1e308, 1e-10), (1e20, 1.0)):
+        with pytest.raises(ValueError, match=r"more than 2\^63 - 1 points"):
+            GridSpec(range_max=range_max, spacing=spacing)
 
 
 def test_fallback_prob_value():

@@ -192,6 +192,11 @@ def test_exact_values_match_demos(demo_cc, demo_mst, demo_knapsack,
     assert exact_value("f0_exact", demo_insert) == 30.0
     assert exact_value("sw_de", demo_insert, {"window": 50}) == float(
         len(set(demo_insert.items.tolist()[-50:])))
+    # The oracles return ints for counts; exact_value hands out a float, which
+    # `dpb coverage` prints as "exact".
+    datasets = {"graph": demo_mst, "stream": demo_insert, "knapsack": demo_knapsack}
+    for name in SUBSTRATE_NAMES:
+        assert type(exact_value(name, datasets[dataset_kind(name)], {"window": 10})) is float
 
 
 def test_default_delta_f(demo_cc, demo_mst, demo_knapsack, demo_insert):

@@ -116,3 +116,18 @@ def test_traced_stream_round_sees_kmv_updates_and_the_same_outputs(tmp_path):
     # One bulk insert of the 200-item demo stream for f0, and one update per
     # stream item for sw_de, whatever the number of live instances.
     assert tracer.counters["sketches.kmv_updates"] == 200 + 200
+
+
+def test_traced_knapsack_coverage_records_the_exact_oracle(tmp_path):
+    # coverage's exact value reaches knapsack_exact through the module global
+    # of substrates._knapsack_optimum, which is where the tracer patches it.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    patches = spans.install(tracer, dpbox)
+    try:
+        _cli(tmp_path, 0, "coverage", {
+            "substrate": "knapsack", "input": "data/demo_knapsack.txt", "route": "cauchy",
+            "delta_f": 50.0, "epsilon": 1.0, "alpha": 0.5, "gamma": 7.0, "trials": 100})
+    finally:
+        patches.off()
+    assert tracer.calls["knapsack.exact"] == 1
