@@ -250,11 +250,14 @@ def run_bench(config: dict, trials: int, seed: int) -> int:
 
 
 # command -> (run function, default trials, least trials, bytes each trial
-# holds until the output is written, without and with --debug-trace). The
-# bytes were measured with tracemalloc on cc_exact from 10^5 to 4*10^5 trials;
-# coverage counts each chunk as it is drawn and holds none.
-_COMMANDS = {"wrap": (run_wrap, 1, 1, (130, 274)), "audit": (run_audit, 1000, 1000, (44, 44)),
-             "coverage": (run_coverage, 1000, 1, (0, 0)), "bench": (run_bench, 1, 1, (368, 368))}
+# holds until the output is written, without and with --debug-trace). Each
+# figure is the larger tracemalloc slope of two substrates, rounded up:
+# deterministic cc_exact (10^5 to 4*10^5 trials) and randomized f0_kmv on the
+# insert demo (epsilon 1, delta 0.05, alpha 0.5; 1,000 to 4,000 and 2,000 to
+# 6,000 trials), whose per-chunk traces and bench cost keys make it set every
+# figure. coverage counts each chunk as it is drawn and holds none.
+_COMMANDS = {"wrap": (run_wrap, 1, 1, (608, 720)), "audit": (run_audit, 1000, 1000, (520, 520)),
+             "coverage": (run_coverage, 1000, 1, (0, 0)), "bench": (run_bench, 1, 1, (1186, 1186))}
 
 
 def main(argv=None) -> int:

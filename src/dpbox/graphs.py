@@ -10,9 +10,10 @@ byte-identically.
 A Graph is a set of read-only int64 arrays: the canonical edge list eu < ev
 with weights ew, sorted by (eu, ev), and the same edges in compressed sparse
 row form, indptr/indices, with each row sorted. One vectorised check
-validates every edge. parse_graph converts every edge token in one numpy
-call; only a file that call rejects is walked line by line, so that the
-first error reported and its message are those of a line-by-line reader.
+validates every edge. parse_graph reads the edge lines with the byte-level
+tokenizer of the streams module; only a file the tokenizer refuses is walked
+line by line, so that the first error reported and its message are those of
+a line-by-line reader.
 
 Graphs are immutable: they are built once, by the constructor or the parser,
 and neighboring datasets come from toggle_edge, which returns a new graph.
@@ -26,7 +27,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .streams import _INT64_MAX, _check_bytes, _content_lines, _frozen, _int_rows, _walk_lines
+from .streams import (_INT64_MAX, _body_lines, _check_bytes, _frozen, _int_rows, _split_header,
+                      _walk_lines)
 
 __all__ = [
     "Graph",
@@ -209,27 +211,23 @@ class Graph:
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format described in the module docstring."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty graph file")
-    header = lines[0].split()
-    if len(header) not in (2, 3):
-        raise ValueError(f"header must be 'n m' or 'n m w', got {lines[0].strip()!r}")
-    n, m = int(header[0]), int(header[1])
-    max_weight = int(header[2]) if len(header) == 3 else None
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"header declares {m} edges but file has {len(body)}")
-    _check_size(n, max_weight)
+    header, body = _split_header(text, "empty graph file")
+    fields = header.split()
+    if len(fields) not in (2, 3):
+        raise ValueError(f"header must be 'n m' or 'n m w', got {header.strip()!r}")
+    n, m = int(fields[0]), int(fields[1])
+    max_weight = int(fields[2]) if len(fields) == 3 else None
     weighted = max_weight is not None
-    rows = _int_rows(body, 3 if weighted else 2)
+    rows = _int_rows(body, 3 if weighted else 2, m)
+    lines = None if rows is not None else _body_lines(body, m, "edges")
+    _check_size(n, max_weight)
     if rows is None:
         # Some line or token was refused: the walk raises the first error a
         # line-by-line reader meets, checking each edge as its line is read.
         if weighted:
-            edges = _walk_lines(body, 3, "weighted edge line must be 'u v weight'")
+            edges = _walk_lines(lines, 3, "weighted edge line must be 'u v weight'")
         else:
-            pairs = _walk_lines(body, 2, "unweighted edge line must be 'u v'")
+            pairs = _walk_lines(lines, 2, "unweighted edge line must be 'u v'")
             edges = ((u, v, 1) for u, v in pairs)
         rows = np.array(_walk_edges(n, max_weight, edges), dtype=np.int64).reshape(-1, 3)
     elif not weighted:

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .streams import _check_bytes, _content_lines
+from .streams import _body_lines, _check_bytes, _split_header
 
 __all__ = [
     "KnapsackInstance",
@@ -66,17 +66,13 @@ class KnapsackInstance:
 
 
 def parse_knapsack(text: str) -> KnapsackInstance:
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty knapsack file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'n B', got {lines[0].strip()!r}")
-    n, capacity = int(header[0]), int(header[1])
-    if len(lines) - 1 != n:
-        raise ValueError(f"header declares {n} items but file has {len(lines) - 1}")
+    header, body = _split_header(text, "empty knapsack file")
+    fields = header.split()
+    if len(fields) != 2:
+        raise ValueError(f"header must be 'n B', got {header.strip()!r}")
+    n, capacity = int(fields[0]), int(fields[1])
     sizes, values = [], []
-    for line in lines[1:]:
+    for line in _body_lines(body, n, "items"):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"item line must be 'size value', got {line.strip()!r}")

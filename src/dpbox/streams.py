@@ -13,11 +13,22 @@ range and the delta rule of the mode). Consumers read the arrays directly.
 
 File format: header "n m mode" with mode in {insert, turnstile}, then m
 lines "item delta". '#' starts a comment and blank lines are skipped.
-parse_stream converts every update token in one numpy call; only a file that
-call rejects is walked line by line, so that the first error reported and its
-message are those of a line-by-line reader. The graph and knapsack readers
-share these line helpers, and the graph, knapsack and sketch modules its 1 GiB
-allocation cap, _check_bytes.
+parse_stream and graphs.parse_graph read the lines after the header with one
+byte-level tokenizer, _int_rows: numpy masks over the bytes find the tokens
+and lines, and one np.fromstring(..., sep=" ") call converts every token.
+That call's text mode reads "1 -" as [1, 0], saturates an overflowing value
+to 2^63 - 1, ignores line breaks and raises on "1-2" a message naming no
+token, so the masks first vouch for the file. The file goes to the line
+walker, _walk_lines, instead when any byte is not a digit, sign, space,
+tab, line feed or carriage return; a sign is not first in its token or not
+followed by a digit; a token has more than 18 characters; a line that holds
+any token does not hold exactly the row's width (a carriage return ends a
+line as a line feed does); m < 1 or the lines holding tokens are not m; or
+the values converted are not as many as the tokens. The walker reads line
+by line, so the first error reported and its message are those of a
+line-by-line reader. The graph and knapsack readers share the header split,
+and the graph, knapsack and sketch modules the 1 GiB allocation cap,
+_check_bytes.
 """
 
 from __future__ import annotations
@@ -51,9 +62,12 @@ _MAX_BYTES = 2 ** 30
 
 def _check_bytes(need: int, subject: str, contents: str):
     """Raise the one-line refusal when subject's contents would take need
-    bytes, above _MAX_BYTES."""
+    bytes, above _MAX_BYTES. A need whose GiB figure rounds down to the cap
+    is given in bytes, so that the message never reads as not above it."""
     if need > _MAX_BYTES:
-        raise ValueError(f"{subject} needs {need / 2 ** 30:.1f} GiB for its {contents}, "
+        gib = f"{need / 2 ** 30:.1f}"
+        size = f"{gib} GiB" if float(gib) > _MAX_BYTES / 2 ** 30 else f"{need} bytes"
+        raise ValueError(f"{subject} needs {size} for its {contents}, "
                          f"above the {_MAX_BYTES / 2 ** 30:g} GiB cap")
 
 
@@ -158,35 +172,66 @@ class UpdateStream:
         return int(self.items.size)
 
 
-# A comment runs from '#' to the end of its line; these are the line
-# boundaries of str.splitlines.
-_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-# Ends each line in the joined token list. With w tokens on every line it
-# sits at every (w + 1)-th place; it is no integer, so the conversion fails
-# wherever else it sits.
-_EOL = "\x00"
+# The line boundaries of str.splitlines. A comment runs from '#' to the end of
+# its line.
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_LINE_ENDS}]*")
+_LINE_END = re.compile(f"[{_LINE_ENDS}]")
+# The only bytes the tokenizer reads; any other sends a file to the walker.
+_TOKEN_BYTES = b"0123456789+- \t\n\r"
+# A token of at most this many characters fits in int64 whatever its digits.
+_MAX_TOKEN = 18
 
 
-def _content_lines(text: str) -> List[str]:
-    """The lines of text that hold anything once comments are cut."""
+def _split_header(text: str, empty: str) -> Tuple[str, str]:
+    """Cut the comments from text and split it after its first line that
+    holds anything: return that line, stripped on the left, and the rest of
+    the text, which begins with the line's end. Raise ValueError(empty) when
+    no line holds anything."""
     if "#" in text:
         text = _COMMENT.sub("", text)
-    return list(filter(str.strip, text.splitlines()))
+    text = text.lstrip()
+    if not text:
+        raise ValueError(empty)
+    end = _LINE_END.search(text)
+    cut = len(text) if end is None else end.start()
+    return text[:cut], text[cut:]
 
 
-def _int_rows(body: List[str], width: int) -> Optional[np.ndarray]:
-    """All tokens of body as an (m, width) int64 array, converted in one numpy
-    call, or None when some line does not hold exactly width tokens or some
-    token is no integer that fits in 64 bits."""
-    m = len(body)
-    tokens = f" {_EOL} ".join(body + [""]).split()
-    if len(tokens) != (width + 1) * m or tokens[width::width + 1] != [_EOL] * m:
+def _body_lines(body: str, m: int, noun: str) -> List[str]:
+    """The lines of body that hold anything, for the line walker; raise when
+    the header's count m is not theirs."""
+    lines = list(filter(str.strip, body.splitlines()))
+    if len(lines) != m:
+        raise ValueError(f"header declares {m} {noun} but file has {len(lines)}")
+    return lines
+
+
+def _int_rows(body: str, width: int, m: int) -> Optional[np.ndarray]:
+    """The tokenizer of the module docstring: body's m lines as an (m, width)
+    int64 array, or None whenever its checks cannot vouch that the line
+    walker reads the same rows."""
+    data = body.encode("ascii", "replace")  # '?' stands for non-ASCII
+    # Lines are numbered in int32, which halves the largest temporary and is
+    # exact below 2^31 bytes.
+    if len(data) >= 2 ** 31 or data.translate(None, _TOKEN_BYTES):
         return None
-    del tokens[width::width + 1]
-    try:
-        return np.array(tokens, dtype=np.int64).reshape(m, width)
-    except (ValueError, OverflowError):
+    b = np.frombuffer(data, dtype=np.uint8)
+    # In this alphabet the bytes above ' ' make up the tokens, and of those
+    # the ones below '0' are the signs.
+    token = b > 32
+    sign = token & (b < 48)
+    if sign.any() and (sign[-1] or (sign[1:] & token[:-1]).any()
+                       or (sign[:-1] & (b[1:] < 48)).any()):
         return None
+    starts, ends = np.flatnonzero(np.diff(token, prepend=False, append=False)).reshape(-1, 2).T
+    if m < 1 or starts.size != width * m or (ends - starts).max() > _MAX_TOKEN:
+        return None
+    lines = np.cumsum((b == 10) | (b == 13), dtype=np.int32)[starts].reshape(m, width)
+    if (lines != lines[:, :1]).any() or (lines[1:, 0] <= lines[:-1, 0]).any():
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    return values.reshape(m, width) if values.size == starts.size else None
 
 
 def _walk_lines(body: List[str], width: int, arity: str) -> Iterator[Tuple[int, ...]]:
@@ -201,19 +246,15 @@ def _walk_lines(body: List[str], width: int, arity: str) -> Iterator[Tuple[int, 
 
 
 def parse_stream(text: str) -> UpdateStream:
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty stream file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'n m mode', got {lines[0].strip()!r}")
-    n, m, mode = int(header[0]), int(header[1]), header[2]
-    body = lines[1:]
-    if len(body) != m:
-        raise ValueError(f"header declares {m} updates but file has {len(body)}")
-    pairs = _int_rows(body, 2)
+    header, body = _split_header(text, "empty stream file")
+    fields = header.split()
+    if len(fields) != 3:
+        raise ValueError(f"header must be 'n m mode', got {header.strip()!r}")
+    n, m, mode = int(fields[0]), int(fields[1]), fields[2]
+    pairs = _int_rows(body, 2, m)
     if pairs is None:
-        pairs = list(_walk_lines(body, 2, "update line must be 'item delta'"))
+        lines = _body_lines(body, m, "updates")
+        pairs = list(_walk_lines(lines, 2, "update line must be 'item delta'"))
     return UpdateStream(universe_size=n, updates=pairs, mode=mode)
 
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpbox import graphs, streams
+from dpbox.graphs import format_graph, load_graph
 from dpbox.noise import make_rng
-from dpbox.streams import (UpdateStream, _walk_lines, exact_distinct, exact_f2,
-                           exact_frequencies, exact_l2, format_stream,
-                           load_stream, parse_stream, stream_neighbor)
-from helpers import random_stream
+from dpbox.streams import (UpdateStream, _body_lines, _check_bytes, _int_rows, _walk_lines,
+                           exact_distinct, exact_f2, exact_frequencies, exact_l2,
+                           format_stream, load_stream, parse_stream, stream_neighbor)
+from helpers import random_graph, random_stream
 
 
 def test_stream_validation():
@@ -406,3 +408,135 @@ def test_constructor_matches_the_per_pair_check(n, mode, updates):
     else:
         s = UpdateStream(universe_size=n, updates=updates, mode=mode)
         assert list(zip(s.items.tolist(), s.deltas.tolist())) == want
+
+
+# ------------------------------------------------------------ the tokenizer
+
+def _walked_rows(body, width, m):
+    """The rows the line walker reads from body, or None where it raises."""
+    try:
+        return [list(row) for row in _walk_lines(_body_lines(body, m, ""), width, "")]
+    except ValueError:
+        return None
+
+
+_PIECES = st.one_of(
+    st.sampled_from(list("0123456789+- \t\n\r") + ["\r\n", "-0", "007", "+5", "-", "+"]),
+    st.text("0123456789", min_size=16, max_size=21))
+
+
+def _rows_of(width, clean):
+    """Bodies of lines apart by blanks and line ends. Clean lines hold width
+    integers each (a few of them longer than 18 characters); the others
+    hold about width tokens, some of them drawn from _PIECES."""
+    if clean:
+        tokens = st.lists(st.one_of(st.integers(-10 ** 19, 10 ** 19).map(str),
+                                    st.sampled_from(["-0", "+0", "007", "+5"])),
+                          min_size=width, max_size=width)
+    else:
+        tokens = st.lists(st.one_of(st.integers(-9, 99).map(str), _PIECES),
+                          min_size=width - 1, max_size=width + 1)
+    line = tokens.flatmap(
+        lambda row: st.sampled_from([" ", "\t", " \t "]).map(lambda gap: gap.join(row)))
+    return st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), line,
+                              st.sampled_from(["\n", "\r\n", "\r", " \n \n"])),
+                    max_size=8).map(lambda rows: "".join(map("".join, rows)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(width=st.sampled_from((2, 3)), data=st.data())
+def test_tokenizer_agrees_with_the_line_walker(width, data):
+    # Whatever the tokenizer returns, the walker reads the same rows; where
+    # the walker raises, the tokenizer returns None.
+    body = data.draw(st.one_of(st.lists(_PIECES, max_size=30).map("".join),
+                               _rows_of(width, False), _rows_of(width, True)))
+    lines = len(list(filter(str.strip, body.splitlines())))
+    m = data.draw(st.sampled_from((lines, lines, lines + 1, max(lines - 1, 0))))
+    got, want = _int_rows(body, width, m), _walked_rows(body, width, m)
+    if got is not None:
+        assert got.dtype == np.int64 and got.shape == (m, width)
+        assert got.tolist() == want
+    if want is None:
+        assert got is None
+
+
+@pytest.mark.parametrize("body, width, m", [
+    ("\n1 -\n", 2, 1),                        # np.fromstring reads [1, 0]
+    ("\n99999999999999999999 1\n", 2, 1),     # ... saturates to 2^63 - 1
+    ("\n1 2 3\n4\n", 2, 2),                   # ... ignores the lines
+    ("\n1\n2 3 4\n", 2, 2),
+    ("\n1 2 3 4\n", 2, 2),
+    ("\n1-2 3\n", 2, 1),                      # ... raises naming no token
+    ("\n9223372036854775807 1\n", 2, 1),      # 19 digits: left to the walker
+])
+def test_tokenizer_leaves_numpy_text_mode_hazards_to_the_walker(body, width, m):
+    assert _int_rows(body, width, m) is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 1 insert\n1 -\n", "invalid literal for int() with base 10: '-'"),
+    ("3 1 insert\n99999999999999999999 1\n", "item 99999999999999999999 outside universe [0, 3)"),
+    ("3 2 insert\n1 2 3\n4\n", "update line must be 'item delta', got '1 2 3'"),
+    ("3 1 insert\n1-2 1\n", "invalid literal for int() with base 10: '1-2'"),
+])
+def test_hazards_get_the_line_walkers_message(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_stream(text)
+    assert str(info.value) == message
+
+
+def test_nineteen_digit_values_are_read_exactly():
+    top = 2 ** 63 - 1
+    s = parse_stream(f"{top + 1} 2 insert\n{top} 1\n+0 +1\n")
+    assert s.items.tolist() == [top, 0] and s.deltas.tolist() == [1, 1]
+    g = graphs.parse_graph(f"3 1 {top}\n0 1 {top}\n")
+    assert g.ew.tolist() == [top]
+
+
+def _same_graph(a, b):
+    return a.n == b.n and a.max_weight == b.max_weight and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) for k in ("eu", "ev", "ew", "indptr", "indices"))
+
+
+class _Walked(Exception):
+    pass
+
+
+def _no_walk(*args):
+    raise _Walked
+
+
+@pytest.mark.parametrize("kind", ["insert", "turnstile", "unweighted", "weighted"])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_clean_files_never_reach_the_line_walker(tmp_path, monkeypatch, kind, line_end):
+    rng = np.random.default_rng(19)
+    if kind in ("insert", "turnstile"):
+        data = random_stream(500, 10 ** 4, kind, rng)
+        text, load, same = format_stream(data), load_stream, _same_stream
+    else:
+        data = random_graph(300, 10 ** 4, rng, None if kind == "unweighted" else 1000)
+        text, load, same = format_graph(data), load_graph, _same_graph
+    path = tmp_path / "clean"
+    path.write_bytes(text.replace("\n", line_end).encode())
+    monkeypatch.setattr(streams, "_walk_lines", _no_walk)
+    monkeypatch.setattr(graphs, "_walk_lines", _no_walk)
+    assert same(load(path), data)
+    # One bad token still sends the file to the walker, and its message is
+    # the line-by-line reader's.
+    lines = text.split("\n")
+    lines[5000] = lines[5000].replace(" ", " x", 1)
+    path.write_bytes(line_end.join(lines).encode())
+    with pytest.raises(_Walked):
+        load(path)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: 'x"):
+        load(path)
+
+
+def test_check_bytes_gives_bytes_where_the_gib_figure_rounds_to_the_cap():
+    _check_bytes(2 ** 30, "x", "y")
+    with pytest.raises(ValueError) as info:
+        _check_bytes(2 ** 30 + 1, "x", "y")
+    assert str(info.value) == "x needs 1073741825 bytes for its y, above the 1 GiB cap"
+    with pytest.raises(ValueError, match="^x needs 1.1 GiB for its y, above the 1 GiB cap$"):
+        _check_bytes(int(1.05 * 2 ** 30) + 1, "x", "y")
