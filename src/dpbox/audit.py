@@ -123,6 +123,8 @@ def audit_samples(out_a, out_b, bins: int, delta_slack: float = 0.0) -> AuditRep
     `bins` equal-width bins. Bins whose estimated mass on either side falls
     at or below delta_slack + 3 binomial sigma are flagged and excluded; the
     rest contribute Wilson-widened |log ratios|, whose max is epsilon_hat.
+    A NaN or infinite output on either side raises ValueError, which names
+    the side and counts the bad values.
     """
     out_a = np.asarray(out_a, dtype=float)
     out_b = np.asarray(out_b, dtype=float)
@@ -131,6 +133,11 @@ def audit_samples(out_a, out_b, bins: int, delta_slack: float = 0.0) -> AuditRep
                          f"{out_a.shape} and {out_b.shape}")
     trials = len(out_a)
     _check_audit_args(trials, bins, delta_slack)
+    for side, out in (("out_a", out_a), ("out_b", out_b)):
+        bad = trials - int(np.count_nonzero(np.isfinite(out)))
+        if bad:
+            raise ValueError(f"audits need finite outputs; {side} holds {bad} NaN or"
+                             f" infinite values of {trials}")
 
     pooled = np.concatenate([out_a, out_b])
     lo, hi = np.quantile(pooled, [0.001, 0.999])
@@ -149,18 +156,14 @@ def audit_samples(out_a, out_b, bins: int, delta_slack: float = 0.0) -> AuditRep
     floor_b = delta_slack + 3.0 * np.sqrt(p_b * (1.0 - p_b) / trials)
     included = (p_a > floor_a) & (p_b > floor_b)
 
+    # An included bin has outputs on both sides, so both Wilson lower bounds
+    # are positive; the two logs sum to log((hi_a/lo_a)(hi_b/lo_b)) >= 0.
     ratios: List[Tuple[int, float]] = []
     eps_hat = 0.0
     for i in np.nonzero(included)[0]:
         lo_a, hi_a = _wilson(p_a[i], trials)
         lo_b, hi_b = _wilson(p_b[i], trials)
-        widened = max(math.log(hi_a / lo_b) if lo_b > 0 else math.inf,
-                      math.log(hi_b / lo_a) if lo_a > 0 else math.inf)
-        widened = max(widened, 0.0)
-        if math.isinf(widened):
-            # Wilson lower bound can only hit 0 when a side has almost no
-            # mass, which the floor should have excluded; skip defensively.
-            continue
+        widened = max(math.log(hi_a / lo_b), math.log(hi_b / lo_a))
         ratios.append((int(i), widened))
         eps_hat = max(eps_hat, widened)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, connected_components_exact, kruskal_mst_weight
-from .mechanisms import block_medians, median_replicas
+from .mechanisms import _check_accuracy, block_medians, median_replicas
 from .streams import _check_bytes
 
 __all__ = [
@@ -236,10 +236,7 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     graph = qg.graph
     if graph.max_weight is None:
         raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (0.0 < fail_prob < 1.0):
-        raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
+    _check_accuracy(alpha, fail_prob)
     if len(connected_components_exact(graph)) != 1:
         raise ValueError("graph is disconnected, MST weight is undefined")
     w = graph.max_weight

@@ -200,6 +200,17 @@ class TunableSubstrate:
         return f"TunableSubstrate({self.label}, {det})"
 
 
+def _check_tuning(alpha: float, epsilon: float):
+    """The arguments both routes tune rho from: alpha in [0, 1), and epsilon
+    positive and finite."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+    if not (epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if epsilon == math.inf:
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
+
+
 def tune_rho_laplace(alpha: float, epsilon: float, delta: float) -> float:
     """Multiplicative accuracy knob for the Laplace route.
 
@@ -207,10 +218,7 @@ def tune_rho_laplace(alpha: float, epsilon: float, delta: float) -> float:
     6*rho within epsilon / (2*ln(4/delta)), the growth budget the smooth
     bound needs for Laplace noise.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _check_tuning(alpha, epsilon)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     return epsilon * alpha / (12.0 * math.log(4.0 / delta))
@@ -221,10 +229,7 @@ def tune_rho_cauchy(alpha: float, epsilon: float) -> float:
 
     rho = epsilon * alpha / 36, which keeps 6*rho within epsilon/6.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    _check_tuning(alpha, epsilon)
     return epsilon * alpha / 36.0
 
 
@@ -249,17 +254,23 @@ def route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> Ap
     in kappa. "laplace" tunes rho = tune_rho_laplace(cfg.alpha, cfg.epsilon,
     cfg.delta) with fail_prob cfg.delta/2; "cauchy" needs a deterministic
     substrate and tunes rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon) with
-    fail_prob 0."""
+    fail_prob 0. A tuned rho of 1 or more, which no substrate accepts,
+    raises ValueError naming the route's formula and the config's values."""
     if route == "laplace":
-        return ApproxParams(alpha=tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta),
-                            kappa=cfg.tau(), fail_prob=cfg.delta / 2.0)
-    if route != "cauchy":
+        rho, fail_prob = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta), cfg.delta / 2.0
+        formula = "epsilon*alpha/(12*ln(4/delta)) at epsilon {0!r}, alpha {1!r}, delta {2!r}"
+    elif route == "cauchy":
+        if not substrate.is_deterministic:
+            raise ValueError(
+                f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
+        rho, fail_prob = tune_rho_cauchy(cfg.alpha, cfg.epsilon), 0.0
+        formula = "epsilon*alpha/36 at epsilon {0!r}, alpha {1!r}"
+    else:
         raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
-    if not substrate.is_deterministic:
-        raise ValueError(
-            f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
-    return ApproxParams(alpha=tune_rho_cauchy(cfg.alpha, cfg.epsilon), kappa=cfg.tau(),
-                        fail_prob=0.0)
+    if rho >= 1.0:
+        raise ValueError(f"the tuned rho = {formula.format(cfg.epsilon, cfg.alpha, cfg.delta)}"
+                         f" is {rho!r}; it must be below 1")
+    return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=fail_prob)
 
 
 def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, route: str):
@@ -347,23 +358,22 @@ def wrap_trials(substrate: TunableSubstrate, dataset, cfg: WrapConfig, route: st
 
     A run equals `trials` sequential wrap_laplace (route "laplace") or
     wrap_cauchy ("cauchy") calls on the same rng, bit for bit. A
-    deterministic substrate draws nothing from the rng, so it is evaluated
-    once, its noise scale computed once, and each chunk's noise drawn as one
-    vector; later trials cost {"cached": 1}, as recalled calls do. A
+    deterministic substrate draws nothing from the rng, so a chunk evaluates
+    it once (the memo recalls it after the first chunk) and draws its noise
+    as one vector; later trials cost {"cached": 1}, as recalled calls do. A
     randomized substrate is evaluated and noised trial by trial.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
     params = route_params(substrate, cfg, route)
-    if substrate.is_deterministic and trials:
-        value, first_cost = substrate.evaluate(dataset, params, rng)
-        x, _, scale = _calibrate(value, params, cfg, route)
     for start in range(0, trials, TRIAL_CHUNK):
         n = min(TRIAL_CHUNK, trials - start)
         if substrate.is_deterministic:
+            value, first = substrate.evaluate(dataset, params, rng)
+            x, _, scale = _calibrate(value, params, cfg, route)
             draw = _SAMPLERS[route](scale, rng, size=n)
             values, scales = np.full(n, x), np.full(n, scale)
-            cost = [first_cost if start == 0 else _CACHED_COST] + [_CACHED_COST] * (n - 1)
+            cost = [first] + [_CACHED_COST] * (n - 1)
         else:
             runs = [_release(substrate, dataset, params, cfg, rng, route) for _ in range(n)]
             values = np.array([t.substrate_value for t in runs])
@@ -391,6 +401,14 @@ def median_replicas(fail_prob: float) -> int:
     the median needs to fail with probability at most fail_prob: one run when
     fail_prob >= 1/3, else boost_replicas(fail_prob)."""
     return 1 if fail_prob >= 1.0 / 3.0 else boost_replicas(fail_prob)
+
+
+def _check_accuracy(alpha: float, fail_prob: float):
+    """An estimator's accuracy request: alpha and fail_prob in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not (0.0 < fail_prob < 1.0):
+        raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
 
 
 def block_medians(values: np.ndarray, block: int) -> np.ndarray:
@@ -515,7 +533,7 @@ def lemma_fptas_bounds(rho: float, tau: float, delta_f: float, epsilon: float,
             raise ValueError(f"{name} must be nonnegative, got {v!r}")
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if gamma < 6.5:
+    if not (gamma >= 6.5):
         raise ValueError(
             f"gamma must be at least 6.5 so the tail stays below 1/10, got {gamma!r}")
     mult = rho * (1.0 + 48.0 * gamma / epsilon)

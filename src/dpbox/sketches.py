@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .mechanisms import block_medians
+from .mechanisms import _check_accuracy, block_medians
 from .streams import UpdateStream, _check_bytes
 
 __all__ = [
@@ -54,14 +54,6 @@ _SIGN_PRIME = np.uint64(2 ** 31 - 1)
 # Counters one AMS update pass touches, unless the sketch has more rows:
 # update_bulk takes max(1, _AMS_PASS_CELLS // rows) distinct items a pass.
 _AMS_PASS_CELLS = 2 ** 18
-
-
-def _check_accuracy(alpha: float, fail_prob: float):
-    """The arguments of from_accuracy: alpha and fail_prob in (0, 1)."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not (0.0 < fail_prob < 1.0):
-        raise ValueError(f"fail_prob must lie in (0, 1), got {fail_prob!r}")
 
 
 def _ams_rows(fail_prob: float) -> int:

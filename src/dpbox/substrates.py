@@ -77,8 +77,8 @@ def _recount(stream, oracle, **extras):
     return oracle(stream, **extras), {"items": stream.length}
 
 
-def _clamped_fail(params: ApproxParams) -> float:
-    return min(max(params.fail_prob, 1e-12), 1.0 - 1e-12)
+def _clamped_fail(params: ApproxParams, ceiling: float = 1.0 - 1e-12) -> float:
+    return min(max(params.fail_prob, 1e-12), ceiling)
 
 
 # Evaluate functions: (dataset, params, rng, **extras) -> estimate or (estimate, cost).
@@ -106,16 +106,12 @@ def _cc_estimate_queries(graph, params) -> float:
     return replicas * cc_params.max_queries
 
 
-def _mst_fail(params: ApproxParams) -> float:
-    return min(max(params.fail_prob, 1e-12), 1.0 / 3.0)
-
-
 def _mst_estimate(graph, params, rng):
     """Multiplicative only, so params.kappa is slack."""
     if params.alpha <= 0.0:
         raise ValueError("mst_weight_estimate needs a positive alpha")
     qg = QueryGraph(graph)
-    value = mst_weight_estimate(qg, params.alpha, _mst_fail(params), rng)
+    value = mst_weight_estimate(qg, params.alpha, _clamped_fail(params, 1.0 / 3.0), rng)
     return value, {"queries": qg.queries}
 
 
@@ -125,7 +121,7 @@ def _mst_estimate_queries(graph, params) -> float:
         return math.inf
     if w < 2:
         return 0.0
-    level_params, replicas = mst_level_knobs(params.alpha, _mst_fail(params), w)
+    level_params, replicas = mst_level_knobs(params.alpha, _clamped_fail(params, 1.0 / 3.0), w)
     return (w - 1) * replicas * level_params.max_queries
 
 

@@ -74,9 +74,7 @@ def smoothness_check_de(rho: float) -> float:
 
 def smoothness_check_f2(rho: float) -> float:
     """Pruning threshold for the second moment: xi = rho^2 / 2."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
-    return rho * rho / 2.0
+    return rho * smoothness_check_de(rho) / 2.0
 
 
 class DistinctExactFamily:

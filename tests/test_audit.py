@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpbox.audit import AuditReport, audit_samples, estimate_epsilon, _wilson
-from dpbox.noise import sample_laplace
+from dpbox.noise import make_rng, sample_laplace
 
 
 def laplace_shift_mech(d, rng):
@@ -233,3 +233,24 @@ def test_audit_samples_validation():
         audit_samples(np.zeros(1000), np.zeros(1000), bins=1)
     with pytest.raises(ValueError):
         audit_samples(np.zeros(1000), np.zeros(1000), bins=10, delta_slack=-0.1)
+
+
+@pytest.mark.parametrize("side", ["out_a", "out_b"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_samples_are_refused_naming_the_side(side, bad):
+    # A NaN or inf makes the pooled quantiles NaN or inf, which would read as
+    # a constant mechanism with epsilon_hat 0.
+    samples = {"out_a": sample_laplace(1.0, make_rng(0), size=2000),
+               "out_b": 1.0 + sample_laplace(1.0, make_rng(1), size=2000)}
+    samples[side][[5, 17, 1999]] = bad
+    with pytest.raises(ValueError, match=f"{side} holds 3 NaN or infinite values of 2000"):
+        audit_samples(samples["out_a"], samples["out_b"], bins=20)
+
+
+def test_estimate_epsilon_refuses_a_nan_emitting_mechanism():
+    def mech(d, rng):
+        value = laplace_shift_mech(d, rng)
+        return math.nan if rng.random() < 0.01 else value
+
+    with pytest.raises(ValueError, match="audits need finite outputs; out_a holds"):
+        estimate_epsilon(mech, 0.0, 1.0, trials=2000, bins=20, seed=4)

@@ -655,3 +655,18 @@ def test_coverage_memory_does_not_grow_with_trials(tmp_path):
     # Four times the trials, not four times the memory: the chunks are counted
     # and dropped one by one.
     assert peaks[1] < 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 100, "alpha": 0.9,
+      "delta": 0.5},
+     "dpb: the tuned rho = epsilon*alpha/(12*ln(4/delta)) at epsilon 100.0, alpha 0.9, "
+     "delta 0.5 is 3.606737602222409; it must be below 1\n"),
+    ({"substrate": "knapsack", "input": "data/demo_knapsack.txt", "epsilon": 60,
+      "alpha": 0.9, "route": "cauchy", "gamma": 7, "delta_f": 10},
+     "dpb: the tuned rho = epsilon*alpha/36 at epsilon 60.0, alpha 0.9 is 1.5; "
+     "it must be below 1\n"),
+], ids=["laplace", "cauchy"])
+def test_a_tuned_rho_of_1_or_more_exits_2_naming_rho(tmp_path, capsys, payload, message):
+    assert main(["wrap", "--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == message

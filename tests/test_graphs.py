@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbox.graphs import (Graph, connected_components_exact, format_graph,
-                          kruskal_mst_weight, parse_graph, toggle_edge)
+                          kruskal_mst_weight, load_graph, parse_graph, save_graph,
+                          toggle_edge)
 from dpbox.noise import make_rng
 from helpers import random_connected_graph, random_graph
 
@@ -388,3 +389,11 @@ def test_parse_reports_the_first_error_in_file_order(text, message):
     with pytest.raises(ValueError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("path", ["data/demo_cc.graph", "data/demo_mst.graph"])
+def test_save_graph_round_trips_the_demo_files(tmp_path, path):
+    g = load_graph(path)
+    save_graph(g, tmp_path / "g.graph")
+    assert (tmp_path / "g.graph").read_text(encoding="utf-8") == format_graph(g)
+    assert format_graph(load_graph(tmp_path / "g.graph")) == format_graph(g)

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpbox.knapsack import (KnapsackInstance, format_knapsack, knapsack_exact,
-                            knapsack_fptas, load_knapsack, parse_knapsack)
+                            knapsack_fptas, load_knapsack, parse_knapsack,
+                            save_knapsack)
 from dpbox.noise import make_rng
 from helpers import brute_force_knapsack, random_knapsack
 
@@ -157,3 +158,10 @@ def test_demo_instance():
     inst = load_knapsack("data/demo_knapsack.txt")
     assert knapsack_exact(inst) == 162.0
     assert knapsack_fptas(inst, 0.1) == 162.0
+
+
+def test_save_knapsack_round_trips_the_demo_file(tmp_path):
+    inst = load_knapsack("data/demo_knapsack.txt")
+    save_knapsack(inst, tmp_path / "k.txt")
+    assert (tmp_path / "k.txt").read_text(encoding="utf-8") == format_knapsack(inst)
+    assert format_knapsack(load_knapsack(tmp_path / "k.txt")) == format_knapsack(inst)

@@ -14,7 +14,8 @@ from dpbox.graphs import Graph, toggle_edge
 from dpbox.knapsack import KnapsackInstance
 from dpbox import mechanisms
 from dpbox.mechanisms import (ApproxParams, GridSpec, MechanismTrace,
-                              TunableSubstrate, WrapConfig, block_medians, boost_replicas,
+                              TunableSubstrate, WrapConfig, accuracy_interval,
+                              block_medians, boost_replicas, route_params,
                               lemma_fptas_bounds, median_replicas,
                               pure_dp_fallback_prob, smooth_bound,
                               theorem_main_bounds, to_pure_dp,
@@ -536,3 +537,71 @@ def test_trace_dataclass_shape():
                        noise_draw=0.5, output=1.5)
     assert not t.clamped
     assert t.output == t.substrate_value + t.noise_draw
+
+
+# ---------------------------------------------------------------- refusals and clamps
+
+
+def test_wrap_trials_recalls_the_memo_in_later_chunks():
+    sub, calls = counting_substrate(True)
+    d = (0,) * 6
+    with mock.patch.object(mechanisms, "TRIAL_CHUNK", 2):
+        chunks = list(wrap_trials(sub, d, _MEMO_CFG, "laplace", make_rng(2), 5))
+    assert calls == [d]
+    assert [c.cost for c in chunks] == [[{"items": 6}, {"cached": 1}],
+                                        [{"cached": 1}] * 2, [{"cached": 1}]]
+
+
+@pytest.mark.parametrize("route, cfg, message", [
+    ("laplace", WrapConfig(epsilon=100.0, delta=0.5, alpha=0.9, kappa=0.0, delta_f=1.0,
+                           gamma=1.0),
+     "the tuned rho = epsilon*alpha/(12*ln(4/delta)) at epsilon 100.0, alpha 0.9, "
+     "delta 0.5 is 3.606737602222409; it must be below 1"),
+    ("cauchy", WrapConfig(epsilon=60.0, delta=0.5, alpha=0.9, kappa=0.0, delta_f=1.0,
+                          gamma=7.0),
+     "the tuned rho = epsilon*alpha/36 at epsilon 60.0, alpha 0.9 is 1.5; it must be below 1"),
+], ids=["laplace", "cauchy"])
+def test_route_params_refuses_a_tuned_rho_of_1_or_more(route, cfg, message):
+    with pytest.raises(ValueError) as info:
+        route_params(const_substrate(1.0), cfg, route)
+    assert str(info.value) == message
+    # The Cauchy route still refuses a randomized substrate first.
+    with pytest.raises(ValueError, match="requires a deterministic substrate"):
+        route_params(const_substrate(1.0, deterministic=False), cfg, "cauchy")
+
+
+def test_lemma_fptas_bounds_refuses_a_nan_gamma():
+    with pytest.raises(ValueError, match="gamma must be at least 6.5 .* got nan"):
+        lemma_fptas_bounds(0.1, 1.0, 1.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("tune, args", [(tune_rho_laplace, (0.0, math.inf, 0.1)),
+                                        (tune_rho_laplace, (0.5, math.inf, 0.1)),
+                                        (tune_rho_cauchy, (0.5, math.inf))])
+def test_tuning_refuses_an_infinite_epsilon(tune, args):
+    with pytest.raises(ValueError, match="^epsilon must be finite, got inf$"):
+        tune(*args)
+
+
+def test_to_pure_dp_clamps_to_the_top_grid_point():
+    # The grid is {0, 3, 6, 9}; 10.0 rounds up past it and is clamped to 9.
+    grid = GridSpec(10.0, 3.0)
+    trace = {}
+    assert to_pure_dp(10.0, grid, 1.0, 0.0, make_rng(0), trace) == 9.0
+    assert trace == {"clamped": False, "fallback": False}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_to_pure_dp_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="value must be finite"):
+        to_pure_dp(value, GridSpec(10.0, 1.0), 1.0, 0.0, make_rng(0))
+
+
+def test_wrap_trials_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        next(wrap_trials(const_substrate(1.0), None, _MEMO_CFG, "laplace", make_rng(0), -1))
+
+
+def test_accuracy_interval_refuses_an_unknown_route():
+    with pytest.raises(ValueError, match="route must be 'laplace' or 'cauchy', got 'gauss'"):
+        accuracy_interval(1.0, _MEMO_CFG, "gauss")

@@ -143,3 +143,11 @@ def test_cauchy_median_centered():
     x = sample_cauchy(2.0, make_rng(9), size=50_000)
     # The mean does not exist for a Cauchy; the median is the location, 0.
     assert abs(np.median(x)) < 0.1
+
+
+def test_a_batched_generator_defers_other_state_requests_to_its_seed_sequence():
+    # make_rngs seeds PCG64 from a precomputed row; any other request goes to
+    # the SeedSequence that make_rng builds.
+    (batched,) = make_rngs(7, [3])
+    want = make_rng(7, 3).bit_generator.seed_seq.generate_state(8)
+    assert np.array_equal(batched.bit_generator.seed_seq.generate_state(8), want)

@@ -434,3 +434,10 @@ def test_kmv_wrappers():
     sk = KmvSketch(k=4, reps=3, rng=make_rng(23))
     sk.update(9)
     assert sk.estimate() == 1.0
+
+
+def test_ams_consume_refuses_a_larger_universe():
+    sk = AmsSketch(2, 4, 5, make_rng(0))
+    with pytest.raises(ValueError, match="stream universe exceeds sketch universe"):
+        sk.consume(UpdateStream(6, [(5, 1)], "turnstile"))
+    assert not sk.counters.any()

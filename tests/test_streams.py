@@ -10,7 +10,8 @@ from dpbox.graphs import format_graph, load_graph
 from dpbox.noise import make_rng
 from dpbox.streams import (UpdateStream, _body_lines, _check_bytes, _int_rows, _walk_lines,
                            exact_distinct, exact_f2, exact_frequencies, exact_l2,
-                           format_stream, load_stream, parse_stream, stream_neighbor)
+                           format_stream, load_stream, parse_stream, save_stream,
+                           stream_neighbor)
 from helpers import random_graph, random_stream
 
 
@@ -540,3 +541,14 @@ def test_check_bytes_gives_bytes_where_the_gib_figure_rounds_to_the_cap():
     assert str(info.value) == "x needs 1073741825 bytes for its y, above the 1 GiB cap"
     with pytest.raises(ValueError, match="^x needs 1.1 GiB for its y, above the 1 GiB cap$"):
         _check_bytes(int(1.05 * 2 ** 30) + 1, "x", "y")
+
+
+@pytest.mark.parametrize("path", ["data/demo_stream_insert.txt",
+                                  "data/demo_stream_turnstile.txt"])
+def test_save_stream_round_trips_the_demo_files(tmp_path, path):
+    s = load_stream(path)
+    save_stream(s, tmp_path / "s.txt")
+    assert (tmp_path / "s.txt").read_text(encoding="utf-8") == format_stream(s)
+    again = load_stream(tmp_path / "s.txt")
+    assert (again.universe_size, again.mode) == (s.universe_size, s.mode)
+    assert np.array_equal(again.items, s.items) and np.array_equal(again.deltas, s.deltas)

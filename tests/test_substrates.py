@@ -258,3 +258,12 @@ def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):
     with pytest.raises(ValueError):
         wrap_cauchy(make_substrate("l2_ams"), demo_turnstile, cfg,
                     make_rng(0))
+
+
+def test_mst_estimate_query_budget_without_levels():
+    params = ApproxParams(alpha=0.1, kappa=0.0, fail_prob=0.01)
+    # No declared weight bound: no query claim.
+    assert query_budget("mst_estimate", load_graph("data/demo_cc.graph"), params) == math.inf
+    # w = 1: the weight is n - 1, and no level is queried.
+    unit = parse_graph("3 2 1\n0 1 1\n1 2 1\n")
+    assert query_budget("mst_estimate", unit, params) == 0.0

@@ -437,3 +437,9 @@ def test_update_wrapper():
 def test_window_validation():
     with pytest.raises(ValueError):
         SmoothHistogram(0, SmoothnessParams(0.2, 0.2), DistinctExactFamily())
+
+
+def test_sketch_family_estimates_are_empty_before_any_ingest():
+    family = SketchFamily(lambda child: KmvSketch.from_accuracy(0.5, 0.1, child), make_rng(0))
+    assert family.estimates() == []
+    assert family.space_words == 0
