@@ -260,7 +260,7 @@ _COMMANDS = {"wrap": (run_wrap, 1, 1, (608, 720)), "audit": (run_audit, 1000, 10
              "coverage": (run_coverage, 1000, 1, (0, 0)), "bench": (run_bench, 1, 1, (1186, 1186))}
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpb", description="Differentially private approximation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,7 +271,16 @@ def main(argv=None) -> int:
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--debug-trace", action="store_true", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once, at import: building the tree takes over ten times as long as parsing
+# a command line with it.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -106,12 +106,14 @@ class CcEstimateParams:
 
 
 def cc_exact(g) -> int:
-    """Exact number of connected components (full traversal, not counted)."""
+    """Exact number of connected components (an array labelling of the whole
+    graph, not counted)."""
     return len(connected_components_exact(_query_view(g).graph))
 
 
 def mst_weight_exact(g) -> int:
-    """Exact MST weight via Kruskal; raises ValueError when disconnected."""
+    """Exact MST weight (graphs.kruskal_mst_weight); raises ValueError when
+    disconnected."""
     return kruskal_mst_weight(_query_view(g).graph)
 
 
@@ -169,7 +171,9 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
 
     A start the view has already probed at this cap reuses its size (see
     QueryGraph), so runs that share a view pay only for the starts new to
-    it, and the counter reports the probes actually made. The rng draws the
+    it, and the counter reports the probes actually made. The memo is read
+    at the s drawn starts only; the new ones are listed, once each and in
+    increasing order, only when there are any. The rng draws the
     starts and nothing else, so the memo changes no output. The 1/c_i are
     added strictly left to right in draw order (np.add.accumulate), so the
     sum is the same float as a running `total += 1.0 / c` loop.
@@ -185,9 +189,10 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     if sizes is None:
         sizes = qg.sizes[cap] = np.zeros(n, dtype=np.int64)
     starts = rng.integers(0, n, size=params.sample_count)
-    drawn = np.flatnonzero(np.bincount(starts))
-    new = drawn[sizes[drawn] == 0].tolist()
-    sizes[new] = [_truncated_component_size(qg, u, cap) for u in new]
+    fresh = starts[sizes[starts] == 0]
+    if fresh.size:
+        new = np.flatnonzero(np.bincount(fresh)).tolist()
+        sizes[new] = [_truncated_component_size(qg, u, cap) for u in new]
     inv_sum = 0.0
     for lo in range(0, starts.size, _SUM_CHUNK):
         terms = 1.0 / sizes[starts[lo:lo + _SUM_CHUNK]]
@@ -229,8 +234,9 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     out-of-range weights. w = 1 forces weight n - 1 with no queries.
 
     Each level gets its own QueryGraph, so the replicas of one level share
-    one memo of probed starts. The connectivity precheck is a full O(n + m)
-    traversal of the graph that the query meter does not count.
+    one memo of probed starts. The connectivity precheck labels the
+    components of the whole graph (graphs.connected_components_exact), work
+    that the query meter does not count.
     """
     qg = _query_view(g)
     graph = qg.graph

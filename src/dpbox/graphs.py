@@ -17,6 +17,13 @@ a line-by-line reader.
 
 Graphs are immutable: they are built once, by the constructor or the parser,
 and neighboring datasets come from toggle_edge, which returns a new graph.
+
+The exact oracles are array kernels. _component_roots labels every vertex
+with the smallest vertex of its component by hooking and pointer jumping
+(Shiloach & Vishkin, J. Algorithms 1982) in O(log n) rounds of whole-array
+passes; connected_components_exact lists the components from those labels, and
+kruskal_mst_weight runs Boruvka rounds on the same kernel, which give the
+weight Kruskal gives.
 """
 
 from __future__ import annotations
@@ -93,12 +100,17 @@ def _canonical(n, max_weight, rows: np.ndarray):
     when an earlier edge joins the same pair, in either orientation."""
     u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    eu, ev = lo[order], hi[order]
+    # One int64 key per pair, from its ends clipped to [-1, n]: in-range pairs
+    # sort as (lo, hi) and share a key only with the same pair. An
+    # out-of-range pair may share one with another, but its range error is
+    # reported before its duplicate flag is read.
+    key = (np.clip(lo, -1, n) + 1) * (n + 2) + np.clip(hi, -1, n) + 1
+    order = np.argsort(key, kind="stable")
+    eu, ev, key = lo[order], hi[order], key[order]
     # The sort is stable, so within a run of equal pairs the first is the
     # earliest edge and the rest are its duplicates.
     duplicate = np.zeros(u.size, dtype=bool)
-    duplicate[order[1:][(eu[1:] == eu[:-1]) & (ev[1:] == ev[:-1])]] = True
+    duplicate[order[1:][key[1:] == key[:-1]]] = True
     bad = duplicate | (lo < 0) | (hi >= n) | (lo == hi) | (w < 1)
     bad |= w > (1 if max_weight is None else max_weight)
     if bad.any():
@@ -254,52 +266,81 @@ def save_graph(g: Graph, path):
         fh.write(format_graph(g))
 
 
+def _component_roots(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Label every vertex of the graph on 0..n-1 with edges (eu[i], ev[i]) by
+    the smallest vertex of its component (Shiloach & Vishkin's hooking and
+    pointer jumping, with every hook towards the smaller label).
+
+    Each round hooks every root onto the smallest root it shares an edge with
+    (np.minimum.at), then jumps pointers, parent = parent[parent], until every
+    vertex points at a root; edges inside one tree are dropped for good. Hooks
+    only lower labels, so no cycle forms and the smallest vertex of a
+    component stays its root. A root that neither hooks nor is hooked onto in
+    a round has only smaller roots beside it after that round, so it hooks in
+    the next: the roots of every unfinished component at least halve every two
+    rounds, at most about 2 log2 n rounds in all."""
+    parent = np.arange(n, dtype=np.int64)
+    ru, rv = eu, ev
+    while ru.size:
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        ru, rv = parent[eu], parent[ev]
+        cross = ru != rv
+        eu, ev, ru, rv = eu[cross], ev[cross], ru[cross], rv[cross]
+    return parent
+
+
 def connected_components_exact(g: Graph) -> List[List[int]]:
-    """All connected components as sorted vertex lists, by smallest member."""
-    indptr, indices = g._rows
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """All connected components as sorted vertex lists, by smallest member.
+    A stable argsort of the component labels lists each component's vertices
+    in increasing order and the components in the order of their labels."""
+    n = g.n
+    labels = _component_roots(n, g.eu, g.ev)
+    vertices = np.arange(n, dtype=np.int64)
+    # Sorting label * n + vertex is that argsort, in a fifth of the time.
+    members = (np.sort(labels * n + vertices) % max(n, 1)).tolist()
+    ends = np.cumsum(np.bincount(labels, minlength=n)[labels == vertices]).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def kruskal_mst_weight(g: Graph) -> int:
-    """Minimum spanning tree weight via Kruskal; raises if g is disconnected.
-    The canonical edges are already in (eu, ev) order, so a stable sort by
-    weight visits them in (weight, eu, ev) order."""
-    parent = list(range(g.n))
+    """Minimum spanning tree weight; raises if g is disconnected.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    Boruvka rounds on _component_roots: every component takes its lightest
+    outgoing edge, ties broken by canonical index, and the chosen edges merge
+    the components. Under that strict (weight, index) order the minimum
+    spanning forest is unique, so the sum, and the number of edges used, are
+    those of Kruskal visiting the edges in (weight, eu, ev) order. The
+    weights are summed as Python integers, which do not overflow."""
+    n = g.n
     order = np.argsort(g.ew, kind="stable")
+    eu, ev, ew = g.eu[order], g.ev[order], g.ew[order]
+    labels = np.arange(n, dtype=np.int64)
     total = 0
     used = 0
-    for u, v, w in zip(g.eu[order].tolist(), g.ev[order].tolist(), g.ew[order].tolist()):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            total += w
-            used += 1
-    if used != g.n - 1:
+    while True:
+        ru, rv = labels[eu], labels[ev]
+        cross = ru != rv
+        if not cross.any():
+            break
+        eu, ev, ew, ru, rv = eu[cross], ev[cross], ew[cross], ru[cross], rv[cross]
+        # An edge's place in the filtered columns ranks it by (weight, index).
+        place = np.arange(eu.size, dtype=np.int64)
+        lightest = np.full(n, eu.size, dtype=np.int64)
+        np.minimum.at(lightest, ru, place)
+        np.minimum.at(lightest, rv, place)
+        chosen = np.zeros(eu.size, dtype=bool)
+        chosen[lightest[lightest < eu.size]] = True
+        total += sum(ew[chosen].tolist())
+        used += int(np.count_nonzero(chosen))
+        labels = _component_roots(n, ru[chosen], rv[chosen])[labels]
+    if used != n - 1:
         raise ValueError(
-            f"graph is disconnected ({g.n - used} components), spanning tree undefined")
+            f"graph is disconnected ({n - used} components), spanning tree undefined")
     return total
 
 

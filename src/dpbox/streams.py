@@ -119,8 +119,12 @@ def _walk_pairs(n, insert: bool, updates) -> List[Tuple[int, int]]:
     error in update order, else return the pairs as ints."""
     cleaned = []
     for raw_item, raw_delta in updates:
-        item, delta = int(raw_item), int(raw_delta)
-        if item != raw_item or delta != raw_delta:
+        try:
+            item, delta = int(raw_item), int(raw_delta)
+            integral = item == raw_item and delta == raw_delta
+        except (TypeError, OverflowError):  # None, an infinity
+            integral = False
+        if not integral:
             raise ValueError(
                 f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
         error = _update_error(n, insert, item, delta)

@@ -397,3 +397,21 @@ def test_save_graph_round_trips_the_demo_files(tmp_path, path):
     save_graph(g, tmp_path / "g.graph")
     assert (tmp_path / "g.graph").read_text(encoding="utf-8") == format_graph(g)
     assert format_graph(load_graph(tmp_path / "g.graph")) == format_graph(g)
+
+
+# A vertex id of 18 digits passes the tokenizer and reaches the sort key of
+# the vectorised check; it must neither overflow the key nor collide with the
+# duplicate, whichever of the two comes first.
+@pytest.mark.parametrize("text,message", [
+    ("3 3\n0 1\n1 0\n123456789012345678 1\n", "duplicate edge (0, 1)"),
+    ("3 3\n0 1\n123456789012345678 1\n1 0\n", "edge (123456789012345678,1) out of range for n=3"),
+    ("3 3 2\n2 1 1\n1 2 2\n999999999999999999 999999999999999998 1\n", "duplicate edge (1, 2)"),
+    ("3 3 2\n999999999999999999 999999999999999998 1\n2 1 1\n1 2 2\n",
+     "edge (999999999999999999,999999999999999998) out of range for n=3"),
+    ("3 4\n-123456789012345678 2\n-123456789012345678 2\n0 1\n1 0\n",
+     "edge (-123456789012345678,2) out of range for n=3"),
+    ("3 3\n0 2\n2 0\n-123456789012345678 -123456789012345678\n", "duplicate edge (0, 2)"),
+])
+def test_a_duplicate_and_an_18_digit_vertex_report_the_first_error(text, message):
+    assert _outcome(parse_graph, text) == ("error", message)
+    assert _outcome(reference_parse, text) == ("error", message)

@@ -196,6 +196,8 @@ _MALFORMED_PAIRS = [
     (3, np.array([[0, 1], [7, 1]]), "insert", "item 7 outside universe [0, 3)"),
     (3, np.array([[2 ** 63, 1]], dtype=np.uint64), "insert",
      "item 9223372036854775808 outside universe [0, 3)"),
+    (5, [(None, 1)], "turnstile", "update must be a pair of integers, got (None, 1)"),
+    (5, [(1, math.inf)], "turnstile", "update must be a pair of integers, got (1, inf)"),
 ]
 
 
