@@ -7,9 +7,10 @@ Commands: wrap (run a wrapped mechanism, emit CSV), audit (empirical epsilon
 report, JSON), coverage (Monte-Carlo check of the route's accuracy_interval,
 JSON), bench (resource counters and budget assertions, JSON). Configuration
 is a JSON object; command-line flags override config keys of the same
-meaning. Unknown keys, non-string names and paths, and bad counts ("trials"
->= 1, >= 1000 for audit; 2 <= "bins" <= trials; "seed" >= 0; all JSON
-integers) exit 2 before any file is read, as does a "trials" whose outputs
+meaning. Unknown keys, non-string names and paths, a "debug_trace" other
+than true or false, and bad counts ("trials" >= 1, >= 1000 for audit; 2 <=
+"bins" <= trials; "seed" >= 0; all JSON integers) exit 2 before any file is
+read, as does a "trials" whose outputs
 would pass the 1 GiB cap while wrap, audit or bench hold them (see
 _COMMANDS). Both "input" and "input_prime" are read by
 substrates.load_dataset.
@@ -78,6 +79,8 @@ def _apply_preset(config) -> dict:
             raise CliError(f"{key!r} is not a config key; known: {', '.join(sorted(_KEYS))}")
         if key in _TEXT_KEYS and not isinstance(value, str):
             raise CliError(f"{key!r} must be a string, got {value!r}")
+        if key == "debug_trace" and not isinstance(value, bool):
+            raise CliError(f"{key!r} must be true or false, got {value!r}")
     name = config.get("preset")
     if name is not None and name not in _STATIC_PRESETS:
         raise CliError(f"unknown preset {name!r}; known: {', '.join(sorted(_STATIC_PRESETS))}")
@@ -170,7 +173,7 @@ def _emit(text: str, out_path):
 
 def run_wrap(config: dict, trials: int, seed: int) -> int:
     run = _build_run(config)
-    debug = bool(config.get("debug_trace", False))
+    debug = config.get("debug_trace", False)
     rows = ["trial,substrate_value,output,noise_scale,rho,tau" if debug
             else "trial,output"]
     for chunk in run.trials(run.dataset, trials, seed):
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
         config.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
         run, default_trials, least_trials, held = _COMMANDS[args.command]
         trials = _count(config, "trials", default_trials, least_trials)
-        _check_bytes(trials * held[bool(config.get("debug_trace"))], f"'trials' = {trials}",
+        _check_bytes(trials * held[config.get("debug_trace", False)], f"'trials' = {trials}",
                      f"{args.command} outputs")
         return run(config, trials, _count(config, "seed", 0, 0))
     except (CliError, ValueError) as exc:

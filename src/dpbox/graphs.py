@@ -9,11 +9,16 @@ byte-identically.
 
 A Graph is a set of read-only int64 arrays: the canonical edge list eu < ev
 with weights ew, sorted by (eu, ev), and the same edges in compressed sparse
-row form, indptr/indices, with each row sorted. One vectorised check
-validates every edge. parse_graph reads the edge lines with the byte-level
-tokenizer of the streams module; only a file the tokenizer refuses is walked
-line by line, so that the first error reported and its message are those of
-a line-by-line reader.
+row form, indptr/indices, with each row sorted. One vectorised check,
+_canonical, validates every edge, and nothing else checks edge rules but
+toggle_edge's one added edge. The rows are read first and then checked, as
+the streams module docstring describes: parse_graph reads the edge lines
+with the byte-level tokenizer of the streams module, and only a file the
+tokenizer refuses is walked line by line, up to the first line the walker
+cannot read; the constructor reads each (u, v, weight) row with
+operator.index. The check runs on the rows read, and only then is the read
+error raised, so the first error reported and its message are those of a
+line-by-line reader that checks each edge as it reads it.
 
 Graphs are immutable: they are built once, by the constructor or the parser,
 and neighboring datasets come from toggle_edge, which returns a new graph.
@@ -34,8 +39,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .streams import (_INT64_MAX, _body_lines, _check_bytes, _frozen, _int_rows, _split_header,
-                      _walk_lines)
+from .streams import (_INT64_MAX, _body_lines, _check_bytes, _frozen, _int_rows, _read_table,
+                      _split_header, _walk_lines)
 
 __all__ = [
     "Graph",
@@ -76,28 +81,20 @@ def _edge_error(n, max_weight, u: int, v: int, w: int, duplicate: bool) -> Optio
     return None
 
 
-def _walk_edges(n, max_weight, rows: Iterable[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
-    """The edge-by-edge check, for the constructor and for files the
-    vectorised parse rejected: raise the first edge's error, else return the
-    edges as ints."""
-    seen = set()
-    edges = []
-    for row in rows:
-        u, v, w = map(operator.index, row)
-        key = (u, v) if u < v else (v, u)
-        error = _edge_error(n, max_weight, u, v, w, key in seen)
-        if error:
-            raise ValueError(error)
-        seen.add(key)
-        edges.append((u, v, w))
-    return edges
+def _int_edge(row) -> Tuple[int, int, int]:
+    """The constructor's reader of one (u, v, weight) row: three ints, or the
+    TypeError of a value that is not an integer (1.5, None, "1")."""
+    u, v, w = row
+    return operator.index(u), operator.index(v), operator.index(w)
 
 
 def _canonical(n, max_weight, rows: np.ndarray):
-    """Validate (m, 3) int64 rows (u, v, weight) in input order and return the
-    canonical columns (eu, ev, ew), sorted by (eu, ev) with eu < ev. Raises
-    the error of the first edge that breaks a rule; an edge is a duplicate
-    when an earlier edge joins the same pair, in either orientation."""
+    """Validate (m, 3) rows (u, v, weight) in input order, int64 or (from
+    _read_table) an object array of Python ints, and return the canonical
+    int64 columns (eu, ev, ew), sorted by (eu, ev) with eu < ev. Raises the
+    error of the first edge that breaks a rule; an edge is a duplicate when
+    an earlier edge joins the same pair, in either orientation. An object
+    table never passes: it holds a value beyond int64, which no rule admits."""
     u, v, w = rows[:, 0], rows[:, 1], rows[:, 2]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     # One int64 key per pair, from its ends clipped to [-1, n]: in-range pairs
@@ -112,7 +109,8 @@ def _canonical(n, max_weight, rows: np.ndarray):
     duplicate = np.zeros(u.size, dtype=bool)
     duplicate[order[1:][key[1:] == key[:-1]]] = True
     bad = duplicate | (lo < 0) | (hi >= n) | (lo == hi) | (w < 1)
-    bad |= w > (1 if max_weight is None else max_weight)
+    # A weight beyond int64 breaks the bound even under a larger declared one.
+    bad |= w > (1 if max_weight is None else min(max_weight, _INT64_MAX))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(_edge_error(n, max_weight, int(u[i]), int(v[i]), int(w[i]),
@@ -134,17 +132,25 @@ class Graph:
     object stands for one fixed dataset and may key a memo by identity.
     neighbors() returns a new list. max_weight is the declared weight bound w; unweighted graphs
     have max_weight None and all edges carry weight 1, so any other weight is refused.
+
+    The edges are read first, up to the first row that cannot be read (a
+    ragged pair, a float vertex, a missing weight); _canonical checks the
+    rows read, and that read error (TypeError, KeyError, ValueError) is
+    raised only when they pass. A lazy edges iterable is read to its first
+    unreadable row, or to its end, before any rule is checked.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = (),
                  weights: Optional[Dict[Tuple[int, int], int]] = None,
                  max_weight: Optional[int] = None):
         _check_size(n, max_weight)
-        rows = _walk_edges(n, max_weight, (
-            (u, v, 1 if weights is None else weights[(u, v) if u < v else (v, u)])
-            for u, v in edges))
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        self._assemble(n, max_weight, *_canonical(n, max_weight, rows))
+        rows, error = _read_table(
+            ((u, v, 1 if weights is None else weights[(u, v) if u < v else (v, u)])
+             for u, v in edges), _int_edge, 3)
+        columns = _canonical(n, max_weight, rows)
+        if error is not None:
+            raise error
+        self._assemble(n, max_weight, *columns)
 
     @classmethod
     def _from_canonical(cls, n, max_weight, eu, ev, ew) -> "Graph":
@@ -229,22 +235,23 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"header must be 'n m' or 'n m w', got {header.strip()!r}")
     n, m = int(fields[0]), int(fields[1])
     max_weight = int(fields[2]) if len(fields) == 3 else None
-    weighted = max_weight is not None
-    rows = _int_rows(body, 3 if weighted else 2, m)
+    width = 2 if max_weight is None else 3
+    rows, error = _int_rows(body, width, m), None
     lines = None if rows is not None else _body_lines(body, m, "edges")
     _check_size(n, max_weight)
     if rows is None:
-        # Some line or token was refused: the walk raises the first error a
-        # line-by-line reader meets, checking each edge as its line is read.
-        if weighted:
-            edges = _walk_lines(lines, 3, "weighted edge line must be 'u v weight'")
-        else:
-            pairs = _walk_lines(lines, 2, "unweighted edge line must be 'u v'")
-            edges = ((u, v, 1) for u, v in pairs)
-        rows = np.array(_walk_edges(n, max_weight, edges), dtype=np.int64).reshape(-1, 3)
-    elif not weighted:
-        rows = np.column_stack((rows, np.ones(m, dtype=np.int64)))
-    return Graph._from_canonical(n, max_weight, *_canonical(n, max_weight, rows))
+        # Some line or token was refused: the walker reads the lines up to the
+        # first one it cannot read, and the check runs on those rows before
+        # that line's error is raised, as a line-by-line reader would report.
+        arity = ("unweighted edge line must be 'u v'" if max_weight is None
+                 else "weighted edge line must be 'u v weight'")
+        rows, error = _read_table(_walk_lines(lines, width, arity), tuple, width)
+    if max_weight is None:
+        rows = np.column_stack((rows, np.ones(len(rows), dtype=rows.dtype)))
+    columns = _canonical(n, max_weight, rows)
+    if error is not None:
+        raise error
+    return Graph._from_canonical(n, max_weight, *columns)
 
 
 def format_graph(g: Graph) -> str:

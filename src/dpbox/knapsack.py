@@ -4,7 +4,10 @@ knapsack_fptas is the deterministic tunable substrate for the Cauchy route:
 for any alpha in (0, 1) it returns a feasible selection's total value inside
 [(1-alpha)*OPT, OPT] in time polynomial in (n, 1/alpha), and alpha = 0 runs
 the exact value-axis DP (integer values required). Instances live in a small
-text format: a header "n B" followed by n lines "size value".
+text format: a header "n B" followed by n lines "size value", read by the
+line walker the stream and graph formats share, with int sizes and float
+values; the first line that cannot be read raises, and KnapsackInstance
+checks the items once all are read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .streams import _body_lines, _check_bytes, _split_header
+from .streams import _body_lines, _check_bytes, _split_header, _walk_lines
 
 __all__ = [
     "KnapsackInstance",
@@ -71,14 +74,10 @@ def parse_knapsack(text: str) -> KnapsackInstance:
     if len(fields) != 2:
         raise ValueError(f"header must be 'n B', got {header.strip()!r}")
     n, capacity = int(fields[0]), int(fields[1])
-    sizes, values = [], []
-    for line in _body_lines(body, n, "items"):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"item line must be 'size value', got {line.strip()!r}")
-        sizes.append(int(parts[0]))
-        values.append(float(parts[1]))
-    return KnapsackInstance(capacity=capacity, sizes=sizes, values=values)
+    items = list(_walk_lines(_body_lines(body, n, "items"), 2, "item line must be 'size value'",
+                             (int, float)))
+    return KnapsackInstance(capacity=capacity, sizes=[size for size, _ in items],
+                            values=[value for _, value in items])
 
 
 def format_knapsack(inst: KnapsackInstance) -> str:

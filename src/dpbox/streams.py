@@ -8,8 +8,20 @@ the final frequency vector by at most 2 in L1 (hence distinct count and L2
 each move by at most 2).
 
 An UpdateStream holds its updates as two read-only int64 arrays, `items` and
-`deltas`, checked once at construction by one vectorised validation (item
-range and the delta rule of the mode). Consumers read the arrays directly.
+`deltas`, checked once at construction by one vectorised validation,
+_check_columns (item range and the delta rule of the mode). Consumers read
+the arrays directly.
+
+Every dataset row, of a stream or of a graph, from a file or from Python, is
+read before it is checked, and checked only by its dataset's vectorised
+check. The readers (_int_rows, the line walker, _int_pair and the graph
+constructor's graphs._int_edge) only read. _read_table applies a reader to
+each row and stops at the first row whose read raises; the check runs on the
+rows read before it, and only then is that read error raised, so the first
+error reported is the first in row order. A lazy iterable of updates or
+edges is therefore read up to its first unreadable row, or to its end,
+before any rule is checked: an endless generator whose early row breaks a
+rule does not raise at that row.
 
 File format: header "n m mode" with mode in {insert, turnstile}, then m
 lines "item delta". '#' starts a comment and blank lines are skipped.
@@ -25,10 +37,13 @@ followed by a digit; a token has more than 18 characters; a line that holds
 any token does not hold exactly the row's width (a carriage return ends a
 line as a line feed does); m < 1 or the lines holding tokens are not m; or
 the values converted are not as many as the tokens. The walker reads line
-by line, so the first error reported and its message are those of a
-line-by-line reader. The graph and knapsack readers share the header split,
-and the graph, knapsack and sketch modules the 1 GiB allocation cap,
-_check_bytes.
+by line and raises at the first line it cannot read. parse_stream reads
+every line before it builds the stream, so a line it cannot read is
+reported before an earlier update that breaks a rule; parse_graph checks the
+edges read before that line first, as a line-by-line reader that checks each
+edge would. The knapsack reader walks every file with the same walker (an
+int size and a float value a line), and shares the header split; the graph,
+knapsack and sketch modules share the 1 GiB allocation cap, _check_bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,18 +100,23 @@ def _update_error(n, insert: bool, item: int, delta: int) -> Optional[str]:
 
 
 def _check_columns(n, insert: bool, items: np.ndarray, deltas: np.ndarray):
-    """The one validation of int64 update columns: raise the error of the
-    first update that breaks the range or delta rule."""
+    """The one validation of update columns, int64 or (from _read_table) an
+    object array of Python ints: raise the error of the first update that
+    breaks the range or delta rule. An item in the universe but beyond int64
+    breaks the range [0, min(n, 2^63)) too, with its own message."""
     if items.size == 0:
         return
+    bound = min(n, _INT64_MAX + 1)
     bad = deltas != 1 if insert else np.abs(deltas) != 1
-    out_of_range = int(items.min()) < 0 or int(items.max()) >= n
+    out_of_range = int(items.min()) < 0 or int(items.max()) >= bound
     if not out_of_range and not bad.any():
         return
     if out_of_range:
-        bad |= (items < 0) | (items >= n)
+        bad |= (items < 0) | (items >= bound)
     i = int(np.argmax(bad))
-    raise ValueError(_update_error(n, insert, int(items[i]), int(deltas[i])))
+    item, delta = int(items[i]), int(deltas[i])
+    raise ValueError(_update_error(n, insert, item, delta)
+                     or f"item {item} does not fit in a 64-bit integer")
 
 
 def _int_pairs(updates) -> Optional[np.ndarray]:
@@ -113,27 +133,39 @@ def _int_pairs(updates) -> Optional[np.ndarray]:
     return arr.astype(np.int64, copy=False)
 
 
-def _walk_pairs(n, insert: bool, updates) -> List[Tuple[int, int]]:
-    """The per-pair reader for updates numpy does not type as signed integer
-    pairs (floats, strings, ints beyond int64, ragged pairs): raise the first
-    error in update order, else return the pairs as ints."""
-    cleaned = []
-    for raw_item, raw_delta in updates:
-        try:
-            item, delta = int(raw_item), int(raw_delta)
-            integral = item == raw_item and delta == raw_delta
-        except (TypeError, OverflowError):  # None, an infinity
-            integral = False
-        if not integral:
-            raise ValueError(
-                f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
-        error = _update_error(n, insert, item, delta)
-        if error:
-            raise ValueError(error)
-        if item > _INT64_MAX:
-            raise ValueError(f"item {item} does not fit in a 64-bit integer")
-        cleaned.append((item, delta))
-    return cleaned
+def _int_pair(pair) -> Tuple[int, int]:
+    """The reader of one update numpy does not type (floats, strings, ints
+    beyond int64, ragged pairs): the pair as two ints, raising when it is not
+    a pair of integer values. It checks no stream rule."""
+    raw_item, raw_delta = pair
+    try:
+        item, delta = int(raw_item), int(raw_delta)
+        integral = item == raw_item and delta == raw_delta
+    except (TypeError, OverflowError):  # None, an infinity
+        integral = False
+    if not integral:
+        raise ValueError(f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+    return item, delta
+
+
+def _read_table(rows: Iterable, read: Callable, width: int):
+    """(table, error): read applied to each of rows, stopping at the first
+    row whose read (or whose iteration) raises. table holds the rows read
+    before it as an (m, width) int64 array, or as an object array of Python
+    ints when a value does not fit in int64; error is the exception raised,
+    or None. The caller checks the table and only then raises error, so the
+    first error reported is the first in row order."""
+    table, error = [], None
+    try:
+        for row in rows:
+            table.append(read(row))
+    except Exception as exc:  # raised again by the caller, after its check
+        error = exc
+    try:
+        array = np.array(table, dtype=np.int64)
+    except OverflowError:
+        array = np.array(table, dtype=object)
+    return array.reshape(-1, width), error
 
 
 def _frozen(column: np.ndarray) -> np.ndarray:
@@ -145,11 +177,16 @@ def _frozen(column: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UpdateStream:
-    """An immutable stream, built from (item, delta) pairs: any sequence of
+    """An immutable stream, built from (item, delta) pairs: any iterable of
     pairs, or an (m, 2) integer array. It keeps them as two read-only int64
-    arrays, items and deltas. A value that is not an integer (2.5, 1.9) is a
-    ValueError, not truncated. Equality and hashing are by identity, as for
-    Graph, so one stream object stands for one dataset."""
+    arrays, items and deltas. Pairs that numpy does not type as integer
+    pairs are read one by one first, up to the first that is not a pair of
+    integers: a value that is not an integer (2.5, 1.9) is a ValueError, not
+    truncated. _check_columns then checks the pairs read, and that read
+    error is raised only when they pass; a lazy iterable is read to its
+    first unreadable pair, or to its end, before any rule is checked.
+    Equality and hashing are by identity, as for Graph, so one stream object
+    stands for one dataset."""
 
     universe_size: int
     updates: InitVar[Iterable[Tuple[int, int]]]
@@ -162,14 +199,14 @@ class UpdateStream:
             raise ValueError(f"universe_size must be >= 1, got {self.universe_size!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        n, insert = self.universe_size, self.mode == "insert"
-        pairs = _int_pairs(updates)
+        pairs, error = _int_pairs(updates), None
         if pairs is None:
-            pairs = np.array(_walk_pairs(n, insert, updates), dtype=np.int64).reshape(-1, 2)
-        items, deltas = _frozen(pairs[:, 0]), _frozen(pairs[:, 1])
-        _check_columns(n, insert, items, deltas)
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "deltas", deltas)
+            pairs, error = _read_table(updates, _int_pair, 2)
+        _check_columns(self.universe_size, self.mode == "insert", pairs[:, 0], pairs[:, 1])
+        if error is not None:
+            raise error
+        object.__setattr__(self, "items", _frozen(pairs[:, 0]))
+        object.__setattr__(self, "deltas", _frozen(pairs[:, 1]))
 
     @property
     def length(self) -> int:
@@ -238,15 +275,19 @@ def _int_rows(body: str, width: int, m: int) -> Optional[np.ndarray]:
     return values.reshape(m, width) if values.size == starts.size else None
 
 
-def _walk_lines(body: List[str], width: int, arity: str) -> Iterator[Tuple[int, ...]]:
-    """The line-by-line reader, run only on a file _int_rows rejected: yield
-    each line's width integers, raising the first line's error when it is
-    reached; a line without width tokens gets "<arity>, got <line>"."""
+def _walk_lines(body: List[str], width: int, arity: str,
+                types: Optional[Tuple[Callable, ...]] = None) -> Iterator[tuple]:
+    """The line-by-line reader of the stream, graph and knapsack formats, run
+    on stream and graph files only when _int_rows rejected them: yield each
+    line's width values, converted by types (None: int for every column),
+    raising the first line's error when it is reached; a line without width
+    tokens gets "<arity>, got <line>"."""
+    types = types or (int,) * width
     for line in body:
         parts = line.split()
         if len(parts) != width:
             raise ValueError(f"{arity}, got {line.strip()!r}")
-        yield tuple(map(int, parts))
+        yield tuple(convert(part) for convert, part in zip(types, parts))
 
 
 def parse_stream(text: str) -> UpdateStream:

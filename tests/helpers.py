@@ -103,3 +103,11 @@ def zipf_stream(universe: int, m: int, rng, a: float = 1.3) -> UpdateStream:
     items = rng.choice(universe, size=m, p=probs)
     return UpdateStream(universe_size=universe,
                         updates=[(int(it), 1) for it in items], mode="insert")
+
+
+def mostly(common, rare, odds: int):
+    """A hypothesis strategy that draws from common, and from rare about once
+    in odds draws."""
+    from hypothesis import strategies as st
+
+    return st.integers(1, odds).flatmap(lambda k: rare if k == odds else common)

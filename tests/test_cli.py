@@ -670,3 +670,22 @@ def test_coverage_memory_does_not_grow_with_trials(tmp_path):
 def test_a_tuned_rho_of_1_or_more_exits_2_naming_rho(tmp_path, capsys, payload, message):
     assert main(["wrap", "--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_a_non_boolean_debug_trace_exits_2_before_any_file_is_read(tmp_path, capsys, value):
+    # bool("false") is True, so such a config used to print the
+    # non-releasable substrate_value column next to the release.
+    message = f"dpb: 'debug_trace' must be true or false, got {value!r}\n"
+    for path in ("data/demo_cc.graph", str(tmp_path / "absent.graph")):
+        cfg = write_config(tmp_path, {"substrate": "cc_exact", "input": path, "epsilon": 1.0,
+                                      "debug_trace": value})
+        assert main(["wrap", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+def test_debug_trace_false_prints_the_release_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"substrate": "cc_exact", "input": "data/demo_cc.graph",
+                                  "epsilon": 1.0, "debug_trace": False, "trials": 2})
+    assert main(["wrap", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "trial,output"

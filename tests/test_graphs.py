@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import networkx as nx
 import numpy as np
@@ -10,7 +11,7 @@ from dpbox.graphs import (Graph, connected_components_exact, format_graph,
                           kruskal_mst_weight, load_graph, parse_graph, save_graph,
                           toggle_edge)
 from dpbox.noise import make_rng
-from helpers import random_connected_graph, random_graph
+from helpers import mostly, random_connected_graph, random_graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -415,3 +416,86 @@ def test_save_graph_round_trips_the_demo_files(tmp_path, path):
 def test_a_duplicate_and_an_18_digit_vertex_report_the_first_error(text, message):
     assert _outcome(parse_graph, text) == ("error", message)
     assert _outcome(reference_parse, text) == ("error", message)
+
+
+# ------------------------------------ the constructor against its old walk
+
+def _reference_constructor(n, edges, weights, max_weight):
+    """Reference copy of the constructor whose Python walk checked each edge
+    as it was read, before the vectorised check ran again: the canonical
+    (eu, ev, ew) columns, or the first error it meets."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n!r}")
+    if max_weight is not None and max_weight < 1:
+        raise ValueError(f"max_weight must be >= 1, got {max_weight!r}")
+    seen, kept = set(), []
+    for u, v in edges:
+        row = (u, v, 1 if weights is None else weights[(u, v) if u < v else (v, u)])
+        u, v, w = map(operator.index, row)
+        key = (u, v) if u < v else (v, u)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} not allowed")
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        if w < 1:
+            raise ValueError(f"edge weight must be a positive integer, got {w!r}")
+        if max_weight is None and w != 1:
+            raise ValueError(f"edges of an unweighted graph weigh 1, got {w!r}")
+        if max_weight is not None and w > max_weight:
+            raise ValueError(f"edge weight {w} exceeds declared bound {max_weight}")
+        if w > 2 ** 63 - 1:
+            raise ValueError(f"edge weight {w} does not fit in a 64-bit integer")
+        seen.add(key)
+        kept.append((*key, w))
+    return sorted(kept)
+
+
+def _constructor_outcome(build, *args):
+    try:
+        result = build(*args)
+    except Exception as exc:  # the type and text are compared
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Graph):
+        assert result.eu.dtype == result.ev.dtype == result.ew.dtype == np.int64
+        result = result.edge_items()
+    return "ok", result
+
+
+_ODD_VALUES = st.sampled_from([True, False, 1.5, 2.0, "1", None, 2 ** 63, -2 ** 63,
+                               -2 ** 63 - 1, 2 ** 63 - 1, 10 ** 20])
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_constructor_matches_the_old_edge_walk(data):
+    # Exception type and text, or the canonical edges, on a mix of ints,
+    # bools, floats, strings, None, values beyond int64, missing weights,
+    # ragged rows and duplicates in both orientations.
+    n = data.draw(st.sampled_from([-1, 0] + [1, 2, 3, 4, 5] * 3))
+    max_weight = data.draw(st.sampled_from([None] * 4 + [0, 1, 3, 3, 2 ** 70, 2 ** 70]))
+    vertex = mostly(st.integers(0, max(n - 1, 0)), st.one_of(st.integers(-1, n + 1), _ODD_VALUES),
+                    12)
+    edges = []
+    for _ in range(data.draw(st.integers(0, 7))):
+        kind = data.draw(st.integers(0, 19))
+        if kind == 0:
+            edges.append(tuple(data.draw(st.lists(vertex, min_size=1, max_size=3))))
+        elif kind < 3 and edges and len(edges[-1]) == 2:
+            edges.append(edges[-1][::-1])
+        else:
+            edges.append((data.draw(vertex), data.draw(vertex)))
+    weights = None
+    if data.draw(st.booleans()):
+        weight = mostly(st.integers(1, 3), st.one_of(st.integers(-1, 5), _ODD_VALUES), 12)
+        weights = {}
+        for edge in edges:
+            if len(edge) == 2 and data.draw(st.integers(0, 19)) > 0:
+                try:
+                    key = edge if edge[0] < edge[1] else edge[::-1]
+                except TypeError:
+                    continue
+                weights[key] = data.draw(weight)
+    assert (_constructor_outcome(Graph, n, edges, weights, max_weight)
+            == _constructor_outcome(_reference_constructor, n, edges, weights, max_weight))

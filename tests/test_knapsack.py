@@ -6,7 +6,8 @@ from dpbox.knapsack import (KnapsackInstance, format_knapsack, knapsack_exact,
                             knapsack_fptas, load_knapsack, parse_knapsack,
                             save_knapsack)
 from dpbox.noise import make_rng
-from helpers import brute_force_knapsack, random_knapsack
+from dpbox.streams import _body_lines, _split_header
+from helpers import brute_force_knapsack, mostly, random_knapsack
 
 
 def test_instance_validation():
@@ -165,3 +166,48 @@ def test_save_knapsack_round_trips_the_demo_file(tmp_path):
     save_knapsack(inst, tmp_path / "k.txt")
     assert (tmp_path / "k.txt").read_text(encoding="utf-8") == format_knapsack(inst)
     assert format_knapsack(load_knapsack(tmp_path / "k.txt")) == format_knapsack(inst)
+
+
+def _reference_parse(text):
+    """Reference copy of parse_knapsack's own line loop, before it shared the
+    stream and graph line walker."""
+    header, body = _split_header(text, "empty knapsack file")
+    fields = header.split()
+    if len(fields) != 2:
+        raise ValueError(f"header must be 'n B', got {header.strip()!r}")
+    n, capacity = int(fields[0]), int(fields[1])
+    sizes, values = [], []
+    for line in _body_lines(body, n, "items"):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"item line must be 'size value', got {line.strip()!r}")
+        sizes.append(int(parts[0]))
+        values.append(float(parts[1]))
+    return KnapsackInstance(capacity=capacity, sizes=sizes, values=values)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and text are compared
+        return type(exc).__name__, str(exc)
+
+
+_KNAPSACK_TOKENS = mostly(st.integers(1, 30).map(str), st.one_of(
+    st.integers(-1, 0).map(str), st.sampled_from(["2.5", "x", "1e3", "nan", "inf", "-0", "0x1",
+                                                  "+4", "1_0", "\u0663", "99999999999999999999"])),
+    8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(capacity=_KNAPSACK_TOKENS,
+       rows=st.lists(mostly(st.lists(_KNAPSACK_TOKENS, min_size=2, max_size=2),
+                            st.lists(_KNAPSACK_TOKENS, min_size=1, max_size=3), 8), max_size=6),
+       extra=st.sampled_from([0] * 18 + [-1, 1]),
+       comment=st.sampled_from(["", "", " # note", "#"]))
+def test_parse_matches_the_old_line_loop_on_malformed_lines(capacity, rows, extra, comment):
+    # Exception type and text, or the instance, where lines have the wrong
+    # arity, a size that is not an integer or a value that is not a number.
+    text = (f"{len(rows) + extra} {capacity}\n"
+            + "".join(" ".join(row) + comment + "\n" for row in rows))
+    assert _parse_outcome(parse_knapsack, text) == _parse_outcome(_reference_parse, text)

@@ -12,7 +12,7 @@ from dpbox.streams import (UpdateStream, _body_lines, _check_bytes, _int_rows, _
                            exact_distinct, exact_f2, exact_frequencies, exact_l2,
                            format_stream, load_stream, parse_stream, save_stream,
                            stream_neighbor)
-from helpers import random_graph, random_stream
+from helpers import mostly, random_graph, random_stream
 
 
 def test_stream_validation():
@@ -554,3 +554,71 @@ def test_save_stream_round_trips_the_demo_files(tmp_path, path):
     again = load_stream(tmp_path / "s.txt")
     assert (again.universe_size, again.mode) == (s.universe_size, s.mode)
     assert np.array_equal(again.items, s.items) and np.array_equal(again.deltas, s.deltas)
+
+
+# --------------------------------- the constructor against its old walk
+
+def _reference_constructor(n, updates, mode):
+    """Reference copy of the constructor whose Python walk checked each pair
+    as it was read (and numpy-typed pairs by one array check): the
+    (items, deltas) lists, or the first error it meets."""
+    if n < 1:
+        raise ValueError(f"universe_size must be >= 1, got {n!r}")
+    insert = mode == "insert"
+    pairs = streams._int_pairs(updates)
+    if pairs is None:
+        cleaned = []
+        for raw_item, raw_delta in updates:
+            try:
+                item, delta = int(raw_item), int(raw_delta)
+                integral = item == raw_item and delta == raw_delta
+            except (TypeError, OverflowError):
+                integral = False
+            if not integral:
+                raise ValueError(
+                    f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+            error = streams._update_error(n, insert, item, delta)
+            if error:
+                raise ValueError(error)
+            if item > 2 ** 63 - 1:
+                raise ValueError(f"item {item} does not fit in a 64-bit integer")
+            cleaned.append((item, delta))
+        pairs = np.array(cleaned, dtype=np.int64).reshape(-1, 2)
+    for item, delta in pairs.tolist():
+        error = streams._update_error(n, insert, item, delta)
+        if error:
+            raise ValueError(error)
+    return pairs[:, 0].tolist(), pairs[:, 1].tolist()
+
+
+def _stream_outcome(build, *args):
+    try:
+        result = build(*args)
+    except Exception as exc:  # the type and text are compared
+        return type(exc).__name__, str(exc)
+    if isinstance(result, UpdateStream):
+        assert result.items.dtype == result.deltas.dtype == np.int64
+        result = result.items.tolist(), result.deltas.tolist()
+    return "ok", result
+
+
+_ODD_PAIR_VALUES = st.sampled_from(
+    [2 ** 63, 2 ** 63 - 1, -2 ** 63, -2 ** 63 - 1, 2 ** 64, 10 ** 20, 2 ** 70, 2.5, 3.0, "1",
+     True, None, math.inf, math.nan])
+
+
+_PAIR_ITEMS = mostly(st.integers(0, 4), st.one_of(st.integers(-2, 6), _ODD_PAIR_VALUES), 8)
+_PAIR_DELTAS = mostly(st.sampled_from([1, -1]),
+                       st.one_of(st.integers(-2, 3), _ODD_PAIR_VALUES), 8)
+_PAIRS = mostly(st.tuples(_PAIR_ITEMS, _PAIR_DELTAS),
+                 st.lists(_PAIR_ITEMS, max_size=3).map(tuple), 25)
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.sampled_from([2 ** 70, 2 ** 70, 2 ** 70, 2 ** 63, 5]),
+       mode=st.sampled_from(("insert", "turnstile")), updates=st.lists(_PAIRS, max_size=6))
+def test_constructor_matches_the_old_pair_walk_in_a_huge_universe(n, mode, updates):
+    # Exception type and text, or the arrays, on ragged pairs and on values
+    # beyond int64 in a universe of up to 2^70 items.
+    assert (_stream_outcome(UpdateStream, n, updates, mode)
+            == _stream_outcome(_reference_constructor, n, updates, mode))
