@@ -17,6 +17,7 @@ calibration and testing.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +48,13 @@ class QueryGraph:
     counter, in bulk, what those probes would cost. The counter persists
     across calls so a trial harness can difference it around a run.
 
-    A view also remembers the truncated-BFS size of every (start, cap) pair
-    cc_estimate has probed through it, in sizes[cap][start], an int64 array
-    over the vertices that holds 0 for a start not yet probed. Graphs are
-    immutable and the size is min(|component(start)|, cap), so a view probes
-    each pair once, however many cc_estimate runs share it, and the counter
-    holds the probes actually made.
+    A view also remembers the truncated-BFS sizes cc_estimate finds through
+    it: sizes[cap] is an int64 array over the vertices that holds
+    min(|component(v)|, cap) at every vertex v that a BFS truncated at cap
+    has discovered, and 0 at the rest. The size belongs to the component,
+    not to the start, and graphs are immutable, so one BFS sizes every vertex
+    it discovers, a sized start costs no query however many cc_estimate runs
+    share the view, and the counter holds the probes actually made.
     """
 
     def __init__(self, graph: Graph):
@@ -117,42 +119,76 @@ def mst_weight_exact(g) -> int:
     return kruskal_mst_weight(_query_view(g).graph)
 
 
-def _truncated_component_size(qg: QueryGraph, start: int, cap: int) -> int:
-    """Discovered-vertex count of BFS from start, truncated at cap.
+def _size_components(qg: QueryGraph, starts, cap: int, memo) -> None:
+    """Size the component of every start in starts that memo does not size
+    yet, by BFS truncated at cap, and write min(|C(v)|, cap) to memo[v] for
+    every vertex v each BFS discovers. memo reads 0 at an unsized vertex: a
+    memoryview of a view's sizes[cap] (see QueryGraph), or a defaultdict.
 
-    The scan costs qg what probing each vertex's degree(u) and then
-    neighbor(u, 0), neighbor(u, 1), ... would: one query per degree and one
-    per neighbour read, added in bulk. It stops dead the moment cap vertices
-    are discovered, so a single BFS costs at most cap^2 + cap - 1 queries:
+    A BFS that stops below cap saw its whole component, so every vertex it
+    saw gets len(seen); one that reaches cap proves |C| >= cap, so each gets
+    cap. A BFS also stops at the first vertex it discovers that memo sizes,
+    and gives that vertex's size, that of the same component, to every
+    vertex it saw. The scan costs qg what probing each vertex's degree(u)
+    and then neighbor(u, 0), neighbor(u, 1), ... would: one query per degree
+    and one per neighbour read, added in bulk. It stops dead at the vertex
+    that ends it, so a single BFS costs at most cap^2 + cap - 1 queries:
     <= cap degree probes, <= cap - 1 probes that discover a new vertex, and
     <= cap*(cap-1) probes landing on an already-seen vertex (one per ordered
     pair).
     """
     if cap <= 1:
-        return 1
+        for start in starts:
+            memo[start] = 1
+        return
     indptr, indices = qg.graph._rows
-    seen = {start}
-    queue = [start]
     queries = 0
-    for u in queue:
-        lo = indptr[u]
-        hi = indptr[u + 1]
-        if hi - lo > cap:
-            # At most len(seen) entries of a row are seen vertices, so its
-            # first cap entries hold enough new ones to reach the cap: the
-            # scan returns inside this cut.
-            hi = lo + cap
-        for v in indices[lo:hi]:
-            if v not in seen:
-                seen.add(v)
-                if len(seen) >= cap:
-                    # One degree probe, and the row read up to and including v.
-                    qg.queries += queries + 1 + indices.index(v, lo) - lo + 1
-                    return cap
-                queue.append(v)
-        queries += 1 + hi - lo
+    for start in starts:
+        if memo[start]:
+            continue
+        if indptr[start] == indptr[start + 1]:
+            # A start of degree 0 is its own component, for one degree probe.
+            memo[start] = 1
+            queries += 1
+            continue
+        seen = {start}
+        queue = [start]
+        size = 0
+        for u in queue:
+            lo = indptr[u]
+            hi = indptr[u + 1]
+            if hi - lo > cap:
+                # At most len(seen) entries of a row are seen vertices, so its
+                # first cap entries hold enough new ones to reach the cap: the
+                # scan stops inside this cut.
+                hi = lo + cap
+            for v in indices[lo:hi]:
+                if v not in seen:
+                    size = memo[v]
+                    if size:
+                        break
+                    seen.add(v)
+                    if len(seen) >= cap:
+                        size = cap
+                        break
+                    queue.append(v)
+            if size:
+                # One degree probe, and the row read up to and including v.
+                queries += 1 + indices.index(v, lo) - lo + 1
+                break
+            queries += 1 + hi - lo
+        size = size or len(seen)
+        for v in seen:
+            memo[v] = size
     qg.queries += queries
-    return len(seen)
+
+
+def _truncated_component_size(qg: QueryGraph, start: int, cap: int) -> int:
+    """min(|component(start)|, cap), by one BFS truncated at cap that shares
+    no memo (see _size_components), at its probe cost to qg."""
+    memo = defaultdict(int)
+    _size_components(qg, (start,), cap, memo)
+    return memo[start]
 
 
 # Starts are summed in chunks of this many, to bound the memory of the sum.
@@ -169,14 +205,16 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     with probability >= 2/3 (cc_median drives it lower). Total query cost
     is < params.max_queries regardless of the graph.
 
-    A start the view has already probed at this cap reuses its size (see
-    QueryGraph), so runs that share a view pay only for the starts new to
-    it, and the counter reports the probes actually made. The memo is read
-    at the s drawn starts only; the new ones are listed, once each and in
-    increasing order, only when there are any. The rng draws the
-    starts and nothing else, so the memo changes no output. The 1/c_i are
-    added strictly left to right in draw order (np.add.accumulate), so the
-    sum is the same float as a running `total += 1.0 / c` loop.
+    A start the view has already sized at this cap reuses its size (see
+    QueryGraph and _size_components), so runs that share a view pay only for
+    the components new to it, and the counter reports the probes actually
+    made. The memo is read at the s drawn starts only; the unsized ones are
+    listed, once each and in increasing order, only when there are any, and
+    each one that no earlier BFS of the call has sized runs one BFS. The rng
+    draws the starts and nothing else, and every stored size is
+    min(|C|, cap), so the memo changes no output. The 1/c_i are added
+    strictly left to right in draw order (np.add.accumulate), so the sum is
+    the same float as a running `total += 1.0 / c` loop.
     """
     qg = _query_view(g)
     n = qg.n
@@ -191,8 +229,8 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     starts = rng.integers(0, n, size=params.sample_count)
     fresh = starts[sizes[starts] == 0]
     if fresh.size:
-        new = np.flatnonzero(np.bincount(fresh)).tolist()
-        sizes[new] = [_truncated_component_size(qg, u, cap) for u in new]
+        _size_components(qg, np.flatnonzero(np.bincount(fresh)).tolist(), cap,
+                         memoryview(sizes))
     inv_sum = 0.0
     for lo in range(0, starts.size, _SUM_CHUNK):
         terms = 1.0 / sizes[starts[lo:lo + _SUM_CHUNK]]
@@ -211,7 +249,7 @@ def cc_knobs(kappa: float, fail_prob: float):
 
 def cc_median(g, knobs, rng) -> float:
     """The median of the cc_estimate runs that knobs = cc_knobs(...) asks for,
-    on g. Pass a QueryGraph so the runs share one memo of probed starts."""
+    on g. Pass a QueryGraph so the runs share one memo of sized vertices."""
     params, replicas = knobs
     runs = np.array([cc_estimate(g, params, rng) for _ in range(replicas)])
     return float(block_medians(runs, replicas)[0])
@@ -234,7 +272,7 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     out-of-range weights. w = 1 forces weight n - 1 with no queries.
 
     Each level gets its own QueryGraph, so the replicas of one level share
-    one memo of probed starts. The connectivity precheck labels the
+    one memo of sized vertices. The connectivity precheck labels the
     components of the whole graph (graphs.connected_components_exact), work
     that the query meter does not count.
     """

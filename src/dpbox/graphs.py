@@ -353,7 +353,10 @@ def kruskal_mst_weight(g: Graph) -> int:
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:
     """New graph: g with edge (u,v) removed if present, else added with
-    weight, which is checked like any edge. g is left as it is."""
+    weight, which is checked like any edge. u, v and weight are read with
+    operator.index, as the constructor reads them, so a value that is not an
+    integer (2.5, 1.0) raises TypeError. g is left as it is."""
+    u, v = operator.index(u), operator.index(v)
     a, b = (u, v) if u < v else (v, u)
     k, found = g._locate(a, b)
     if found:

@@ -68,6 +68,11 @@ class KnapsackInstance:
         return len(self.sizes)
 
 
+def _item(parts: List[str]) -> Tuple[int, float]:
+    """One item line's tokens as (size, value)."""
+    return int(parts[0]), float(parts[1])
+
+
 def parse_knapsack(text: str) -> KnapsackInstance:
     header, body = _split_header(text, "empty knapsack file")
     fields = header.split()
@@ -75,7 +80,7 @@ def parse_knapsack(text: str) -> KnapsackInstance:
         raise ValueError(f"header must be 'n B', got {header.strip()!r}")
     n, capacity = int(fields[0]), int(fields[1])
     items = list(_walk_lines(_body_lines(body, n, "items"), 2, "item line must be 'size value'",
-                             (int, float)))
+                             _item))
     return KnapsackInstance(capacity=capacity, sizes=[size for size, _ in items],
                             values=[value for _, value in items])
 

@@ -276,18 +276,17 @@ def _int_rows(body: str, width: int, m: int) -> Optional[np.ndarray]:
 
 
 def _walk_lines(body: List[str], width: int, arity: str,
-                types: Optional[Tuple[Callable, ...]] = None) -> Iterator[tuple]:
+                convert: Optional[Callable[[List[str]], tuple]] = None) -> Iterator[tuple]:
     """The line-by-line reader of the stream, graph and knapsack formats, run
     on stream and graph files only when _int_rows rejected them: yield each
-    line's width values, converted by types (None: int for every column),
+    line's width tokens converted by convert (None: int for every token),
     raising the first line's error when it is reached; a line without width
     tokens gets "<arity>, got <line>"."""
-    types = types or (int,) * width
     for line in body:
         parts = line.split()
         if len(parts) != width:
             raise ValueError(f"{arity}, got {line.strip()!r}")
-        yield tuple(convert(part) for convert, part in zip(types, parts))
+        yield tuple(map(int, parts)) if convert is None else convert(parts)
 
 
 def parse_stream(text: str) -> UpdateStream:

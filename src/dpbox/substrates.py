@@ -86,8 +86,8 @@ def _clamped_fail(params: ApproxParams, ceiling: float = 1.0 - 1e-12) -> float:
 def _cc_estimate(graph, params, rng):
     """cc_median at the absolute additive target params.kappa, a fraction
     params.kappa/n of the vertices. Its replicas share one QueryGraph, hence
-    one memo of probed starts: cost["queries"] pays for each distinct start
-    once."""
+    one memo of sized vertices: cost["queries"] counts the probes actually
+    made, and a start an earlier BFS has sized costs none."""
     if params.kappa <= 0.0:
         raise ValueError("cc_estimate needs a positive additive budget kappa")
     if graph.n == 0:

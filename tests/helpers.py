@@ -31,6 +31,47 @@ def bfs_probe_queries(g: Graph, start: int, cap: int) -> int:
     return qg.queries
 
 
+def replay_memo_bfs(g: Graph, cap: int, draws):
+    """Slow replay, probe by probe, of cc_estimate runs at cap that share one
+    view: draws holds each run's drawn starts. Returns (queries, sizes), the
+    view's meter and a dict of every sized vertex's size.
+
+    Each run takes its distinct starts in increasing order and runs one BFS
+    from each that no earlier BFS has sized. The BFS probes degree(u), then
+    neighbor(u, 0), neighbor(u, 1), ..., and stops at the cap-th vertex it
+    discovers (size cap) or at the first vertex it discovers that is already
+    sized (that size); otherwise its size is the number it discovered. Every
+    vertex it discovered gets its size."""
+    qg = QueryGraph(g)
+    sizes = {}
+    for starts in draws:
+        for start in sorted(set(starts)):
+            if start in sizes:
+                continue
+            if cap <= 1:
+                sizes[start] = 1
+                continue
+            seen = [start]
+            size = None
+            for u in seen:
+                for i in range(qg.degree(u)):
+                    v = qg.neighbor(u, i)
+                    if v in seen:
+                        continue
+                    if v in sizes:
+                        size = sizes[v]
+                        break
+                    seen.append(v)
+                    if len(seen) == cap:
+                        size = cap
+                        break
+                if size is not None:
+                    break
+            for v in seen:
+                sizes[v] = len(seen) if size is None else size
+    return qg.queries, sizes
+
+
 def random_connected_graph(n: int, extra: int, rng, max_weight=None) -> Graph:
     """Random spanning tree plus `extra` additional random edges."""
     weights = {}

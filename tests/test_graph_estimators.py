@@ -10,7 +10,7 @@ from dpbox.graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate,
 from dpbox.graph_estimators import _truncated_component_size
 from dpbox.graphs import Graph, connected_components_exact, kruskal_mst_weight, load_graph
 from dpbox.noise import make_rng
-from helpers import bfs_probe_queries, random_connected_graph, random_graph
+from helpers import bfs_probe_queries, random_connected_graph, random_graph, replay_memo_bfs
 
 
 def triangle_plus_isolated() -> Graph:
@@ -120,12 +120,46 @@ def test_cc_estimate_memo_matches_memo_free_loop(n, m, kappa, seed):
     for u in starts:
         inv_sum += 1.0 / _truncated_component_size(QueryGraph(g), u, params.bfs_cap)
     assert value.hex() == (n * inv_sum / params.sample_count).hex()
-    # The view paid for each distinct start once.
-    probes = sum(bfs_probe_queries(g, u, params.bfs_cap) for u in set(starts))
+    # The view paid for the BFS the memo rule runs (one BFS sizes every
+    # vertex it discovers).
+    probes = replay_memo_bfs(g, params.bfs_cap, [starts])[0]
     assert qg.queries == probes <= params.max_queries
     # A second run from the same seed finds every start in the memo.
     assert cc_estimate(qg, params, make_rng(seed, 1)).hex() == value.hex()
     assert qg.queries == probes
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 40), m=st.integers(0, 90), cap=st.sampled_from((1, 2, 3, 5, 8, 20)),
+       sample_count=st.integers(1, 40), runs=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cc_estimate_sizes_every_vertex_its_bfs_discovers(n, m, cap, sample_count, runs, seed):
+    g = random_graph(n, m, make_rng(seed))
+    params = CcEstimateParams(kappa=1.0)
+    params.sample_count, params.bfs_cap = sample_count, cap
+    qg = QueryGraph(g)
+    rng, twin = make_rng(seed, 1), make_rng(seed, 1)
+    draws = []
+    for _ in range(runs):
+        value = cc_estimate(qg, params, rng)
+        starts = twin.integers(0, n, size=sample_count).tolist()
+        draws.append(starts)
+        inv_sum = 0.0
+        for u in starts:
+            inv_sum += 1.0 / _truncated_component_size(QueryGraph(g), u, cap)
+        assert value.hex() == (n * inv_sum / sample_count).hex()
+    truth = [0] * n
+    for comp in connected_components_exact(g):
+        for v in comp:
+            truth[v] = min(len(comp), cap)
+    sizes = qg.sizes[cap].tolist()
+    assert all(sizes[u] for starts in draws for u in starts)
+    assert all(size in (0, truth[v]) for v, size in enumerate(sizes))
+    queries, replayed = replay_memo_bfs(g, cap, draws)
+    assert {v: size for v, size in enumerate(sizes) if size} == replayed
+    assert qg.queries == queries
+    # At most one fresh BFS per distinct start, as a start-only memo paid.
+    assert qg.queries <= sum(bfs_probe_queries(g, u, cap) for u in set().union(*draws))
 
 
 def test_cc_estimate_sum_is_the_running_sum_across_chunks():

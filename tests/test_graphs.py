@@ -275,6 +275,18 @@ def test_toggle_edge_keeps_unweighted_edges_at_weight_1():
     assert parse_graph(format_graph(added)).edge_items() == added.edge_items()
 
 
+@pytest.mark.parametrize("u,v", [(2.5, 4), (0.0, 1.0), (0, 1.0)])
+def test_toggle_edge_refuses_non_integer_vertices(u, v):
+    # The constructor reads vertices with operator.index; so does toggle_edge,
+    # whether the pair would be added (2.5, 4) or removed (0.0, 1.0).
+    g = Graph(5, [(0, 1)])
+    with pytest.raises(TypeError):
+        Graph(5, [(u, v)])
+    with pytest.raises(TypeError):
+        toggle_edge(g, u, v)
+    assert toggle_edge(g, np.int64(2), np.int64(4)).edges() == [(0, 1), (2, 4)]
+
+
 # ---------------------------------------------------- parse errors and parity
 
 

@@ -17,7 +17,7 @@ from dpbox.substrates import (
     make_substrate,
     query_budget,
 )
-from helpers import bfs_probe_queries
+from helpers import replay_memo_bfs
 
 PARAMS = ApproxParams(alpha=0.3, kappa=0.0, fail_prob=1 / 3)
 
@@ -98,13 +98,12 @@ def test_cc_estimate_boosts_on_small_fail_prob(demo_cc):
     _, relaxed = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 1 / 3), make_rng(5))
     value, boosted = sub.evaluate(demo_cc, ApproxParams(0.0, 6.0, 0.05), make_rng(5))
     # 0.05 needs 67 replicas at kappa 6/12, drawn from the same rng. They
-    # share one view, which probes each distinct start once, so the meter
-    # reads one fresh BFS per distinct start the 67 replicas draw.
+    # share one view, whose BFS size every vertex they discover, so the meter
+    # reads the probes of the memo rule replayed over the 67 replicas' draws.
     params = CcEstimateParams(kappa=0.5)
     rng = make_rng(5)
-    starts = {u for _ in range(67)
-              for u in rng.integers(0, demo_cc.n, size=params.sample_count).tolist()}
-    probes = sum(bfs_probe_queries(demo_cc, u, params.bfs_cap) for u in starts)
+    draws = [rng.integers(0, demo_cc.n, size=params.sample_count).tolist() for _ in range(67)]
+    probes = replay_memo_bfs(demo_cc, params.bfs_cap, draws)[0]
     assert boosted["queries"] == probes
     assert boosted["queries"] >= relaxed["queries"]
     # The value is the median of 67 runs at kappa 6/12 drawn from the same rng.
