@@ -10,7 +10,7 @@ sketches, a knapsack FPTAS, sliding-window adapters), exact oracles to test
 them against, and an empirical privacy auditor.
 """
 
-from .noise import make_rng, make_rngs, sample_cauchy, sample_laplace
+from .noise import make_rng, sample_cauchy, sample_laplace
 from .mechanisms import (ApproxParams, GridSpec, MechanismTrace, TunableSubstrate,
                          WrapConfig, accuracy_interval, boost_replicas, lemma_fptas_bounds,
                          median_replicas, pure_dp_fallback_prob, route_params,

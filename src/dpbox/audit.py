@@ -1,8 +1,8 @@
 """Empirical privacy audit: bound the realized privacy loss from samples.
 
 estimate_epsilon runs a mechanism many times on each of two neighboring
-datasets, every run on its own rng stream, whose generators noise.make_rngs
-builds in batches; audit_samples histograms both output samples on a shared
+datasets, each side on its own rng stream (SIDE_STREAMS, which dpb audit
+draws from too); audit_samples histograms both output samples on a shared
 grid and reports the largest per-bin log probability ratio, widened to an
 upper-confidence value with Wilson intervals. The estimate can refute a
 privacy claim (epsilon_hat well above the claimed epsilon) but can never
@@ -20,9 +20,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .noise import make_rngs
+from .noise import make_rng
 
-__all__ = ["AuditReport", "audit_samples", "estimate_epsilon"]
+__all__ = ["AuditReport", "SIDE_STREAMS", "audit_samples", "estimate_epsilon"]
+
+# The rng streams of an audit's two sides: d draws from (seed, 0) and d'
+# from (seed, 1).
+SIDE_STREAMS = (0, 1)
 
 # Wilson interval width: z = 2 (~95.4% two-sided per bin).
 _WILSON_Z = 2.0
@@ -97,20 +101,20 @@ def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
                      delta_slack: float = 0.0, seed: int = 0) -> AuditReport:
     """Upper-confidence estimate of the privacy loss of mech between d and d'.
 
-    mech is called as mech(dataset, rng) -> real, with a fresh generator on
-    every call: trial t draws from the rng streams (seed, 2t) for d and
-    (seed, 2t+1) for d_prime, each equal to make_rng(seed, stream) (and built
-    by it for a seed of 2^64 or more), so runs are reproducible and
-    embarrassingly parallel in principle. The two samples go to
+    mech is called as mech(dataset, rng) -> real, on d and then on d_prime
+    in every trial. Each side has one generator, make_rng(seed, stream) of
+    its SIDE_STREAMS entry, and its T calls draw from it in turn, so a run is
+    reproducible from the seed, and an audit of a wrapped release equals the
+    dpb audit report of the same config and seed. The two samples go to
     audit_samples. A negative seed raises ValueError before mech is called.
     """
     _check_audit_args(trials, bins, delta_slack)
-    rngs = make_rngs(seed, range(2 * trials))
+    rng_a, rng_b = (make_rng(seed, stream) for stream in SIDE_STREAMS)
     out_a = np.empty(trials)
     out_b = np.empty(trials)
     for t in range(trials):
-        out_a[t] = mech(d, next(rngs))
-        out_b[t] = mech(d_prime, next(rngs))
+        out_a[t] = mech(d, rng_a)
+        out_b[t] = mech(d_prime, rng_b)
     return audit_samples(out_a, out_b, bins, delta_slack)
 
 

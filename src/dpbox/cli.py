@@ -18,11 +18,11 @@ substrates.load_dataset.
 Every run is reproducible byte-for-byte from (config, seed). wrap, coverage
 and bench draw all their trials, one after another, from the one rng stream
 (seed, 0), so the first k trials of a run do not depend on "trials". audit
-draws its dataset side from (seed, 0), its neighbor side from (seed, 1) and
-a stream neighbor from (seed, 2^31), all three picked here. (The library's
-estimate_epsilon keeps its own per-trial streams.) In bench output a trial
-whose deterministic value was recalled, not computed, shows "cached": 1:
-every trial of a run after the first.
+draws its dataset side from (seed, 0) and its neighbor side from (seed, 1),
+the audit.SIDE_STREAMS that the library's estimate_epsilon draws from too,
+and a stream neighbor from (seed, 2^31), picked here. In bench output a
+trial whose deterministic value was recalled, not computed, shows
+"cached": 1: every trial of a run after the first.
 
 Presets (config key "preset") bundle a substrate with the parameter choices
 its accuracy statement uses; explicit config keys override them. Values that
@@ -34,6 +34,7 @@ kappa_frac*n/ln(n), delta = 1/n and gamma = ln(n).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .audit import audit_samples
+from .audit import SIDE_STREAMS, audit_samples
 from .mechanisms import ApproxParams, WrapConfig, accuracy_interval, route_params, wrap_trials
 from .noise import make_rng
 from .streams import _check_bytes
@@ -209,8 +210,8 @@ def run_audit(config: dict, trials: int, seed: int) -> int:
     name = config["substrate"]
     neighbor = (load_dataset(name, config["input_prime"]) if "input_prime" in config
                 else audit_neighbor(name, run.dataset, toggle, make_rng(seed, 2 ** 31)))
-    out_a = np.concatenate([c.output for c in run.trials(run.dataset, trials, seed, 0)])
-    out_b = np.concatenate([c.output for c in run.trials(neighbor, trials, seed, 1)])
+    out_a, out_b = (np.concatenate([c.output for c in run.trials(dataset, trials, seed, stream)])
+                    for dataset, stream in zip((run.dataset, neighbor), SIDE_STREAMS))
     report = audit_samples(out_a, out_b, bins, delta_slack)
     _emit(report.to_json() + "\n", config.get("out"))
     if limit is not None and report.epsilon_hat > limit:
@@ -222,10 +223,14 @@ def run_audit(config: dict, trials: int, seed: int) -> int:
 
 def run_coverage(config: dict, trials: int, seed: int) -> int:
     run = _build_run(config)
+    # The first chunk comes before the oracle, which draws nothing, so the
+    # estimator checks its input first, as under wrap and bench.
+    chunks = run.trials(run.dataset, trials, seed)
+    first = next(chunks)
     exact = exact_value(config["substrate"], run.dataset, config)
     lo, hi, target = accuracy_interval(exact, run.wrap_cfg, run.route)
     inside = sum(int(np.count_nonzero((lo <= c.output) & (c.output <= hi)))
-                 for c in run.trials(run.dataset, trials, seed))
+                 for c in itertools.chain([first], chunks))
     coverage = inside / trials
     threshold = target - 3.0 * math.sqrt(target * (1.0 - target) / trials)
     passed = coverage >= threshold

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, connected_components_exact, kruskal_mst_weight
+from .graphs import (Graph, _disconnected_error, connected_components_exact,
+                     kruskal_mst_weight)
 from .mechanisms import _check_accuracy, block_medians, median_replicas
 from .streams import _check_bytes
 
@@ -281,8 +282,9 @@ def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     if graph.max_weight is None:
         raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")
     _check_accuracy(alpha, fail_prob)
-    if len(connected_components_exact(graph)) != 1:
-        raise ValueError("graph is disconnected, MST weight is undefined")
+    components = len(connected_components_exact(graph))
+    if components != 1:
+        raise _disconnected_error(components)
     w = graph.max_weight
     n = graph.n
     if w == 1:

@@ -346,9 +346,14 @@ def kruskal_mst_weight(g: Graph) -> int:
         used += int(np.count_nonzero(chosen))
         labels = _component_roots(n, ru[chosen], rv[chosen])[labels]
     if used != n - 1:
-        raise ValueError(
-            f"graph is disconnected ({n - used} components), spanning tree undefined")
+        raise _disconnected_error(n - used)
     return total
+
+
+def _disconnected_error(components: int) -> ValueError:
+    """The refusal of a spanning tree on a graph of that many components."""
+    return ValueError(
+        f"graph is disconnected ({components} components), spanning tree undefined")
 
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:

@@ -1,11 +1,15 @@
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from dpbox.audit import AuditReport, audit_samples, estimate_epsilon, _wilson
+from dpbox.audit import SIDE_STREAMS, AuditReport, audit_samples, estimate_epsilon, _wilson
+from dpbox.cli import main
+from dpbox.mechanisms import WrapConfig, wrap_cauchy, wrap_laplace
 from dpbox.noise import make_rng, sample_laplace
+from dpbox.substrates import audit_neighbor, load_dataset, make_substrate
 
 
 def laplace_shift_mech(d, rng):
@@ -27,19 +31,27 @@ def test_wilson_interval_sanity():
 def test_identical_inputs_give_near_zero_epsilon():
     # Both samples come from the same distribution; with the mass floor
     # raised above pure counting noise, what remains is Wilson widening on
-    # well-populated bins, which stays small.
-    slacked = estimate_epsilon(laplace_shift_mech, 0.0, 0.0,
-                               trials=20_000, bins=20, seed=1,
-                               delta_slack=0.01)
-    assert slacked.epsilon_hat <= 0.5
-    assert not slacked.degenerate
-    assert slacked.flagged_bins
-    # Without slack, near-floor tail bins contribute large widened ratios;
-    # the estimate is still an upper bound, just a loose one.
-    bare = estimate_epsilon(laplace_shift_mech, 0.0, 0.0,
-                            trials=20_000, bins=20, seed=1)
-    assert bare.epsilon_hat >= slacked.epsilon_hat
-    assert bare.epsilon_hat <= 1.3
+    # well-populated bins, which stays small at every seed. Without slack,
+    # near-floor tail bins contribute large widened ratios: the estimate is
+    # still an upper bound, just a loose one, whose spread across seeds
+    # straddles 1.3, so that line holds for the median of a seed run fixed
+    # in advance. Calls alternate d, d', so one sampling gives both estimates.
+    bare = []
+    for seed in range(1, 12):
+        outputs = []
+
+        def recording_mech(d, rng):
+            outputs.append(laplace_shift_mech(d, rng))
+            return outputs[-1]
+
+        slacked = estimate_epsilon(recording_mech, 0.0, 0.0, trials=20_000, bins=20,
+                                   seed=seed, delta_slack=0.01)
+        assert slacked.epsilon_hat <= 0.5
+        assert not slacked.degenerate
+        assert slacked.flagged_bins
+        bare.append(audit_samples(outputs[0::2], outputs[1::2], 20).epsilon_hat)
+        assert bare[-1] >= slacked.epsilon_hat
+    assert statistics.median(bare) <= 1.3
 
 
 def test_unit_shift_unit_scale_calibration():
@@ -151,25 +163,25 @@ def test_epsilon_scales_with_shift():
     assert math.isfinite(full.epsilon_hat)
 
 
-# Reports computed before the histogram half moved into audit_samples; the
-# per-trial streams (seed, 2t) and (seed, 2t+1) keep them byte-identical.
+# Reports recorded when each side moved to one generator of its side stream;
+# a change to the audit's streams or histogram moves them.
 _FROZEN_REPORTS = [
     (dict(trials=2000, bins=15, seed=9),
-     '{"epsilon_hat": 2.188447166681244, "trials": 2000, "bins": 15, "flagged_bins": '
-     '[0, 1, 2, 13, 14], "delta_slack": 0.0, "degenerate": false, "per_bin_ratios": '
-     '[[3, 1.9828377040352316], [4, 1.579126660299774], [5, 1.3686751250710276], '
-     '[6, 1.1385998176359076], [7, 0.9070559717688322], [8, 0.7883776781872445], '
-     '[9, 1.0947530958536316], [10, 1.3286258020428425], [11, 2.188447166681244], '
-     '[12, 2.0343862902905565]], "argmax_bin": 11}'),
+     '{"epsilon_hat": 2.0811001413854266, "trials": 2000, "bins": 15, "flagged_bins": '
+     '[0, 12, 13, 14], "delta_slack": 0.0, "degenerate": false, "per_bin_ratios": '
+     '[[1, 1.2411063692123274], [2, 1.931571220457548], [3, 1.8792286535945522], '
+     '[4, 1.40476198777626], [5, 1.401082967748325], [6, 1.01908647843685], '
+     '[7, 0.6220405944528709], [8, 1.3292747454472889], [9, 1.555752877484124], '
+     '[10, 1.5656346911290657], [11, 2.0811001413854266]], "argmax_bin": 11}'),
     (dict(trials=1000, bins=10, seed=11, delta_slack=0.01),
-     '{"epsilon_hat": 1.8266426527990531, "trials": 1000, "bins": 10, "flagged_bins": '
-     '[0, 1, 2, 8, 9], "delta_slack": 0.01, "degenerate": false, "per_bin_ratios": '
-     '[[3, 1.3793882830347532], [4, 1.362533527017221], [5, 0.2325792180769295], '
-     '[6, 1.3904722114824561], [7, 1.8266426527990531]], "argmax_bin": 7}'),
+     '{"epsilon_hat": 1.8055648638515076, "trials": 1000, "bins": 10, "flagged_bins": '
+     '[0, 1, 7, 8, 9], "delta_slack": 0.01, "degenerate": false, "per_bin_ratios": '
+     '[[2, 1.8055648638515076], [3, 1.3883230465487622], [4, 0.17525002008111784], '
+     '[5, 1.3352741799308792], [6, 1.6541239469332427]], "argmax_bin": 2}'),
 ]
 
 
-@pytest.mark.parametrize("kwargs,expected", _FROZEN_REPORTS)
+@pytest.mark.parametrize("kwargs,expected", _FROZEN_REPORTS, ids=["seed9", "seed11"])
 def test_estimate_epsilon_reports_are_frozen(kwargs, expected):
     assert estimate_epsilon(laplace_shift_mech, 0.0, 1.0, **kwargs).to_json() == expected
 
@@ -187,33 +199,59 @@ def test_audit_samples_is_the_histogram_half_of_estimate_epsilon():
     assert audit_samples(outputs[0.0], outputs[1.0], 12, 0.005) == report
 
 
-def test_every_mechanism_call_gets_its_own_generator():
-    seen = []
+def test_each_side_draws_from_one_generator_of_its_side_stream():
+    calls = []
 
     def recording_mech(d, rng):
-        seen.append(rng)
+        calls.append((d, rng, rng.bit_generator.state))
         return laplace_shift_mech(d, rng)
 
     estimate_epsilon(recording_mech, 0.0, 1.0, trials=1000, bins=10, seed=3)
-    assert len(seen) == 2000
-    assert all(isinstance(rng, np.random.Generator) for rng in seen)
-    assert len({id(rng) for rng in seen}) == 2000
+    assert [d for d, _, _ in calls] == [0.0, 1.0] * 1000
+    for side, stream in enumerate(SIDE_STREAMS):
+        side_calls = calls[side::2]
+        assert len({id(rng) for _, rng, _ in side_calls}) == 1
+        assert side_calls[0][2] == make_rng(3, stream).bit_generator.state
+    assert SIDE_STREAMS == (0, 1)
 
 
-def test_a_kept_generator_leaves_other_trials_unchanged():
-    kept = []
+# dpb audit configs on the demo files; each sets every WrapConfig field.
+_CLI_AUDITS = [
+    {"substrate": "cc_exact", "input": "data/demo_cc.graph", "route": "laplace",
+     "epsilon": 1.0, "delta": 0.01, "alpha": 0.5, "kappa": 1.0, "delta_f": 2.0,
+     "gamma": 3.0, "trials": 2000, "bins": 20, "delta_slack": 0.01},
+    {"substrate": "cc_exact", "input": "data/demo_cc.graph", "route": "cauchy",
+     "epsilon": 1.0, "delta": 0.01, "alpha": 0.5, "kappa": 1.0, "delta_f": 2.0,
+     "gamma": 3.0, "trials": 2000, "bins": 20, "delta_slack": 0.01},
+    {"substrate": "f0_kmv", "input": "data/demo_stream_insert.txt", "route": "laplace",
+     "epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "kappa": 0.0, "delta_f": 2.0,
+     "gamma": 3.0, "trials": 1000, "bins": 20, "delta_slack": 0.0},
+    # delta 0.7 asks for failure 0.35, so cc_estimate runs once per release.
+    {"substrate": "cc_estimate", "input": "data/demo_cc.graph", "route": "laplace",
+     "epsilon": 1.0, "delta": 0.7, "alpha": 0.5, "kappa": 6.0, "delta_f": 2.0,
+     "gamma": 3.0, "trials": 1000, "bins": 20, "delta_slack": 0.01},
+    {"substrate": "f0_exact", "input": "data/demo_stream_insert.txt", "route": "cauchy",
+     "epsilon": 1.0, "delta": 0.05, "alpha": 0.5, "kappa": 0.0, "delta_f": 2.0,
+     "gamma": 3.0, "trials": 1000, "bins": 20, "delta_slack": 0.0},
+]
 
-    def keeping_mech(d, rng):
-        # Keeps the first call's generator and draws from it on every later call.
-        if kept:
-            kept[0].random(3)
-        else:
-            kept.append(rng)
-        return laplace_shift_mech(d, rng)
 
-    args = dict(trials=1000, bins=10, seed=8)
-    assert (estimate_epsilon(keeping_mech, 0.0, 1.0, **args)
-            == estimate_epsilon(laplace_shift_mech, 0.0, 1.0, **args))
+@pytest.mark.parametrize("config", _CLI_AUDITS,
+                         ids=lambda c: f"{c['substrate']}-{c['route']}")
+def test_library_audit_of_a_wrapped_release_is_the_dpb_audit_report(tmp_path, config):
+    path, out = tmp_path / "audit.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["audit", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
+    name = config["substrate"]
+    d = load_dataset(name, config["input"])
+    d_prime = audit_neighbor(name, d, (0, 1, 1), make_rng(7, 2 ** 31))
+    cfg = WrapConfig(**{key: config[key] for key in
+                        ("epsilon", "delta", "alpha", "kappa", "delta_f", "gamma")})
+    wrap = {"laplace": wrap_laplace, "cauchy": wrap_cauchy}[config["route"]]
+    substrate = make_substrate(name, config)
+    report = estimate_epsilon(lambda ds, rng: wrap(substrate, ds, cfg, rng)[0], d, d_prime,
+                              config["trials"], config["bins"], config["delta_slack"], seed=7)
+    assert out.read_text(encoding="utf-8") == report.to_json() + "\n"
 
 
 def test_negative_seed_is_refused_before_the_mechanism_runs():

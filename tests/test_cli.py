@@ -310,6 +310,20 @@ def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, caps
     assert "delta" in err and "gamma" in err and "math domain" not in err
 
 
+def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
+        tmp_path, capsys):
+    # The unweighted demo graph is also disconnected: coverage draws its first
+    # trials before its oracle, so the estimator's own check speaks first.
+    cfg = write_config(tmp_path, {
+        "substrate": "mst_estimate", "input": "data/demo_cc.graph", "epsilon": 1.0,
+        "delta": 0.01, "alpha": 0.2, "delta_f": 3, "trials": 5,
+    })
+    for command in ("wrap", "bench", "coverage"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert capsys.readouterr().err == (
+            "dpb: mst_weight_estimate needs a weighted graph with a declared bound\n"), command
+
+
 def test_bench_reports_query_budget(tmp_path):
     cfg = write_config(tmp_path, {
         "substrate": "cc_estimate", "input": "data/demo_cc.graph",

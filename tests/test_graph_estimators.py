@@ -260,8 +260,12 @@ def test_mst_estimate_rejections():
     with pytest.raises(ValueError):
         mst_weight_estimate(unweighted, 0.2, 0.1, rng)
     disconnected = Graph(4, [(0, 1)], {(0, 1): 1}, max_weight=2)
-    with pytest.raises(ValueError):
-        mst_weight_estimate(disconnected, 0.2, 0.1, rng)
+    # The estimator's connectivity precheck refuses as Kruskal does.
+    for refuse in (kruskal_mst_weight, lambda g: mst_weight_estimate(g, 0.2, 0.1, rng)):
+        with pytest.raises(ValueError) as refusal:
+            refuse(disconnected)
+        assert str(refusal.value) == (
+            "graph is disconnected (3 components), spanning tree undefined")
     g = random_connected_graph(10, 5, rng, max_weight=2)
     with pytest.raises(ValueError):
         mst_weight_estimate(g, 0.0, 0.1, rng)
