@@ -101,21 +101,21 @@ def estimate_epsilon(mech, d, d_prime, trials: int, bins: int,
                      delta_slack: float = 0.0, seed: int = 0) -> AuditReport:
     """Upper-confidence estimate of the privacy loss of mech between d and d'.
 
-    mech is called as mech(dataset, rng) -> real, on d and then on d_prime
-    in every trial. Each side has one generator, make_rng(seed, stream) of
-    its SIDE_STREAMS entry, and its T calls draw from it in turn, so a run is
-    reproducible from the seed, and an audit of a wrapped release equals the
-    dpb audit report of the same config and seed. The two samples go to
-    audit_samples. A negative seed raises ValueError before mech is called.
+    mech is called as mech(dataset, rng) -> real, `trials` times on d and
+    then `trials` times on d_prime, as dpb audit runs its two sides. Each
+    side has one generator, make_rng(seed, stream) of its SIDE_STREAMS
+    entry, and its calls draw from it in turn, so a run is reproducible from
+    the seed, and an audit of a wrapped release equals the dpb audit report
+    of the same config and seed. The two samples go to audit_samples. A
+    negative seed raises ValueError before mech is called.
     """
     _check_audit_args(trials, bins, delta_slack)
-    rng_a, rng_b = (make_rng(seed, stream) for stream in SIDE_STREAMS)
-    out_a = np.empty(trials)
-    out_b = np.empty(trials)
-    for t in range(trials):
-        out_a[t] = mech(d, rng_a)
-        out_b[t] = mech(d_prime, rng_b)
-    return audit_samples(out_a, out_b, bins, delta_slack)
+    out = np.empty((2, trials))
+    for side, dataset, stream in zip(out, (d, d_prime), SIDE_STREAMS):
+        rng = make_rng(seed, stream)
+        for t in range(trials):
+            side[t] = mech(dataset, rng)
+    return audit_samples(out[0], out[1], bins, delta_slack)
 
 
 def audit_samples(out_a, out_b, bins: int, delta_slack: float = 0.0) -> AuditReport:

@@ -26,9 +26,12 @@ trial whose deterministic value was recalled, not computed, shows
 
 Presets (config key "preset") bundle a substrate with the parameter choices
 its accuracy statement uses; explicit config keys override them. Values that
-depend on the data come from the loaded dataset: the cc preset turns the
-fraction kappa_frac into kappa = kappa_frac*n, tau_override =
-kappa_frac*n/ln(n), delta = 1/n and gamma = ln(n).
+depend on the data come from the loaded dataset, by the kind of the
+substrate's dataset, whichever preset named it: on a graph of n vertices,
+delta = 1/n and gamma = ln(n), and, when kappa_frac is set (the cc preset
+sets it), kappa = kappa_frac*n and tau_override = kappa_frac*n/ln(n); on a
+stream of m updates, gamma = ln(m); a knapsack instance gets none. Logs
+take n and m at least 3.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .audit import SIDE_STREAMS, audit_samples
 from .mechanisms import ApproxParams, WrapConfig, accuracy_interval, route_params, wrap_trials
 from .noise import make_rng
 from .streams import _check_bytes
-from .substrates import (audit_neighbor, default_delta_f, exact_value, load_dataset,
-                         make_substrate, query_budget)
+from .substrates import (audit_neighbor, dataset_kind, default_delta_f, exact_value,
+                         load_dataset, make_substrate, query_budget)
 
 __all__ = ["main"]
 
@@ -89,20 +92,23 @@ def _apply_preset(config) -> dict:
 
 
 def _derive_preset_values(config: dict, dataset):
-    """Fill data-dependent preset defaults for keys the user left unset."""
+    """Fill data-dependent preset defaults for keys the user left unset, by
+    the kind of the substrate's dataset (see the module docstring); a config
+    without a preset gets none."""
     name = config.get("preset")
-    if name in ("cc", "mst"):
+    kind = dataset_kind(config["substrate"]) if name else None
+    if kind == "graph":
         n = dataset.n
         if n == 0:
             raise CliError(f"preset {name!r} needs a graph with at least one vertex")
         log_n = math.log(max(n, 3))
         config.setdefault("delta", 1.0 / n)
         config.setdefault("gamma", log_n)
-        if name == "cc":
+        if "kappa_frac" in config:
             frac = _real(config, "kappa_frac", None)
             config.setdefault("kappa", frac * n)
             config.setdefault("tau_override", frac * n / log_n)
-    elif name in ("l2", "f0", "sw-de"):
+    elif kind == "stream":
         config.setdefault("gamma", math.log(max(dataset.length, 3)))
 
 

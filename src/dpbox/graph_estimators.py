@@ -17,7 +17,6 @@ calibration and testing.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +51,12 @@ class QueryGraph:
     A view also remembers the truncated-BFS sizes cc_estimate finds through
     it: sizes[cap] is an int64 array over the vertices that holds
     min(|component(v)|, cap) at every vertex v that a BFS truncated at cap
-    has discovered, and 0 at the rest. The size belongs to the component,
-    not to the start, and graphs are immutable, so one BFS sizes every vertex
-    it discovers, a sized start costs no query however many cc_estimate runs
-    share the view, and the counter holds the probes actually made.
+    has discovered, and 0 at the rest. It is the one memo of the BFS kernel
+    (_size_components), which reads and writes it. The size belongs to the
+    component, not to the start, and graphs are immutable, so one BFS sizes
+    every vertex it discovers, a sized start costs no query however many
+    cc_estimate runs share the view, and the counter holds the probes
+    actually made.
     """
 
     def __init__(self, graph: Graph):
@@ -120,24 +121,25 @@ def mst_weight_exact(g) -> int:
     return kruskal_mst_weight(_query_view(g).graph)
 
 
-def _size_components(qg: QueryGraph, starts, cap: int, memo) -> None:
-    """Size the component of every start in starts that memo does not size
-    yet, by BFS truncated at cap, and write min(|C(v)|, cap) to memo[v] for
-    every vertex v each BFS discovers. memo reads 0 at an unsized vertex: a
-    memoryview of a view's sizes[cap] (see QueryGraph), or a defaultdict.
+def _size_components(qg: QueryGraph, starts, cap: int) -> None:
+    """Size the component of every start in starts that the view's
+    sizes[cap] (see QueryGraph) does not size yet, by BFS truncated at cap,
+    and write min(|C(v)|, cap) there for every vertex v each BFS discovers.
 
     A BFS that stops below cap saw its whole component, so every vertex it
-    saw gets len(seen); one that reaches cap proves |C| >= cap, so each gets
-    cap. A BFS also stops at the first vertex it discovers that memo sizes,
-    and gives that vertex's size, that of the same component, to every
-    vertex it saw. The scan costs qg what probing each vertex's degree(u)
-    and then neighbor(u, 0), neighbor(u, 1), ... would: one query per degree
-    and one per neighbour read, added in bulk. It stops dead at the vertex
-    that ends it, so a single BFS costs at most cap^2 + cap - 1 queries:
-    <= cap degree probes, <= cap - 1 probes that discover a new vertex, and
-    <= cap*(cap-1) probes landing on an already-seen vertex (one per ordered
-    pair).
+    saw gets len(seen): a start of degree 0 gets 1, for its one degree
+    probe. One that reaches cap proves |C| >= cap, so each gets cap. A BFS
+    also stops at the first vertex it discovers that sizes[cap] sizes, and
+    gives that vertex's size, that of the same component, to every vertex it
+    saw. cap 1 sizes every start 1 with no probe. The scan costs qg what
+    probing each vertex's degree(u) and then neighbor(u, 0), neighbor(u, 1),
+    ... would: one query per degree and one per neighbour read, added in
+    bulk. It stops dead at the vertex that ends it, so a single BFS costs at
+    most cap^2 + cap - 1 queries: <= cap degree probes, <= cap - 1 probes
+    that discover a new vertex, and <= cap*(cap-1) probes landing on an
+    already-seen vertex (one per ordered pair).
     """
+    memo = memoryview(qg.sizes[cap])
     if cap <= 1:
         for start in starts:
             memo[start] = 1
@@ -146,11 +148,6 @@ def _size_components(qg: QueryGraph, starts, cap: int, memo) -> None:
     queries = 0
     for start in starts:
         if memo[start]:
-            continue
-        if indptr[start] == indptr[start + 1]:
-            # A start of degree 0 is its own component, for one degree probe.
-            memo[start] = 1
-            queries += 1
             continue
         seen = {start}
         queue = [start]
@@ -184,14 +181,6 @@ def _size_components(qg: QueryGraph, starts, cap: int, memo) -> None:
     qg.queries += queries
 
 
-def _truncated_component_size(qg: QueryGraph, start: int, cap: int) -> int:
-    """min(|component(start)|, cap), by one BFS truncated at cap that shares
-    no memo (see _size_components), at its probe cost to qg."""
-    memo = defaultdict(int)
-    _size_components(qg, (start,), cap, memo)
-    return memo[start]
-
-
 # Starts are summed in chunks of this many, to bound the memory of the sum.
 _SUM_CHUNK = 1 << 16
 
@@ -209,11 +198,11 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     A start the view has already sized at this cap reuses its size (see
     QueryGraph and _size_components), so runs that share a view pay only for
     the components new to it, and the counter reports the probes actually
-    made. The memo is read at the s drawn starts only; the unsized ones are
-    listed, once each and in increasing order, only when there are any, and
-    each one that no earlier BFS of the call has sized runs one BFS. The rng
-    draws the starts and nothing else, and every stored size is
-    min(|C|, cap), so the memo changes no output. The 1/c_i are added
+    made. The view's sizes[cap] is read at the s drawn starts only; the
+    unsized ones are listed, once each and in increasing order, only when
+    there are any, and each one that no earlier BFS of the call has sized
+    runs one BFS. The rng draws the starts and nothing else, and every stored
+    size is min(|C|, cap), so the memo changes no output. The 1/c_i are added
     strictly left to right in draw order (np.add.accumulate), so the sum is
     the same float as a running `total += 1.0 / c` loop.
     """
@@ -230,8 +219,7 @@ def cc_estimate(g, params: CcEstimateParams, rng) -> float:
     starts = rng.integers(0, n, size=params.sample_count)
     fresh = starts[sizes[starts] == 0]
     if fresh.size:
-        _size_components(qg, np.flatnonzero(np.bincount(fresh)).tolist(), cap,
-                         memoryview(sizes))
+        _size_components(qg, np.flatnonzero(np.bincount(fresh)).tolist(), cap)
     inv_sum = 0.0
     for lo in range(0, starts.size, _SUM_CHUNK):
         terms = 1.0 / sizes[starts[lo:lo + _SUM_CHUNK]]

@@ -12,9 +12,10 @@ computed from the substrate's own output:
 wrap_laplace adds Laplace(2*bound/epsilon) and tolerates randomized
 substrates at an additive delta cost; wrap_cauchy adds Cauchy(6*bound/epsilon)
 and is pure epsilon-DP but requires a deterministic substrate. A
-TunableSubstrate handle evaluates a deterministic substrate once per
-(dataset, params) and recalls the value on later trials; the noise draws are
-the same either way, since deterministic substrates draw nothing from the rng.
+TunableSubstrate handle keeps the last value of a deterministic substrate
+and recalls it while the trials stay on that (dataset, params); the noise
+draws are the same either way, since deterministic substrates draw nothing
+from the rng.
 wrap_trials runs many trials of either wrapper on one rng, and draws the
 noise of a deterministic substrate as one vector per chunk of trials.
 median_replicas is the one rule by which randomized substrates shrink their
@@ -147,8 +148,6 @@ class MechanismTrace:
     cost: dict = field(default_factory=dict)
 
 
-# Deterministic values a TunableSubstrate remembers: an audit's two datasets.
-_MEMO_ENTRIES = 2
 # The cost of a recalled value; read-only, so every hit can share it.
 _CACHED_COST = MappingProxyType({"cached": 1})
 
@@ -161,14 +160,15 @@ class TunableSubstrate:
     {"queries": 123}). Deterministic substrates ignore the rng, have
     fail_prob 0 by definition, and must say so via is_deterministic.
 
-    The handle remembers the values of a deterministic substrate, keyed by
-    (id(dataset), alpha, kappa, fail_prob), for the _MEMO_ENTRIES most recent
-    keys: the two datasets of an audit pair. Each entry keeps its dataset
-    alive, so its id cannot pass to another object, and a hit also requires
-    the very same object. Datasets are immutable (Graph, UpdateStream,
-    KnapsackInstance), so a remembered value stays the value fn would
-    compute. A hit costs {"cached": 1}, one read-only mapping shared by all
-    hits. Randomized substrates run on every call.
+    The handle keeps the last value a deterministic substrate computed, with
+    its dataset and its (alpha, kappa, fail_prob), and recalls it for a call
+    on the very same dataset object at equal params. Datasets are immutable
+    (Graph, UpdateStream, KnapsackInstance), so the kept value stays the
+    value fn would compute. Runs of trials on one dataset therefore evaluate
+    it once: wrap_trials, and an audit, which makes all its calls on d and
+    then all on d' (audit.estimate_epsilon, dpb audit). A hit costs
+    {"cached": 1}, one read-only mapping shared by all hits. Randomized
+    substrates run on every call.
     """
 
     def __init__(self, fn: Callable, is_deterministic: bool = False,
@@ -176,23 +176,21 @@ class TunableSubstrate:
         self.fn = fn
         self.is_deterministic = bool(is_deterministic)
         self.label = str(label)
-        self._memo = {}  # key -> (dataset, value), oldest first
+        self._last = (None, None, None)  # (dataset, params key, value)
 
     def evaluate(self, dataset, params: ApproxParams, rng):
-        """Run fn once, or recall a deterministic value; returns (estimate,
-        cost of this call)."""
+        """Run fn once, or recall the last deterministic value; returns
+        (estimate, cost of this call)."""
         if self.is_deterministic:
-            key = (id(dataset), params.alpha, params.kappa, params.fail_prob)
-            entry = self._memo.get(key)
-            if entry is not None and entry[0] is dataset:
-                return entry[1], _CACHED_COST
+            key = (params.alpha, params.kappa, params.fail_prob)
+            last_dataset, last_key, value = self._last
+            if last_dataset is dataset and last_key == key:
+                return value, _CACHED_COST
         out = self.fn(dataset, params, rng)
         value, cost = out if isinstance(out, tuple) else (out, {})
         value = float(value)
         if self.is_deterministic:
-            self._memo[key] = (dataset, value)
-            if len(self._memo) > _MEMO_ENTRIES:
-                del self._memo[next(iter(self._memo))]
+            self._last = (dataset, key, value)
         return value, cost
 
     def __repr__(self):

@@ -137,14 +137,16 @@ def _int_pair(pair) -> Tuple[int, int]:
     """The reader of one update numpy does not type (floats, strings, ints
     beyond int64, ragged pairs): the pair as two ints, raising when it is not
     a pair of integer values. It checks no stream rule."""
-    raw_item, raw_delta = pair
+    row = pair
     try:
+        row = tuple(pair)
+        raw_item, raw_delta = row
         item, delta = int(raw_item), int(raw_delta)
         integral = item == raw_item and delta == raw_delta
-    except (TypeError, OverflowError):  # None, an infinity
+    except (TypeError, ValueError, OverflowError):  # a ragged row, None, NaN, an infinity
         integral = False
     if not integral:
-        raise ValueError(f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+        raise ValueError(f"update must be a pair of integers, got {row!r}")
     return item, delta
 
 

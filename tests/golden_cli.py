@@ -3,7 +3,8 @@
 RUNS lists fixed runs of wrap, wrap --debug-trace, bench, coverage and audit
 over the ten substrates on the demo files (both routes where the substrate
 is deterministic, one refused Cauchy run where it is not), the presets on
-their matching demo files, and refusals: bad configs and the small malformed
+their matching demo files and with substrates of another dataset kind, and
+refusals: bad configs and the small malformed
 inputs under tests/golden/. golden_cli.json, beside this file, keeps each
 run's exit code and the sha256 of its stdout and stderr;
 tests/test_golden_cli.py replays the runs in-process and compares.
@@ -98,6 +99,16 @@ def _preset_runs():
                 config["window"] = 10
             for command in ("wrap", "wrap-debug", "bench"):
                 yield f"{command}/preset-{preset}/{os.path.basename(path)}", command, config
+    # A preset whose substrate is another kind's derives that kind's values.
+    for preset, substrate, keys in (("l2", "cc_exact", {}), ("cc", "f0_exact", {}),
+                                    ("l2", "knapsack", {"delta_f": 50.0}),
+                                    ("cc", "knapsack", {"delta_f": 50.0})):
+        path = _FILES[_SUBSTRATES[substrate][0]][0]
+        config = {"preset": preset, "substrate": substrate, "input": path, "epsilon": 1.0,
+                  **keys}
+        for command in ("wrap-debug", "coverage"):
+            yield (f"{command}/preset-{preset}-{substrate}/{os.path.basename(path)}", command,
+                   config)
 
 
 def _refusal_runs():

@@ -6,8 +6,8 @@ import itertools
 
 import numpy as np
 
-from dpbox.graph_estimators import QueryGraph, _truncated_component_size
-from dpbox.graphs import Graph
+from dpbox.graph_estimators import QueryGraph
+from dpbox.graphs import Graph, connected_components_exact
 from dpbox.knapsack import KnapsackInstance
 from dpbox.streams import UpdateStream
 
@@ -24,11 +24,13 @@ def random_graph(n: int, m: int, rng, max_weight=None) -> Graph:
     return Graph(n, weights, weights, max_weight)
 
 
-def bfs_probe_queries(g: Graph, start: int, cap: int) -> int:
-    """Queries of one truncated BFS from start, on a throwaway view."""
-    qg = QueryGraph(g)
-    _truncated_component_size(qg, start, cap)
-    return qg.queries
+def capped_component_sizes(g: Graph, cap: int):
+    """min(|C(v)|, cap) for every vertex v, from the exact component labelling."""
+    sizes = [0] * g.n
+    for comp in connected_components_exact(g):
+        for v in comp:
+            sizes[v] = min(len(comp), cap)
+    return sizes
 
 
 def replay_memo_bfs(g: Graph, cap: int, draws):

@@ -107,6 +107,32 @@ def test_cc_preset_derives_knobs_from_the_graph(tmp_path):
     assert tau == pytest.approx(6.0 / math.log(12.0))
 
 
+# A preset whose substrate is another dataset kind's: (config, the preset's
+# alpha, the delta the release is tuned at). The graph rule sets delta 1/n
+# only where the preset leaves it unset; a knapsack instance derives nothing.
+_CROSS_KIND_PRESETS = [
+    ({"preset": "l2", "substrate": "cc_exact", "input": "data/demo_cc.graph"}, 0.2, 0.01),
+    ({"preset": "cc", "substrate": "f0_exact", "input": "data/demo_stream_insert.txt"},
+     0.5, 1e-6),
+    ({"preset": "l2", "substrate": "knapsack", "input": "data/demo_knapsack.txt",
+      "delta_f": 50.0}, 0.2, 0.01),
+    ({"preset": "cc", "substrate": "knapsack", "input": "data/demo_knapsack.txt",
+      "delta_f": 50.0}, 0.5, 1e-6),
+]
+
+
+@pytest.mark.parametrize("config, alpha, delta", _CROSS_KIND_PRESETS,
+                         ids=[f"{c['preset']}-{c['substrate']}"
+                              for c, _, _ in _CROSS_KIND_PRESETS])
+def test_a_preset_on_a_substrate_of_another_kind_runs(tmp_path, capsys, config, alpha, delta):
+    cfg = write_config(tmp_path, {**config, "epsilon": 1.0, "trials": 20})
+    for command in ("wrap", "bench", "coverage"):
+        assert main([command, "--config", cfg, "--debug-trace"]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows[0] == "trial,substrate_value,output,noise_scale,rho,tau"
+    assert float(rows[1].split(",")[4]) == tune_rho_laplace(alpha, 1.0, delta)
+
+
 @pytest.mark.parametrize("payload", [
     {"preset": "zzz", "input": "data/demo_cc.graph", "epsilon": 1.0},
     {"substrate": "cc_exact", "input": "data/demo_cc.graph"},

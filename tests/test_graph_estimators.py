@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 from dpbox.graph_estimators import (CcEstimateParams, QueryGraph, cc_estimate,
                                     cc_exact, mst_weight_estimate,
                                     mst_weight_exact)
-from dpbox.graph_estimators import _truncated_component_size
-from dpbox.graphs import Graph, connected_components_exact, kruskal_mst_weight, load_graph
+from dpbox.graph_estimators import _size_components
+from dpbox.graphs import Graph, kruskal_mst_weight, load_graph
 from dpbox.noise import make_rng
-from helpers import bfs_probe_queries, random_connected_graph, random_graph, replay_memo_bfs
+from helpers import (capped_component_sizes, random_connected_graph, random_graph,
+                     replay_memo_bfs)
 
 
 def triangle_plus_isolated() -> Graph:
@@ -30,6 +32,14 @@ def test_query_graph_counts_every_probe():
     assert qg.n == 3
 
 
+def bfs_size(g: Graph, start: int, cap: int):
+    """(size, queries) of one truncated BFS from start, on a fresh view."""
+    qg = QueryGraph(g)
+    qg.sizes[cap] = np.zeros(g.n, dtype=np.int64)
+    _size_components(qg, [start], cap)
+    return int(qg.sizes[cap][start]), qg.queries
+
+
 def test_truncated_bfs_respects_cap_and_budget():
     rng = make_rng(31)
     shapes = []
@@ -42,21 +52,16 @@ def test_truncated_bfs_respects_cap_and_budget():
 
     for g in shapes:
         for cap in (1, 2, 3, 5, 8):
+            truth = capped_component_sizes(g, cap)
             for start in range(0, g.n, 7):
-                qg = QueryGraph(g)
-                c = _truncated_component_size(qg, start, cap)
-                true_size = len(next(comp for comp in
-                                     connected_components_exact(g)
-                                     if start in comp))
-                assert c == min(true_size, cap)
+                c, queries = bfs_size(g, start, cap)
+                assert c == truth[start]
                 # Strict per-scan budget: cap^2 + cap - 1 probes.
-                assert qg.queries <= cap * cap + cap - 1
+                assert queries <= cap * cap + cap - 1
 
 
 def test_truncated_bfs_cap_one_is_free():
-    qg = QueryGraph(triangle_plus_isolated())
-    assert _truncated_component_size(qg, 0, 1) == 1
-    assert qg.queries == 0
+    assert bfs_size(triangle_plus_isolated(), 0, 1) == (1, 0)
 
 
 # ---------------------------------------------------------------- cc
@@ -113,12 +118,13 @@ def test_cc_estimate_memo_matches_memo_free_loop(n, m, kappa, seed):
     params = CcEstimateParams(kappa=kappa)
     qg = QueryGraph(g)
     value = cc_estimate(qg, params, make_rng(seed, 1))
-    # Memo-free reference over the same draws: every start is probed on a
-    # throwaway view, and 1/c is summed in draw order.
+    # Memo-free reference over the same draws: every start's min(|C|, cap)
+    # comes from the exact labelling, and 1/c is summed in draw order.
     starts = make_rng(seed, 1).integers(0, n, size=params.sample_count).tolist()
+    truth = capped_component_sizes(g, params.bfs_cap)
     inv_sum = 0.0
     for u in starts:
-        inv_sum += 1.0 / _truncated_component_size(QueryGraph(g), u, params.bfs_cap)
+        inv_sum += 1.0 / truth[u]
     assert value.hex() == (n * inv_sum / params.sample_count).hex()
     # The view paid for the BFS the memo rule runs (one BFS sizes every
     # vertex it discovers).
@@ -138,6 +144,7 @@ def test_cc_estimate_sizes_every_vertex_its_bfs_discovers(n, m, cap, sample_coun
     params = CcEstimateParams(kappa=1.0)
     params.sample_count, params.bfs_cap = sample_count, cap
     qg = QueryGraph(g)
+    truth = capped_component_sizes(g, cap)
     rng, twin = make_rng(seed, 1), make_rng(seed, 1)
     draws = []
     for _ in range(runs):
@@ -146,12 +153,8 @@ def test_cc_estimate_sizes_every_vertex_its_bfs_discovers(n, m, cap, sample_coun
         draws.append(starts)
         inv_sum = 0.0
         for u in starts:
-            inv_sum += 1.0 / _truncated_component_size(QueryGraph(g), u, cap)
+            inv_sum += 1.0 / truth[u]
         assert value.hex() == (n * inv_sum / sample_count).hex()
-    truth = [0] * n
-    for comp in connected_components_exact(g):
-        for v in comp:
-            truth[v] = min(len(comp), cap)
     sizes = qg.sizes[cap].tolist()
     assert all(sizes[u] for starts in draws for u in starts)
     assert all(size in (0, truth[v]) for v, size in enumerate(sizes))
@@ -159,7 +162,7 @@ def test_cc_estimate_sizes_every_vertex_its_bfs_discovers(n, m, cap, sample_coun
     assert {v: size for v, size in enumerate(sizes) if size} == replayed
     assert qg.queries == queries
     # At most one fresh BFS per distinct start, as a start-only memo paid.
-    assert qg.queries <= sum(bfs_probe_queries(g, u, cap) for u in set().union(*draws))
+    assert qg.queries <= sum(replay_memo_bfs(g, cap, [[u]])[0] for u in set().union(*draws))
 
 
 def test_cc_estimate_sum_is_the_running_sum_across_chunks():
@@ -169,12 +172,10 @@ def test_cc_estimate_sum_is_the_running_sum_across_chunks():
     params = CcEstimateParams(kappa=0.006)
     assert params.sample_count > 65_536
     value = cc_estimate(g, params, make_rng(44))
-    sizes = {}
+    truth = capped_component_sizes(g, params.bfs_cap)
     inv_sum = 0.0
     for u in make_rng(44).integers(0, g.n, size=params.sample_count).tolist():
-        if u not in sizes:
-            sizes[u] = _truncated_component_size(QueryGraph(g), u, params.bfs_cap)
-        inv_sum += 1.0 / sizes[u]
+        inv_sum += 1.0 / truth[u]
     assert value.hex() == (g.n * inv_sum / params.sample_count).hex()
 
 

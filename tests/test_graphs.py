@@ -33,6 +33,11 @@ def test_basic_construction_and_queries():
     assert g.edges() == [(0, 1), (1, 2)]
 
 
+def test_repr_names_size_and_weight_bound():
+    assert repr(Graph(4, [(0, 1), (2, 1)])) == "Graph(n=4, m=2)"
+    assert repr(Graph(3, [(0, 1)], {(0, 1): 2}, 5)) == "Graph(n=3, m=1, w<=5)"
+
+
 def test_add_edge_validation():
     weights = {(0, 1): 4, (0, 2): 4, (1, 1): 1, (0, 3): 1}
     assert Graph(3, [(0, 1)], weights, max_weight=4).weight(1, 0) == 4

@@ -254,20 +254,21 @@ def test_randomized_substrate_runs_on_every_call():
     assert len(calls) == 5
 
 
-def test_memo_keeps_the_two_newest_datasets_and_marks_hits():
+def test_memo_keeps_the_last_value_and_marks_hits():
     sub, calls = counting_substrate(True)
-    a, b, c = (0,), (0, 0), (0, 0, 0)
+    a, b = (0,), (0, 0)
     params = ApproxParams(0.1, 1.0, 0.0)
     assert sub.evaluate(a, params, None) == (1.0, {"items": 1})
-    assert sub.evaluate(b, params, None) == (2.0, {"items": 2})
     assert sub.evaluate(a, params, None) == (1.0, {"cached": 1})
-    assert sub.evaluate(c, params, None) == (3.0, {"items": 3})  # drops a
+    assert sub.evaluate(b, params, None) == (2.0, {"items": 2})  # drops a
     assert sub.evaluate(b, params, None) == (2.0, {"cached": 1})
     assert sub.evaluate(a, params, None) == (1.0, {"items": 1})  # drops b
     # Other params, or an equal but distinct dataset, are other keys.
     assert sub.evaluate(a, ApproxParams(0.2, 1.0, 0.0), None)[1] == {"items": 1}
+    assert sub.evaluate(a, ApproxParams(0.1, 1.0, 0.0), None)[1] == {"items": 1}
+    assert sub.evaluate(a, ApproxParams(0.1, 1.0, 0.0), None)[1] == {"cached": 1}
     assert sub.evaluate(tuple([0]), params, None)[1] == {"items": 1}
-    assert calls == [a, b, c, a, a, (0,)]
+    assert calls == [a, b, a, a, a, (0,)]
 
 
 def test_datasets_are_immutable():
@@ -464,6 +465,32 @@ def test_fallback_prob_value():
     assert pure_dp_fallback_prob(1.0, 0.0, 101) == 0.0
 
 
+@pytest.mark.parametrize("epsilon, delta, num_points, message", [
+    (0.0, 0.01, 11, "epsilon must be positive, got 0.0"),
+    (math.nan, 0.01, 11, "epsilon must be positive, got nan"),
+    (1.0, 1.0, 11, "delta must lie in [0, 1), got 1.0"),
+    (1.0, -0.1, 11, "delta must lie in [0, 1), got -0.1"),
+    (1.0, 0.01, 0, "num_points must be >= 1, got 0"),
+])
+def test_fallback_prob_refusals(epsilon, delta, num_points, message):
+    with pytest.raises(ValueError) as info:
+        pure_dp_fallback_prob(epsilon, delta, num_points)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("epsilon, delta, message", [
+    (0.0, 0.01, "epsilon must be positive, got 0.0"),
+    (1.0, 1.0, "delta must lie in [0, 1), got 1.0"),
+])
+def test_to_pure_dp_refuses_a_budget_the_fallback_cannot_use(epsilon, delta, message):
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        to_pure_dp(3.2, GridSpec(range_max=10.0, spacing=1.0), epsilon, delta, rng)
+    assert str(info.value) == message
+    assert rng.bit_generator.state == state
+
+
 def test_to_pure_dp_rounds_up_onto_grid():
     grid = GridSpec(range_max=10.0, spacing=1.0)
     rng = make_rng(0)
@@ -568,6 +595,19 @@ def test_route_params_refuses_a_tuned_rho_of_1_or_more(route, cfg, message):
     # The Cauchy route still refuses a randomized substrate first.
     with pytest.raises(ValueError, match="requires a deterministic substrate"):
         route_params(const_substrate(1.0, deterministic=False), cfg, "cauchy")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-0.1, 1.0, 1.0, 1.0, 6.5), "rho must be nonnegative, got -0.1"),
+    ((0.1, -1.0, 1.0, 1.0, 6.5), "tau must be nonnegative, got -1.0"),
+    ((0.1, 1.0, math.nan, 1.0, 6.5), "delta_f must be nonnegative, got nan"),
+    ((0.1, 1.0, 1.0, 0.0, 6.5), "epsilon must be positive, got 0.0"),
+    ((0.1, 1.0, 1.0, -1.0, 6.5), "epsilon must be positive, got -1.0"),
+])
+def test_lemma_fptas_bounds_refusals(args, message):
+    with pytest.raises(ValueError) as info:
+        lemma_fptas_bounds(*args)
+    assert str(info.value) == message
 
 
 def test_lemma_fptas_bounds_refuses_a_nan_gamma():

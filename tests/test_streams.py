@@ -190,9 +190,11 @@ _MALFORMED_PAIRS = [
      "update must be a pair of integers, got (2.5, 1)"),
     (3, [(0, 2), (5, 1)], "turnstile", "delta must be +1 or -1, got 2"),
     (3, [(0, 2 ** 64)], "turnstile", "delta must be +1 or -1, got 18446744073709551616"),
-    (3, [(0, 1, 1)], "insert", "too many values to unpack (expected 2)"),
-    (3, [(0,)], "insert", "not enough values to unpack (expected 2, got 1)"),
-    (3, [(float("nan"), 1)], "insert", "cannot convert float NaN to integer"),
+    (3, [(0, 1, 1)], "insert", "update must be a pair of integers, got (0, 1, 1)"),
+    (3, [(0,)], "insert", "update must be a pair of integers, got (0,)"),
+    (3, [(float("nan"), 1)], "insert", "update must be a pair of integers, got (nan, 1)"),
+    (5, [(1, 1), (2, 1, 3)], "insert", "update must be a pair of integers, got (2, 1, 3)"),
+    (3, [[2.5, 1]], "turnstile", "update must be a pair of integers, got (2.5, 1)"),
     (3, np.array([[0, 1], [7, 1]]), "insert", "item 7 outside universe [0, 3)"),
     (3, np.array([[2 ** 63, 1]], dtype=np.uint64), "insert",
      "item 9223372036854775808 outside universe [0, 3)"),
@@ -568,15 +570,16 @@ def _reference_constructor(n, updates, mode):
     pairs = streams._int_pairs(updates)
     if pairs is None:
         cleaned = []
-        for raw_item, raw_delta in updates:
+        for row in updates:
             try:
+                row = tuple(row)
+                raw_item, raw_delta = row
                 item, delta = int(raw_item), int(raw_delta)
                 integral = item == raw_item and delta == raw_delta
-            except (TypeError, OverflowError):
+            except (TypeError, ValueError, OverflowError):
                 integral = False
             if not integral:
-                raise ValueError(
-                    f"update must be a pair of integers, got ({raw_item!r}, {raw_delta!r})")
+                raise ValueError(f"update must be a pair of integers, got {row!r}")
             error = streams._update_error(n, insert, item, delta)
             if error:
                 raise ValueError(error)
