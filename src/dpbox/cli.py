@@ -7,10 +7,12 @@ Commands: wrap (run a wrapped mechanism, emit CSV), audit (empirical epsilon
 report, JSON), coverage (Monte-Carlo check of the route's accuracy_interval,
 JSON), bench (resource counters and budget assertions, JSON). Configuration
 is a JSON object; command-line flags override config keys of the same
-meaning. Unknown keys, non-string names and paths, a "debug_trace" other
-than true or false, and bad counts ("trials" >= 1, >= 1000 for audit; 2 <=
-"bins" <= trials; "seed" >= 0; all JSON integers) exit 2 before any file is
-read, as does a "trials" whose outputs
+meaning. Unknown keys, keys the run would not read (a "kappa_frac" without
+a preset and a graph substrate, an extra key such as "window" that the
+substrate's registry entry does not read), non-string names and paths, a
+"debug_trace" other than true or false, and bad counts ("trials" >= 1, >=
+1000 for audit; 2 <= "bins" <= trials; "seed" >= 0; all JSON integers) exit
+2 before any file is read, as does a "trials" whose outputs
 would pass the 1 GiB cap while wrap, audit or bench hold them (see
 _COMMANDS). Both "input" and "input_prime" are read by
 substrates.load_dataset.
@@ -49,8 +51,8 @@ from .audit import SIDE_STREAMS, audit_samples
 from .mechanisms import ApproxParams, WrapConfig, accuracy_interval, route_params, wrap_trials
 from .noise import make_rng
 from .streams import _check_bytes
-from .substrates import (audit_neighbor, dataset_kind, default_delta_f, exact_value,
-                         load_dataset, make_substrate, query_budget)
+from .substrates import (EXTRA_KEYS, audit_neighbor, dataset_kind, default_delta_f,
+                         exact_value, load_dataset, make_substrate, query_budget)
 
 __all__ = ["main"]
 
@@ -62,12 +64,12 @@ _STATIC_PRESETS = {
     "sw-de": {"substrate": "sw_de", "alpha": 0.2, "delta": 0.01},
 }
 
-# Every key a config may set: the keys read here, and sw_de's window.
+# Every key a config may set: the keys read here, and the substrates' extra keys.
 _TEXT_KEYS = ("substrate", "preset", "input", "input_prime", "route", "out")
-_KEYS = frozenset(_TEXT_KEYS + (
+_KEYS = EXTRA_KEYS | frozenset(_TEXT_KEYS + (
     "epsilon", "delta", "alpha", "kappa", "delta_f", "gamma", "tau_override", "kappa_frac",
     "trials", "seed", "bins", "delta_slack", "epsilon_limit", "toggle", "toggle_weight",
-    "debug_trace", "window"))
+    "debug_trace"))
 
 
 class CliError(Exception):
@@ -88,7 +90,13 @@ def _apply_preset(config) -> dict:
     name = config.get("preset")
     if name is not None and name not in _STATIC_PRESETS:
         raise CliError(f"unknown preset {name!r}; known: {', '.join(sorted(_STATIC_PRESETS))}")
-    return {**_STATIC_PRESETS.get(name, {}), **config}
+    merged = {**_STATIC_PRESETS.get(name, {}), **config}
+    # Only the graph rule of _derive_preset_values reads a kappa_frac, and only
+    # a user-written one is refused: the cc preset's own may go unread.
+    if "kappa_frac" in config and not (name and dataset_kind(merged["substrate"]) == "graph"):
+        raise CliError("'kappa_frac' needs a 'preset' and a graph substrate, got "
+                       + (f"substrate {merged['substrate']!r}" if name else "no preset"))
+    return merged
 
 
 def _derive_preset_values(config: dict, dataset):

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (Graph, _disconnected_error, connected_components_exact,
-                     kruskal_mst_weight)
+from .graphs import Graph, connected_components_exact, kruskal_mst_weight
 from .mechanisms import _check_accuracy, block_medians, median_replicas
 from .streams import _check_bytes
 
@@ -116,8 +115,8 @@ def cc_exact(g) -> int:
 
 
 def mst_weight_exact(g) -> int:
-    """Exact MST weight (graphs.kruskal_mst_weight); raises ValueError when
-    disconnected."""
+    """Exact MST weight of the weight-w completion (graphs.kruskal_mst_weight),
+    which is the MST weight on a connected graph."""
     return kruskal_mst_weight(_query_view(g).graph)
 
 
@@ -131,19 +130,15 @@ def _size_components(qg: QueryGraph, starts, cap: int) -> None:
     probe. One that reaches cap proves |C| >= cap, so each gets cap. A BFS
     also stops at the first vertex it discovers that sizes[cap] sizes, and
     gives that vertex's size, that of the same component, to every vertex it
-    saw. cap 1 sizes every start 1 with no probe. The scan costs qg what
-    probing each vertex's degree(u) and then neighbor(u, 0), neighbor(u, 1),
-    ... would: one query per degree and one per neighbour read, added in
-    bulk. It stops dead at the vertex that ends it, so a single BFS costs at
-    most cap^2 + cap - 1 queries: <= cap degree probes, <= cap - 1 probes
-    that discover a new vertex, and <= cap*(cap-1) probes landing on an
-    already-seen vertex (one per ordered pair).
+    saw. cap is at least 2, as every CcEstimateParams' bfs_cap is. The scan
+    costs qg what probing each vertex's degree(u) and then neighbor(u, 0),
+    neighbor(u, 1), ... would: one query per degree and one per neighbour
+    read, added in bulk. It stops dead at the vertex that ends it, so a
+    single BFS costs at most cap^2 + cap - 1 queries: <= cap degree probes,
+    <= cap - 1 probes that discover a new vertex, and <= cap*(cap-1) probes
+    landing on an already-seen vertex (one per ordered pair).
     """
     memo = memoryview(qg.sizes[cap])
-    if cap <= 1:
-        for start in starts:
-            memo[start] = 1
-        return
     indptr, indices = qg.graph._rows
     queries = 0
     for start in starts:
@@ -251,32 +246,31 @@ def mst_level_knobs(alpha: float, fail_prob: float, w: int):
 
 
 def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
-    """Estimate MST weight on a connected graph with integer weights in [1, w].
+    """Estimate the MST weight of the weight-w completion of a graph with
+    integer weights in [1, w] (see graphs.kruskal_mst_weight): the MST weight
+    on a connected graph.
 
     Uses the identity MST = n - w + sum_{i=1}^{w-1} C^(i), where C^(i) counts
-    components of the subgraph keeping edges of weight <= i. Each C^(i) is
-    cc_median at per-level additive target kappa_i = alpha/(2w) and per-level
-    failure fail_prob/w, so the total is a (1 +/- alpha) approximation with
-    probability >= 1 - fail_prob. Rejects disconnected inputs and
-    out-of-range weights. w = 1 forces weight n - 1 with no queries.
+    components of the subgraph keeping edges of weight <= i (Chazelle,
+    Rubinfeld & Trevisan), which holds for the completion of every graph. Each
+    C^(i) is cc_median at per-level additive target kappa_i = alpha/(2w) and
+    per-level failure fail_prob/w, so the total is a (1 +/- alpha)
+    approximation with probability >= 1 - fail_prob. At w = 1 there is no
+    level, and the estimate is n - 1 with no query. A graph with no vertices
+    gets 0.
 
     Each level gets its own QueryGraph, so the replicas of one level share
-    one memo of sized vertices. The connectivity precheck labels the
-    components of the whole graph (graphs.connected_components_exact), work
-    that the query meter does not count.
+    one memo of sized vertices.
     """
     qg = _query_view(g)
     graph = qg.graph
     if graph.max_weight is None:
         raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")
     _check_accuracy(alpha, fail_prob)
-    components = len(connected_components_exact(graph))
-    if components != 1:
-        raise _disconnected_error(components)
     w = graph.max_weight
     n = graph.n
-    if w == 1:
-        return float(n - 1)
+    if n == 0:
+        return 0.0
     knobs = mst_level_knobs(alpha, fail_prob, w)
     total = float(n - w)
     for i in range(1, w):

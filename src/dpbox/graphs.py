@@ -28,7 +28,9 @@ with the smallest vertex of its component by hooking and pointer jumping
 (Shiloach & Vishkin, J. Algorithms 1982) in O(log n) rounds of whole-array
 passes; connected_components_exact lists the components from those labels, and
 kruskal_mst_weight runs Boruvka rounds on the same kernel, which give the
-weight Kruskal gives.
+forest weight Kruskal gives. It answers every graph, connected or not, with
+the minimum spanning tree weight of the weight-w completion: the graph with
+every missing pair joined by an edge of the declared bound w.
 """
 
 from __future__ import annotations
@@ -315,7 +317,14 @@ def connected_components_exact(g: Graph) -> List[List[int]]:
 
 
 def kruskal_mst_weight(g: Graph) -> int:
-    """Minimum spanning tree weight; raises if g is disconnected.
+    """Minimum spanning tree weight of the weight-w completion of g: g with
+    an edge of weight w = g.max_weight (1 when g is unweighted) added between
+    every pair that is not an edge. That is the minimum spanning forest's
+    weight plus w * (C - 1) for the forest's C trees, since Kruskal on the
+    completion takes the forest's edges and then C - 1 edges of the heaviest
+    weight w to join the trees. On a connected graph it is the minimum
+    spanning tree weight, and on a graph with no vertices it is 0. One edge
+    toggle moves it by at most w - 1.
 
     Boruvka rounds on _component_roots: every component takes its lightest
     outgoing edge, ties broken by canonical index, and the chosen edges merge
@@ -345,15 +354,8 @@ def kruskal_mst_weight(g: Graph) -> int:
         total += sum(ew[chosen].tolist())
         used += int(np.count_nonzero(chosen))
         labels = _component_roots(n, ru[chosen], rv[chosen])[labels]
-    if used != n - 1:
-        raise _disconnected_error(n - used)
-    return total
-
-
-def _disconnected_error(components: int) -> ValueError:
-    """The refusal of a spanning tree on a graph of that many components."""
-    return ValueError(
-        f"graph is disconnected ({components} components), spanning tree undefined")
+    w = 1 if g.max_weight is None else g.max_weight
+    return total + w * max(n - 1 - used, 0)
 
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:

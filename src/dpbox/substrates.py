@@ -51,6 +51,7 @@ __all__ = [
     "exact_value",
     "default_delta_f",
     "query_budget",
+    "EXTRA_KEYS",
 ]
 
 
@@ -119,8 +120,6 @@ def _mst_estimate_queries(graph, params) -> float:
     w = graph.max_weight
     if params.alpha <= 0.0 or w is None:
         return math.inf
-    if w < 2:
-        return 0.0
     level_params, replicas = mst_level_knobs(params.alpha, _clamped_fail(params, 1.0 / 3.0), w)
     return (w - 1) * replicas * level_params.max_queries
 
@@ -194,6 +193,7 @@ class _Entry:
     # config -> the extras that make_substrate and exact_value bind; raises
     # ValueError on a bad extra key, so the CLI refuses it before reading a file.
     extras: Callable = lambda config: {}
+    extra_keys: tuple = ()      # the config keys that extras reads
 
 
 _REGISTRY = {
@@ -208,10 +208,12 @@ _REGISTRY = {
     "f0_exact": _Entry("stream", exact_distinct, _two),
     "f0_kmv": _Entry("stream", exact_distinct, _two, _f0_kmv, False),
     "sw_de": _Entry("stream", _distinct_in_window, _two, _sw_de, False,
-                    extras=_window),
+                    extras=_window, extra_keys=("window",)),
 }
 
 SUBSTRATE_NAMES = tuple(sorted(_REGISTRY))
+# Every config key that some entry's extras read.
+EXTRA_KEYS = frozenset(key for entry in _REGISTRY.values() for key in entry.extra_keys)
 
 
 def _entry(name: str) -> _Entry:
@@ -230,8 +232,12 @@ def _oracle_evaluate(dataset, params, rng, oracle, kind, **extras):
 
 def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
     """Build a registered substrate; config supplies extras (e.g. window),
-    which are checked and bound here."""
+    which are checked and bound here. An extra key of another entry, which
+    this one would not read, raises ValueError."""
     entry = _entry(name)
+    unread = sorted((config or {}).keys() & (EXTRA_KEYS - set(entry.extra_keys)))
+    if unread:
+        raise ValueError(f"substrate {name!r} does not read {unread[0]!r}")
     evaluate = entry.evaluate
     if evaluate is None:
         evaluate = functools.partial(_oracle_evaluate, oracle=entry.exact, kind=entry.kind)

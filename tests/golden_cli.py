@@ -3,10 +3,11 @@
 RUNS lists fixed runs of wrap, wrap --debug-trace, bench, coverage and audit
 over the ten substrates on the demo files (both routes where the substrate
 is deterministic, one refused Cauchy run where it is not), the presets on
-their matching demo files and with substrates of another dataset kind, and
-refusals: bad configs and the small malformed
-inputs under tests/golden/. golden_cli.json, beside this file, keeps each
-run's exit code and the sha256 of its stdout and stderr;
+their matching demo files and with substrates of another dataset kind, both
+MST substrates on an edge-neighbour pair whose second graph is disconnected,
+and refusals: bad configs, keys the run would not read, and the small
+malformed inputs under tests/golden/. golden_cli.json, beside this file,
+keeps each run's exit code and the sha256 of its stdout and stderr;
 tests/test_golden_cli.py replays the runs in-process and compares.
 
     python tests/golden_cli.py          # rewrite golden_cli.json
@@ -111,6 +112,20 @@ def _preset_runs():
                    config)
 
 
+def _neighbour_pair_runs():
+    """Both MST substrates on a path and on its edge neighbour without the
+    middle edge, which releases too (its weight-w completion weighs 4), and an
+    audit of the pair."""
+    for substrate in ("mst_exact", "mst_estimate"):
+        for name in ("mst_path.graph", "mst_path_cut.graph"):
+            config = {"substrate": substrate, "input": f"tests/golden/{name}",
+                      **_SUBSTRATES[substrate][2]}
+            yield f"wrap/{substrate}/{name}/laplace", "wrap", config
+    yield "audit/mst_exact/mst_path.graph/toggle-1-2", "audit", {
+        "substrate": "mst_exact", "input": "tests/golden/mst_path.graph",
+        **_SUBSTRATES["mst_exact"][2], "toggle": [1, 2], "toggle_weight": 2}
+
+
 def _refusal_runs():
     cc = {"substrate": "cc_exact", **_SUBSTRATES["cc_exact"][2]}
     mst = {"substrate": "mst_exact", **_SUBSTRATES["mst_exact"][2]}
@@ -137,13 +152,19 @@ def _refusal_runs():
         "missing-epsilon": {"substrate": "cc_exact", "input": "data/demo_cc.graph"},
         "missing-input": {"substrate": "cc_exact", "input": "tests/golden/absent.graph",
                           "epsilon": 1.0},
+        "kappa_frac-without-preset": {**cc, "input": "data/demo_cc.graph", "kappa_frac": 0.5},
+        "window-under-f0-preset": {"preset": "f0", "input": "data/demo_stream_insert.txt",
+                                   "epsilon": 1.0, "window": 3},
+        "kappa_frac-on-a-stream-substrate": {"preset": "cc", "substrate": "f0_exact",
+                                             "input": "data/demo_stream_insert.txt",
+                                             "epsilon": 1.0, "kappa_frac": 0.3},
     }
     for label, config in configs.items():
         command = "audit" if label.startswith("knapsack-audit") else "wrap"
         yield f"{command}/refusal/{label}", command, config
 
 
-RUNS = [*_file_runs(), *_preset_runs(), *_refusal_runs()]
+RUNS = [*_file_runs(), *_preset_runs(), *_neighbour_pair_runs(), *_refusal_runs()]
 
 
 def replay(command: str, config: dict) -> dict:

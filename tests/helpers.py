@@ -50,9 +50,6 @@ def replay_memo_bfs(g: Graph, cap: int, draws):
         for start in sorted(set(starts)):
             if start in sizes:
                 continue
-            if cap <= 1:
-                sizes[start] = 1
-                continue
             seen = [start]
             size = None
             for u in seen:

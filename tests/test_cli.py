@@ -338,8 +338,9 @@ def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, caps
 
 def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
         tmp_path, capsys):
-    # The unweighted demo graph is also disconnected: coverage draws its first
-    # trials before its oracle, so the estimator's own check speaks first.
+    # The unweighted demo graph declares no weight bound, which only the
+    # estimator needs (the oracle completes it with weight-1 edges), so every
+    # command, coverage too, gets the estimator's own refusal.
     cfg = write_config(tmp_path, {
         "substrate": "mst_estimate", "input": "data/demo_cc.graph", "epsilon": 1.0,
         "delta": 0.01, "alpha": 0.2, "delta_f": 3, "trials": 5,

@@ -69,16 +69,17 @@ def test_components_match_networkx_and_the_dfs(g):
 
 @settings(max_examples=300, deadline=None)
 @given(g=graphs(max_weight=st.sampled_from([1, 2, 3, 10 ** 9])))
-def test_mst_weight_matches_networkx_or_names_the_component_count(g):
+def test_mst_weight_matches_networkx_forest_plus_w_per_extra_tree(g):
+    # The MST of the weight-w completion: networkx's spanning forest joined by
+    # one edge of weight w per extra tree, and 0 on the empty graph.
     h = to_networkx(g)
-    k = nx.number_connected_components(h) if g.n else 0
-    if g.n and k == 1:
-        assert kruskal_mst_weight(g) == nx.minimum_spanning_tree(h).size(weight="weight")
+    w = g.max_weight or 1
+    if g.n:
+        forest = nx.minimum_spanning_tree(h).size(weight="weight")
+        expected = forest + w * (nx.number_connected_components(h) - 1)
     else:
-        with pytest.raises(ValueError) as err:
-            kruskal_mst_weight(g)
-        assert str(err.value) == (
-            f"graph is disconnected ({k} components), spanning tree undefined")
+        expected = 0
+    assert kruskal_mst_weight(g) == expected
 
 
 def test_mst_weight_is_an_exact_integer_beyond_int64():
@@ -123,12 +124,11 @@ def test_kernels_finish_fast_on_large_trees(name):
     comps = connected_components_exact(g)
     total = kruskal_mst_weight(g)
     pieces = connected_components_exact(cut)
-    with pytest.raises(ValueError) as err:
-        kruskal_mst_weight(cut)
+    completed = kruskal_mst_weight(cut)
     elapsed = time.perf_counter() - start
     assert comps == [list(range(n))]
     assert total == int(weights.sum())
     assert pieces == reference_components(cut)
-    assert str(err.value) == (
-        f"graph is disconnected ({len(pieces)} components), spanning tree undefined")
+    # The cut tree is its own spanning forest; weight-w edges join its pieces.
+    assert completed == int(rows[:, 2].sum()) + 10 ** 9 * (len(pieces) - 1)
     assert elapsed < 1.0

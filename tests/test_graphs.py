@@ -144,10 +144,10 @@ def test_kruskal_matches_networkx():
         assert ours == theirs
 
 
-def test_kruskal_rejects_disconnected():
+def test_kruskal_completes_a_disconnected_graph_with_weight_w_edges():
+    # The forest {(0, 1)} weighs 1; two edges of weight w = 2 join its 3 trees.
     g = Graph(4, [(0, 1)], {(0, 1): 1}, max_weight=2)
-    with pytest.raises(ValueError):
-        kruskal_mst_weight(g)
+    assert kruskal_mst_weight(g) == 5
 
 
 def test_subgraph_weight_at_most():

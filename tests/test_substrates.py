@@ -246,6 +246,13 @@ def test_window_must_be_an_integer_of_at_least_1(demo_insert):
             exact_value("sw_de", demo_insert, config)
 
 
+@pytest.mark.parametrize("name", [n for n in SUBSTRATE_NAMES if n != "sw_de"])
+def test_a_window_is_refused_by_every_substrate_that_does_not_read_it(name):
+    with pytest.raises(ValueError) as err:
+        make_substrate(name, {"window": 3})
+    assert str(err.value) == f"substrate {name!r} does not read 'window'"
+
+
 def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):
     cfg = WrapConfig(epsilon=1.0, delta=0.01, alpha=0.5, kappa=1.0,
                      delta_f=2.0, gamma=3.0)
