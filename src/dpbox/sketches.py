@@ -17,14 +17,20 @@ append_rows would grow it there.
 KmvSketch retains the k = ceil(16/alpha^2) smallest distinct 64-bit hash
 values per copy, reps = ceil(12*ln(2/delta)) copies medianed. Its whole state
 is one rows x w float array of per-row ascending minima (w <= k, +inf pads
-shorter rows). Single and bulk inserts share one merge: a step hashes up to
-max(1, 2^22 // rows) distinct items under all rows' salts at once, so its
-buffer holds at most rows x (w + step) floats, sorts each row once, and sorts
-again only when an already held hash was marked +inf as a duplicate. A merge
-whose minima and step buffer would pass 1 GiB is refused before hashing.
-space_words counts the words held, not the reps*k capacity. Insertion-only:
-a deletion cannot be undone once a hash is retained, so turnstile streams are
-rejected. Below k distinct items the sketch is exact.
+shorter rows). Items must be integers; anything else is refused before
+hashing. Single and bulk inserts share one merge, and a bulk insert takes its
+distinct items from one sort and an adjacent-difference mask. A merge step
+takes up to max(1, 2^22 // rows) distinct items into one rows x (w + step)
+float buffer that holds the minima on its left. It fills the buffer in bands
+of max(1, 2^15 // step) rows, so that a band's temporaries stay in cache: the
+band's hashes are computed and sorted in uint64 and converted into the
+buffer in place, as the map to floats is monotone; one stable sort per row
+merges them with the held minima, and a second runs only when a hash equal
+to its left neighbour was marked +inf as a duplicate. A merge whose minima
+and step buffer would pass 1 GiB is refused before hashing. space_words
+counts the words held, not the reps*k capacity. Insertion-only: a deletion
+cannot be undone once a hash is retained, so turnstile streams are rejected.
+Below k distinct items the sketch is exact.
 
 Both sketches keep their rows in arrays that can be stacked: append_rows
 puts another sketch's rows below, take_rows keeps a subset, and row_values
@@ -41,7 +47,7 @@ import math
 import numpy as np
 
 from .mechanisms import _check_accuracy, block_medians
-from .streams import UpdateStream, _check_bytes
+from .streams import UpdateStream, _check_bytes, _sorted_distinct
 
 __all__ = [
     "AmsSketch",
@@ -137,9 +143,7 @@ class AmsSketch:
                 f"items and deltas must be integers, got {items.dtype} and {deltas.dtype}")
         if items.min() < 0 or items.max() >= self.universe_size:
             raise ValueError(f"update has an item outside the universe [0, {self.universe_size})")
-        uniq, inv = np.unique(items, return_inverse=True)
-        net = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(net, inv, deltas.astype(np.int64))
+        uniq, net = _sorted_distinct(items, deltas.astype(np.int64))
         keep = net != 0
         uniq, net = uniq[keep].astype(np.uint64), net[keep]
         a, b, c3, c2, c1, c0 = self.coeffs.T[:, :, None]
@@ -175,6 +179,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # Hashes one KmvSketch merge step computes over all rows: a step takes
 # max(1, _KMV_STEP_WORDS // rows) distinct items.
 _KMV_STEP_WORDS = 2 ** 22
+# Hashes one band of a step holds: a band takes max(1, _KMV_BAND_WORDS // n)
+# rows of a step of n items, so its temporaries stay in cache.
+_KMV_BAND_WORDS = 2 ** 15
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -187,14 +194,35 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _kmv_offsets(items: np.ndarray) -> np.ndarray:
+    """(item + 1) * golden: a salt plus this is the splitmix64 state whose
+    output is the item's hash in the stream seeded by that salt."""
+    return (items.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+
+
+def _to_unit(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (float(z) + 1) * 2^-64 of the uint64 array z into the float
+    array out, which it returns: values in (0, 1], the +1 keeping 0 out. The
+    map is monotone, so sorted z stay sorted."""
+    out[...] = z
+    out += 1.0
+    out *= 2.0 ** -64
+    return out
+
+
 def _kmv_hash(items: np.ndarray, salt: np.uint64) -> np.ndarray:
     """Map items to floats in (0, 1]: the (item+1)-th splitmix64 output of the
-    stream seeded by salt, scaled by 2^-64 with a +1 offset so 0 is excluded."""
-    idx = (items.astype(np.uint64) + np.uint64(1)) * _GOLDEN + salt
-    h = _mix64(idx).astype(np.float64)
-    h += 1.0
-    h *= 2.0 ** -64
-    return h
+    stream seeded by salt, under _to_unit."""
+    z = _mix64(_kmv_offsets(items) + salt)
+    return _to_unit(z, np.empty(z.shape))
+
+
+def _integer_items(items) -> np.ndarray:
+    """items as a 1-D int64 array; anything but integers is refused."""
+    items = np.ravel(items)
+    if items.size and items.dtype.kind not in "iu":
+        raise ValueError(f"items must be integers, got {items.dtype}")
+    return items.astype(np.int64, copy=False)
 
 
 def _width(minima: np.ndarray) -> int:
@@ -236,8 +264,14 @@ class KmvSketch:
         return int(held.sum()) * self.reps + self.rows
 
     def _held(self) -> np.ndarray:
-        """Minima held per row."""
-        return np.count_nonzero(self.minima < np.inf, axis=1)
+        """Minima held per row. Rows are ascending with +inf only at the end,
+        so when no row's last column is +inf every row holds the width.
+        Otherwise the count runs over the whole array: copying out just the
+        short rows costs more where most rows are short, as in a
+        sliding-window stack."""
+        if self.minima[:, -1:].max(initial=0.0) < np.inf:
+            return np.full(self.rows, self.minima.shape[1])
+        return (self.minima < np.inf).sum(axis=1)
 
     def append_rows(self, other: "KmvSketch"):
         """Stack other's rows, salts and minima, below these, padding the
@@ -258,38 +292,58 @@ class KmvSketch:
         self.minima = minima[:, :_width(minima)]
 
     def update(self, item: int):
-        self._merge(np.array([item], dtype=np.int64))
+        self._merge(_integer_items([item]))
 
     def update_bulk(self, items):
-        """Insert many items at once; the rows come out identical to the
-        one-at-a-time loop because "k smallest distinct values" does not
+        """Insert many integer items at once; the rows come out identical to
+        the one-at-a-time loop because "k smallest distinct values" does not
         depend on arrival order."""
-        self._merge(np.unique(np.asarray(items, dtype=np.int64)))
+        self._merge(_sorted_distinct(_integer_items(items)))
 
     def _merge(self, uniq: np.ndarray):
-        """Fold distinct items into every row. A step hashes its items under
-        all salts at once and sorts each row once; a hash equal to its left
-        neighbour is a repeat, is marked +inf, and forces one more sort."""
+        """Fold distinct items into every row, in steps of at most
+        max(1, _KMV_STEP_WORDS // rows) items. A step allocates one rows x
+        (held + step) float buffer, copies the held minima into its left
+        columns, and fills it band by band (see _merge_band)."""
         rows, step = self.rows, max(1, _KMV_STEP_WORDS // self.rows)
         width = min(self.k, self.minima.shape[1] + uniq.size)
         _check_bytes(8 * rows * (width + min(step, uniq.size)),
                      f"KMV sketch of {rows} rows x {width} minima", "minima and merge buffer")
         for lo in range(0, uniq.size, step):
-            hashes = _kmv_hash(uniq[None, lo:lo + step], self.salts[:, None])
+            offsets = _kmv_offsets(uniq[lo:lo + step])
             held = self.minima.shape[1]
-            merged = np.concatenate([self.minima, hashes], axis=1)
-            merged.sort(axis=1)
-            dup = merged[:, 1:] == merged[:, :-1]
-            dup &= merged[:, 1:] < np.inf
-            if dup.any():
-                # Rows are sorted but for the new +inf marks: timsort's runs
-                # make this second pass close to linear.
-                merged[:, 1:][dup] = np.inf
-                merged.sort(axis=1, kind="stable")
+            merged = np.empty((rows, held + offsets.size))
+            merged[:, :held] = self.minima
+            band = max(1, _KMV_BAND_WORDS // offsets.size)
+            kept = [self._merge_band(merged[r:r + band], offsets, self.salts[r:r + band])
+                    for r in range(0, rows, band)]
             # The widest row held `held` minima and no row loses any, so only
             # the new columns can widen the sketch.
-            width = min(self.k, held + _width(merged[:, held:]))
+            width = min(self.k, held + max(kept))
             self.minima = merged if width == merged.shape[1] else merged[:, :width].copy()
+
+    @staticmethod
+    def _merge_band(band: np.ndarray, offsets: np.ndarray, salts: np.ndarray) -> int:
+        """Hash offsets under the band's salts in uint64, sort each row there,
+        and convert the sorted hashes into the band's new columns; a stable
+        sort then merges them with the held minima, two sorted runs. A hash
+        equal to its left neighbour is a repeat, is marked +inf, and forces
+        one more stable sort. Returns the most new values a row of the band
+        keeps."""
+        held = band.shape[1] - offsets.size
+        z = _mix64(offsets + salts[:, None])
+        z.sort(axis=1)
+        _to_unit(z, band[:, held:])
+        if held:
+            band.sort(axis=1, kind="stable")
+        dup = band[:, 1:] == band[:, :-1]
+        dup &= band[:, 1:] < np.inf
+        if dup.any():
+            # Rows are sorted but for the new +inf marks: timsort's runs
+            # make this second pass close to linear.
+            band[:, 1:][dup] = np.inf
+            band.sort(axis=1, kind="stable")
+        return _width(band[:, held:])
 
     def consume(self, stream: UpdateStream):
         if stream.mode != "insert":

@@ -86,6 +86,25 @@ def _check_bytes(need: int, subject: str, contents: str):
                          f"above the {_MAX_BYTES / 2 ** 30:g} GiB cap")
 
 
+def _sorted_distinct(items: np.ndarray, deltas: Optional[np.ndarray] = None):
+    """The distinct values of the 1-D array items, ascending, as np.unique
+    gives them, from one sort and an adjacent-difference mask. Given deltas,
+    one per item, also each distinct value's delta sum: np.add.reduceat over
+    its run of the sorted order."""
+    if deltas is None:
+        ordered = np.sort(items)
+    else:
+        order = np.argsort(items)
+        ordered = items[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if deltas is None:
+        return ordered[first]
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.add.reduceat(deltas[order], starts)
+
+
 def _update_error(n, insert: bool, item: int, delta: int) -> Optional[str]:
     """Why an integer update breaks the stream rules, or None; a range error
     is reported before a delta error."""

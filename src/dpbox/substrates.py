@@ -31,15 +31,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median, mst_level_knobs,
                                mst_weight_estimate, mst_weight_exact)
 from .graphs import load_graph, toggle_edge
 from .knapsack import knapsack_exact, knapsack_fptas, load_knapsack
 from .mechanisms import ApproxParams, TunableSubstrate
 from .sketches import AmsSketch, KmvSketch
-from .streams import exact_distinct, exact_l2, load_stream, stream_neighbor
+from .streams import _sorted_distinct, exact_distinct, exact_l2, load_stream, stream_neighbor
 from .windows import smooth_histogram_distinct
 
 __all__ = [
@@ -70,7 +68,7 @@ def _window(config) -> dict:
 
 
 def _distinct_in_window(stream, window) -> int:
-    return np.unique(stream.items[-window:]).size
+    return _sorted_distinct(stream.items[-window:]).size
 
 
 def _recount(stream, oracle, **extras):

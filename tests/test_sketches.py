@@ -323,6 +323,115 @@ def test_kmv_multi_step_merge_matches_one_at_a_time(k, reps, step_words, items):
     assert stepped.space_words == single.space_words
 
 
+def _reference_merge(minima, salts, k, items):
+    """The concatenate-and-sort merge the banded kernel replaced, with
+    np.unique for the distinct items: each step hashes its items under all
+    salts at once, sorts each row as floats, marks a repeat +inf and sorts
+    again. Returns the new minima."""
+    uniq = np.unique(np.asarray(items, dtype=np.int64))
+    rows = salts.size
+    step = max(1, sketches._KMV_STEP_WORDS // rows)
+    for lo in range(0, uniq.size, step):
+        hashes = _kmv_hash(uniq[None, lo:lo + step], salts[:, None])
+        held = minima.shape[1]
+        merged = np.concatenate([minima, hashes], axis=1)
+        merged.sort(axis=1)
+        dup = merged[:, 1:] == merged[:, :-1]
+        dup &= merged[:, 1:] < np.inf
+        if dup.any():
+            merged[:, 1:][dup] = np.inf
+            merged.sort(axis=1, kind="stable")
+        width = min(k, held + sketches._width(merged[:, held:]))
+        minima = merged if width == merged.shape[1] else merged[:, :width].copy()
+    return minima
+
+
+def _reference_estimate(minima, k):
+    """The median of the per-row values, each held count counted over the
+    whole row."""
+    values = np.count_nonzero(minima < np.inf, axis=1).astype(np.float64)
+    if minima.shape[1] == k:
+        full = values == k
+        values[full] = (k - 1) / minima[full, -1]
+    return float(np.median(values))
+
+
+def _coarse_mix(low_bits):
+    """_mix64 with the low bits of every output cleared, so that distinct
+    items share hashes."""
+    mix, mask = sketches._mix64, ~np.uint64(2 ** low_bits - 1)
+
+    def coarse(z):
+        z = mix(z)
+        z &= mask
+        return z
+    return coarse
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 12), reps=st.integers(1, 5),
+       first=st.lists(st.integers(-3, 60), max_size=40),
+       items=st.lists(st.integers(-3, 60), max_size=80),
+       step_words=st.integers(1, 40), band_words=st.integers(1, 40), coarse=st.booleans())
+def test_kmv_banded_kernel_matches_the_concatenate_and_sort_merge(
+        k, reps, first, items, step_words, band_words, coarse):
+    # Two inserts, the second into the rows the first left, with the step and
+    # band budgets cut down so that one insert spans several steps and bands;
+    # with coarse, hashes keep 6 bits, so distinct items collide and the +inf
+    # duplicate path runs. After each insert the rows must equal the old
+    # merge's bit for bit.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sketches, "_KMV_STEP_WORDS", step_words)
+        mp.setattr(sketches, "_KMV_BAND_WORDS", band_words)
+        if coarse:
+            mp.setattr(sketches, "_mix64", _coarse_mix(58))
+        sk = KmvSketch(k, reps, make_rng(37))
+        minima = sk.minima
+        for part in (first, items):
+            sk.update_bulk(part)
+            minima = _reference_merge(minima, sk.salts, k, part)
+            assert np.array_equal(sk.minima, minima)
+            assert sk.estimate().hex() == _reference_estimate(minima, k).hex()
+
+
+def test_kmv_colliding_hashes_are_held_once(monkeypatch):
+    # With the low 40 bits of every hash cleared, 20,000 items share about a
+    # dozen float hashes per row; each shared value is held once, as the old
+    # merge held it, whether it arrives in one insert or the second of two.
+    monkeypatch.setattr(sketches, "_mix64", _coarse_mix(40))
+    monkeypatch.setattr(sketches, "_KMV_BAND_WORDS", 5_000)
+    items = np.arange(20_000)
+    whole, split = KmvSketch(30_000, 8, make_rng(38)), KmvSketch(30_000, 8, make_rng(38))
+    whole.update_bulk(items)
+    split.update_bulk(items[::2])
+    split.update_bulk(items)
+    reference = _reference_merge(np.empty((8, 0)), whole.salts, 30_000, items)
+    assert np.array_equal(whole.minima, reference)
+    assert np.array_equal(split.minima, reference)
+    held = np.count_nonzero(reference < np.inf, axis=1)
+    assert held.max() < items.size and held.min() > items.size - 100
+    assert whole.estimate().hex() == _reference_estimate(reference, 30_000).hex()
+
+
+def test_kmv_rejects_non_integer_items(monkeypatch):
+    # A float item is refused, not truncated, before anything is hashed, and
+    # the sketch keeps its rows; an empty insert is still a no-op.
+    sk = KmvSketch(k=8, reps=3, rng=make_rng(39))
+    sk.update_bulk([1, 2])
+    held = sk.minima.copy()
+
+    def no_hashing(z):
+        raise AssertionError("hashed a refused insert")
+    monkeypatch.setattr(sketches, "_mix64", no_hashing)
+    for bad in (lambda: sk.update_bulk([2.5, 2.9, 2]), lambda: sk.update(2.7),
+                lambda: sk.update_bulk(np.array([3.0]))):
+        with pytest.raises(ValueError, match="^items must be integers, got float64$"):
+            bad()
+    sk.update_bulk([])
+    assert np.array_equal(sk.minima, held)
+    assert sk.estimate() == 2.0
+
+
 def test_kmv_refuses_oversized_merge_before_hashing(monkeypatch):
     # 200 new items into 8 empty rows: 200 minima and a 200-item step per
     # row, 8 * 8 * 400 = 25,600 bytes.

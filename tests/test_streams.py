@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dpbox import graphs, streams
 from dpbox.graphs import format_graph, load_graph
 from dpbox.noise import make_rng
-from dpbox.streams import (UpdateStream, _body_lines, _check_bytes, _int_rows, _walk_lines,
+from dpbox.streams import (UpdateStream, _body_lines, _check_bytes, _int_rows, _sorted_distinct,
+                           _walk_lines,
                            exact_distinct, exact_f2, exact_frequencies, exact_l2,
                            format_stream, load_stream, parse_stream, save_stream,
                            stream_neighbor)
@@ -536,6 +537,25 @@ def test_clean_files_never_reach_the_line_walker(tmp_path, monkeypatch, kind, li
     monkeypatch.undo()
     with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: 'x"):
         load(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(st.integers(-2 ** 62, 2 ** 62) | st.integers(-5, 5), max_size=60),
+       data=st.data())
+def test_sorted_distinct_matches_np_unique(items, data):
+    # The distinct values equal np.unique's, dtype included, and the per-value
+    # delta sums equal np.add.at over np.unique's inverse.
+    items = np.array(items, dtype=np.int64)
+    deltas = np.array(data.draw(st.lists(st.integers(-9, 9), min_size=items.size,
+                                         max_size=items.size)), dtype=np.int64)
+    uniq, inverse = np.unique(items, return_inverse=True)
+    net = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(net, inverse, deltas)
+    alone = _sorted_distinct(items)
+    values, sums = _sorted_distinct(items, deltas)
+    assert alone.dtype == values.dtype == uniq.dtype and sums.dtype == net.dtype
+    assert np.array_equal(alone, uniq) and np.array_equal(values, uniq)
+    assert np.array_equal(sums, net)
 
 
 def test_check_bytes_gives_bytes_where_the_gib_figure_rounds_to_the_cap():
