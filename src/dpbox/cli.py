@@ -29,11 +29,12 @@ trial whose deterministic value was recalled, not computed, shows
 Presets (config key "preset") bundle a substrate with the parameter choices
 its accuracy statement uses; explicit config keys override them. Values that
 depend on the data come from the loaded dataset, by the kind of the
-substrate's dataset, whichever preset named it: on a graph of n vertices,
-delta = 1/n and gamma = ln(n), and, when kappa_frac is set (the cc preset
-sets it), kappa = kappa_frac*n and tau_override = kappa_frac*n/ln(n); on a
-stream of m updates, gamma = ln(m); a knapsack instance gets none. Logs
-take n and m at least 3.
+substrate's dataset, whichever preset named it: on a graph of n >= 2
+vertices, delta = 1/n and gamma = ln(n), and, when kappa_frac is set (the cc
+preset sets it), kappa = kappa_frac*n and tau_override = kappa_frac*n/ln(n);
+on a stream of m updates, gamma = ln(m); a knapsack instance gets none. Logs
+take n and m at least 3. A graph preset refuses a graph of fewer than two
+vertices, whose delta = 1/n would not lie below 1.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .audit import SIDE_STREAMS, audit_samples
-from .mechanisms import ApproxParams, WrapConfig, accuracy_interval, route_params, wrap_trials
+from .mechanisms import (TRIAL_CHUNK, ApproxParams, WrapConfig, accuracy_interval, route_params,
+                         wrap_trials)
 from .noise import make_rng
 from .streams import _check_bytes
 from .substrates import (EXTRA_KEYS, audit_neighbor, dataset_kind, default_delta_f,
@@ -107,8 +109,8 @@ def _derive_preset_values(config: dict, dataset):
     kind = dataset_kind(config["substrate"]) if name else None
     if kind == "graph":
         n = dataset.n
-        if n == 0:
-            raise CliError(f"preset {name!r} needs a graph with at least one vertex")
+        if n < 2:
+            raise CliError(f"preset {name!r} needs a graph with more than one vertex, got {n}")
         log_n = math.log(max(n, 3))
         config.setdefault("delta", 1.0 / n)
         config.setdefault("gamma", log_n)
@@ -273,13 +275,18 @@ def run_bench(config: dict, trials: int, seed: int) -> int:
 
 # command -> (run function, default trials, least trials, bytes each trial
 # holds until the output is written, without and with --debug-trace). Each
-# figure is the larger tracemalloc slope of two substrates, rounded up:
-# deterministic cc_exact (10^5 to 4*10^5 trials) and randomized f0_kmv on the
-# insert demo (epsilon 1, delta 0.05, alpha 0.5; 1,000 to 4,000 and 2,000 to
-# 6,000 trials), whose per-chunk traces and bench cost keys make it set every
-# figure. coverage counts each chunk as it is drawn and holds none.
-_COMMANDS = {"wrap": (run_wrap, 1, 1, (608, 720)), "audit": (run_audit, 1000, 1000, (520, 520)),
-             "coverage": (run_coverage, 1000, 1, (0, 0)), "bench": (run_bench, 1, 1, (1186, 1186))}
+# of the two is a pair: a trial inside the first TRIAL_CHUNK holds the first
+# figure, and a trial past it the second. The first is the tracemalloc slope
+# of randomized f0_kmv on the insert demo (epsilon 1, delta 0.05, alpha 0.5)
+# within one chunk, from 1,000 to 4,000 and 2,000 to 6,000 trials, where its
+# per-trial traces and bench cost keys weigh most. The second is the largest
+# slope measured for f0_kmv and deterministic cc_exact across chunks, from
+# 131,072 to 262,144 trials (to 524,288 for audit). All are rounded up.
+# coverage counts each chunk as it is drawn and holds none.
+_COMMANDS = {"wrap": (run_wrap, 1, 1, ((608, 129), (720, 278))),
+             "audit": (run_audit, 1000, 1000, ((520, 44), (520, 44))),
+             "coverage": (run_coverage, 1000, 1, ((0, 0), (0, 0))),
+             "bench": (run_bench, 1, 1, ((1186, 397), (1186, 397)))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,8 +321,9 @@ def main(argv=None) -> int:
         config.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
         run, default_trials, least_trials, held = _COMMANDS[args.command]
         trials = _count(config, "trials", default_trials, least_trials)
-        _check_bytes(trials * held[config.get("debug_trace", False)], f"'trials' = {trials}",
-                     f"{args.command} outputs")
+        in_chunk, past = held[config.get("debug_trace", False)]
+        _check_bytes(min(trials, TRIAL_CHUNK) * in_chunk + max(trials - TRIAL_CHUNK, 0) * past,
+                     f"'trials' = {trials}", f"{args.command} outputs")
         return run(config, trials, _count(config, "seed", 0, 0))
     except (CliError, ValueError) as exc:
         print(f"dpb: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ kappa*n by bounded-depth BFS from sampled vertices; cc_median takes the
 median of several runs, sized by cc_knobs, and is the one median-boosted
 count that both the cc_estimate substrate and mst_weight_estimate use.
 mst_weight_estimate reduces MST weight on integer-weighted graphs to
-component counts of bounded-weight subgraphs. Both record how much of the
-graph they touched through a QueryGraph, whose counter is the substance of
-the sublinearity claims: the budget depends only on the accuracy knobs,
-never on n or m.
+component counts of bounded-weight subgraphs; an unweighted graph is a graph
+of weight bound 1 (Graph.weight_bound), with no subgraph to count. Both
+record how much of the graph they touched through a QueryGraph, whose
+counter is the substance of the sublinearity claims: the budget depends
+only on the accuracy knobs, never on n or m.
 
 cc_exact and mst_weight_exact are the ground-truth counterparts used for
 calibration and testing.
@@ -247,27 +248,25 @@ def mst_level_knobs(alpha: float, fail_prob: float, w: int):
 
 def mst_weight_estimate(g, alpha: float, fail_prob: float, rng) -> float:
     """Estimate the MST weight of the weight-w completion of a graph with
-    integer weights in [1, w] (see graphs.kruskal_mst_weight): the MST weight
-    on a connected graph.
+    integer weights in [1, w], w = Graph.weight_bound (see
+    graphs.kruskal_mst_weight): the MST weight on a connected graph.
 
     Uses the identity MST = n - w + sum_{i=1}^{w-1} C^(i), where C^(i) counts
     components of the subgraph keeping edges of weight <= i (Chazelle,
     Rubinfeld & Trevisan), which holds for the completion of every graph. Each
     C^(i) is cc_median at per-level additive target kappa_i = alpha/(2w) and
     per-level failure fail_prob/w, so the total is a (1 +/- alpha)
-    approximation with probability >= 1 - fail_prob. At w = 1 there is no
-    level, and the estimate is n - 1 with no query. A graph with no vertices
-    gets 0.
+    approximation with probability >= 1 - fail_prob. At w = 1, which an
+    unweighted graph has, there is no level, and the estimate is n - 1 with
+    no query. A graph with no vertices gets 0.
 
     Each level gets its own QueryGraph, so the replicas of one level share
     one memo of sized vertices.
     """
     qg = _query_view(g)
     graph = qg.graph
-    if graph.max_weight is None:
-        raise ValueError("mst_weight_estimate needs a weighted graph with a declared bound")
     _check_accuracy(alpha, fail_prob)
-    w = graph.max_weight
+    w = graph.weight_bound
     n = graph.n
     if n == 0:
         return 0.0

@@ -30,7 +30,9 @@ passes; connected_components_exact lists the components from those labels, and
 kruskal_mst_weight runs Boruvka rounds on the same kernel, which give the
 forest weight Kruskal gives. It answers every graph, connected or not, with
 the minimum spanning tree weight of the weight-w completion: the graph with
-every missing pair joined by an edge of the declared bound w.
+every missing pair joined by an edge of weight w. One rule gives w,
+Graph.weight_bound: the declared bound, or 1 on an unweighted graph, whose
+edges all weigh 1. The MST estimator and both MST substrates read it too.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ class Graph:
     indices[indptr[u]:indptr[u + 1]], sorted. A Graph has no mutators:
     toggle_edge and subgraph_weight_at_most return new graphs, so a graph
     object stands for one fixed dataset and may key a memo by identity.
-    neighbors() returns a new list. max_weight is the declared weight bound w; unweighted graphs
+    neighbors() returns a new list. max_weight is the declared weight bound; unweighted graphs
     have max_weight None and all edges carry weight 1, so any other weight is refused.
+    weight_bound is the bound w every weight rule reads: max_weight, or 1 when unweighted.
 
     The edges are read first, up to the first row that cannot be read (a
     ragged pair, a float vertex, a missing weight); _canonical checks the
@@ -207,6 +210,10 @@ class Graph:
     def degree(self, u: int) -> int:
         indptr = self._rows[0]
         return indptr[u + 1] - indptr[u]
+
+    @property
+    def weight_bound(self) -> int:
+        return 1 if self.max_weight is None else self.max_weight
 
     @property
     def m(self) -> int:
@@ -318,7 +325,7 @@ def connected_components_exact(g: Graph) -> List[List[int]]:
 
 def kruskal_mst_weight(g: Graph) -> int:
     """Minimum spanning tree weight of the weight-w completion of g: g with
-    an edge of weight w = g.max_weight (1 when g is unweighted) added between
+    an edge of weight w = g.weight_bound (1 when g is unweighted) added between
     every pair that is not an edge. That is the minimum spanning forest's
     weight plus w * (C - 1) for the forest's C trees, since Kruskal on the
     completion takes the forest's edges and then C - 1 edges of the heaviest
@@ -354,8 +361,7 @@ def kruskal_mst_weight(g: Graph) -> int:
         total += sum(ew[chosen].tolist())
         used += int(np.count_nonzero(chosen))
         labels = _component_roots(n, ru[chosen], rv[chosen])[labels]
-    w = 1 if g.max_weight is None else g.max_weight
-    return total + w * max(n - 1 - used, 0)
+    return total + g.weight_bound * max(n - 1 - used, 0)
 
 
 def toggle_edge(g: Graph, u: int, v: int, weight: int = 1) -> Graph:

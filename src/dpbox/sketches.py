@@ -21,13 +21,14 @@ shorter rows). Items must be integers; anything else is refused before
 hashing. Single and bulk inserts share one merge, and a bulk insert takes its
 distinct items from one sort and an adjacent-difference mask. A merge step
 takes up to max(1, 2^22 // rows) distinct items into one rows x (w + step)
-float buffer that holds the minima on its left. It fills the buffer in bands
-of max(1, 2^15 // step) rows, so that a band's temporaries stay in cache: the
-band's hashes are computed and sorted in uint64 and converted into the
-buffer in place, as the map to floats is monotone; one stable sort per row
-merges them with the held minima, and a second runs only when a hash equal
-to its left neighbour was marked +inf as a duplicate. A merge whose minima
-and step buffer would pass 1 GiB is refused before hashing. space_words
+float buffer that holds the minima on its left and then replaces them, so
+the held copy is freed. It fills the buffer in bands of max(1, 2^15 // step)
+rows, so that a band's temporaries stay in cache: the band's hashes are
+computed and sorted in uint64 and converted into the buffer in place, as the
+map to floats is monotone; one stable sort per row merges them with the held
+minima, and a second runs only when a hash equal to its left neighbour was
+marked +inf as a duplicate. A merge is refused before hashing when the
+arrays one step holds at once (see _merge) would pass 1 GiB. space_words
 counts the words held, not the reps*k capacity. Insertion-only: a deletion
 cannot be undone once a hash is retained, so turnstile streams are rejected.
 Below k distinct items the sketch is exact.
@@ -302,25 +303,39 @@ class KmvSketch:
 
     def _merge(self, uniq: np.ndarray):
         """Fold distinct items into every row, in steps of at most
-        max(1, _KMV_STEP_WORDS // rows) items. A step allocates one rows x
-        (held + step) float buffer, copies the held minima into its left
-        columns, and fills it band by band (see _merge_band)."""
+        S = max(1, _KMV_STEP_WORDS // rows) items (see _merge_step).
+
+        The cap counts every array a step holds at once, with W = min(k,
+        held + items) the widest the rows get and S' = min(S, items) the
+        items of a step: rows x (2W + S') words hold the held minima beside
+        the rows x (held + S') buffer they are copied into, or that buffer
+        beside its trimmed copy; while the bands run, the buffer, a band's
+        hashes, its repeat flags (a byte a value) and a row's sort buffer
+        fit in rows x (2W + 3S') words; and the step's offsets and a band's
+        column minima take another 3S' words."""
         rows, step = self.rows, max(1, _KMV_STEP_WORDS // self.rows)
-        width = min(self.k, self.minima.shape[1] + uniq.size)
-        _check_bytes(8 * rows * (width + min(step, uniq.size)),
+        width, step_items = min(self.k, self.minima.shape[1] + uniq.size), min(step, uniq.size)
+        _check_bytes(8 * (rows * (2 * width + 3 * step_items) + 3 * step_items),
                      f"KMV sketch of {rows} rows x {width} minima", "minima and merge buffer")
         for lo in range(0, uniq.size, step):
-            offsets = _kmv_offsets(uniq[lo:lo + step])
-            held = self.minima.shape[1]
-            merged = np.empty((rows, held + offsets.size))
-            merged[:, :held] = self.minima
-            band = max(1, _KMV_BAND_WORDS // offsets.size)
-            kept = [self._merge_band(merged[r:r + band], offsets, self.salts[r:r + band])
-                    for r in range(0, rows, band)]
-            # The widest row held `held` minima and no row loses any, so only
-            # the new columns can widen the sketch.
-            width = min(self.k, held + max(kept))
-            self.minima = merged if width == merged.shape[1] else merged[:, :width].copy()
+            self._merge_step(_kmv_offsets(uniq[lo:lo + step]))
+
+    def _merge_step(self, offsets: np.ndarray):
+        """Fold the items of offsets (_kmv_offsets) into every row: copy the
+        held minima into the left columns of one rows x (held + step) buffer,
+        which the rows then point at, so the held copy is freed, and fill it
+        band by band (see _merge_band). The rows are whole again on return."""
+        held = self.minima.shape[1]
+        merged = np.empty((self.rows, held + offsets.size))
+        merged[:, :held] = self.minima
+        self.minima = merged
+        band = max(1, _KMV_BAND_WORDS // offsets.size)
+        kept = [self._merge_band(merged[r:r + band], offsets, self.salts[r:r + band])
+                for r in range(0, self.rows, band)]
+        # The widest row held `held` minima and no row loses any, so only the
+        # new columns can widen the sketch.
+        width = min(self.k, held + max(kept))
+        self.minima = merged if width == merged.shape[1] else merged[:, :width].copy()
 
     @staticmethod
     def _merge_band(band: np.ndarray, offsets: np.ndarray, salts: np.ndarray) -> int:

@@ -2,21 +2,27 @@
 
 Each substrate is described once, by its entry in the registry at the
 bottom: the dataset kind its loader reads, the exact oracle of the quantity
-it estimates, its default global sensitivity delta_f, its evaluate function
-(an exact substrate evaluates its oracle) and whether it is deterministic,
-and, for the sublinear graph estimators, the worst-case query count of one
-evaluation. evaluate(dataset, params, rng) translates the wrapper's
-ApproxParams into the estimator's own knobs and returns (estimate, cost),
-cost counting what that one call used. An entry names its oracle itself
-(cc_exact, mst_weight_exact, exact_l2, exact_distinct), and exact_value
-returns the oracle's value as a float. Only the knapsack entry names a
-wrapper, _knapsack_optimum: the benchmark's span tracer (perfbench/spans.py)
-patches knapsack_exact only where it is a module global, while the other
-oracles call patched globals of their own modules.
-Additive targets (ApproxParams.kappa) are in absolute output units
-throughout; the component-count substrate divides by n internally to reach
-the estimator's fractional knob. Exact oracles back the coverage harness,
-the tests and the sketches' alpha = 0 answers.
+it estimates, its default global sensitivity delta_f, its estimator, if it
+has one, and whether it is deterministic, and, for the sublinear graph
+estimators, the worst-case query count of one evaluation. An entry names
+its oracle itself (cc_exact, mst_weight_exact, exact_l2, exact_distinct),
+and exact_value returns the oracle's value as a float. Only the knapsack
+entry names a wrapper, _knapsack_optimum: the benchmark's span tracer
+(perfbench/spans.py) patches knapsack_exact only where it is a module
+global, while the other oracles call patched globals of their own modules.
+
+make_substrate binds one evaluation, evaluate(dataset, params, rng), which
+returns (estimate, cost), cost counting what that one call used. An exact
+answer meets every (alpha, kappa, fail_prob) contract, so one rule, in
+_evaluate, says when the entry's oracle answers: when the entry has no
+estimator, and when a stream entry is asked for alpha = 0, the sketches'
+alpha -> 0 limit. A stream answer then costs {"items": m}, the m updates
+the recount reads. Every other call runs the estimator, which translates
+the wrapper's ApproxParams into its own knobs. Additive targets
+(ApproxParams.kappa) are in absolute output units throughout; the
+component-count substrate divides by n internally to reach the estimator's
+fractional knob. Both MST entries read the graph's weight bound w
+(Graph.weight_bound, 1 on an unweighted graph) as their default delta_f.
 
 The dataset kinds are owned here too: load_dataset reads a substrate's
 dataset with its kind's loader, and audit_neighbor gives the neighbour an
@@ -67,20 +73,23 @@ def _window(config) -> dict:
     return {"window": window}
 
 
+def _insertion_only(stream):
+    """stream, refused unless it is insertion-only: sw_de's rule, which its
+    oracle and its estimator both read before anything else."""
+    if stream.mode != "insert":
+        raise ValueError("sliding-window distinct count needs an insertion-only stream")
+    return stream
+
+
 def _distinct_in_window(stream, window) -> int:
-    return _sorted_distinct(stream.items[-window:]).size
-
-
-def _recount(stream, oracle, **extras):
-    """An exact stream answer, metering the updates read."""
-    return oracle(stream, **extras), {"items": stream.length}
+    return _sorted_distinct(_insertion_only(stream).items[-window:]).size
 
 
 def _clamped_fail(params: ApproxParams, ceiling: float = 1.0 - 1e-12) -> float:
     return min(max(params.fail_prob, 1e-12), ceiling)
 
 
-# Evaluate functions: (dataset, params, rng, **extras) -> estimate or (estimate, cost).
+# Estimators: (dataset, params, rng, **extras) -> estimate or (estimate, cost).
 
 def _cc_estimate(graph, params, rng):
     """cc_median at the absolute additive target params.kappa, a fraction
@@ -115,9 +124,9 @@ def _mst_estimate(graph, params, rng):
 
 
 def _mst_estimate_queries(graph, params) -> float:
-    w = graph.max_weight
-    if params.alpha <= 0.0 or w is None:
+    if params.alpha <= 0.0:
         return math.inf
+    w = graph.weight_bound
     level_params, replicas = mst_level_knobs(params.alpha, _clamped_fail(params, 1.0 / 3.0), w)
     return (w - 1) * replicas * level_params.max_queries
 
@@ -134,8 +143,6 @@ def _l2_ams(stream, params, rng):
     when alpha' = 2*alpha - alpha^2, with equality on the low side, so the
     sketch is sized at that widened target.
     """
-    if params.alpha == 0.0:
-        return _recount(stream, exact_l2)
     alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
     sk = AmsSketch.from_accuracy(alpha_f2, _clamped_fail(params), stream.universe_size, rng)
     sk.consume(stream)
@@ -145,8 +152,6 @@ def _l2_ams(stream, params, rng):
 
 def _f0_kmv(stream, params, rng):
     """Distinct count via KMV; insertion-only streams."""
-    if params.alpha == 0.0:
-        return _recount(stream, exact_distinct)
     sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
     sk.consume(stream)
     return sk.estimate(), {"space_words": sk.space_words, "items": stream.length}
@@ -159,13 +164,10 @@ def _sw_de(stream, params, rng, window):
     histogram rho = sketch alpha = alpha/3, leaving
     rho + alpha + rho*alpha <= 7*alpha/9 of slack used.
     """
-    if stream.mode != "insert":
-        raise ValueError("sliding-window distinct count needs an insertion-only stream")
-    if params.alpha == 0.0:
-        return _recount(stream, _distinct_in_window, window=window)
+    items = _insertion_only(stream).items
     third = params.alpha / 3.0
     hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
-    for item in stream.items.tolist():
+    for item in items.tolist():
         hist.update(item)
     return hist.query(), {"space_words": hist.family.space_words, "items": stream.length}
 
@@ -174,8 +176,8 @@ def _two(dataset) -> float:
     return 2.0
 
 
-def _max_weight(graph) -> Optional[float]:
-    return None if graph.max_weight is None else float(graph.max_weight)
+def _weight_bound(graph) -> float:
+    return float(graph.weight_bound)
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,14 @@ class _Entry:
     kind: str                   # which loader reads the dataset: graph, stream, knapsack
     exact: Callable             # (dataset, **extras) -> the true value, a number
     delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
-    # (dataset, params, rng, **extras) -> estimate[, cost]; None for an exact
-    # substrate, which evaluates its oracle.
+    # The estimator, (dataset, params, rng, **extras) -> estimate[, cost]; None
+    # for an exact substrate (see _evaluate).
     evaluate: Optional[Callable] = None
     is_deterministic: bool = True
     max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
-    # config -> the extras that make_substrate and exact_value bind; raises
-    # ValueError on a bad extra key, so the CLI refuses it before reading a file.
+    # config -> the extras that _bind reads for make_substrate and exact_value;
+    # raises ValueError on a bad extra key, so the CLI refuses it before
+    # reading a file.
     extras: Callable = lambda config: {}
     extra_keys: tuple = ()      # the config keys that extras reads
 
@@ -197,8 +200,8 @@ class _Entry:
 _REGISTRY = {
     "cc_exact": _Entry("graph", cc_exact, _two),
     "cc_estimate": _Entry("graph", cc_exact, _two, _cc_estimate, False, _cc_estimate_queries),
-    "mst_exact": _Entry("graph", mst_weight_exact, _max_weight),
-    "mst_estimate": _Entry("graph", mst_weight_exact, _max_weight, _mst_estimate, False,
+    "mst_exact": _Entry("graph", mst_weight_exact, _weight_bound),
+    "mst_estimate": _Entry("graph", mst_weight_exact, _weight_bound, _mst_estimate, False,
                            _mst_estimate_queries),
     "knapsack": _Entry("knapsack", _knapsack_optimum, None, _knapsack),
     "l2_exact": _Entry("stream", exact_l2, _two),
@@ -220,26 +223,33 @@ def _entry(name: str) -> _Entry:
     return _REGISTRY[name]
 
 
-def _oracle_evaluate(dataset, params, rng, oracle, kind, **extras):
-    """An exact substrate's evaluation: its oracle's value, metering the
-    updates a stream recount reads."""
-    if kind == "stream":
-        return _recount(dataset, oracle, **extras)
-    return oracle(dataset, **extras)
-
-
-def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
-    """Build a registered substrate; config supplies extras (e.g. window),
-    which are checked and bound here. An extra key of another entry, which
-    this one would not read, raises ValueError."""
+def _bind(name: str, config) -> tuple:
+    """(entry, extras): the named entry and the extras it reads from config
+    (e.g. sw_de's window), for make_substrate and exact_value alike. An
+    extra key of another entry, which this one would not read, raises
+    ValueError."""
     entry = _entry(name)
     unread = sorted((config or {}).keys() & (EXTRA_KEYS - set(entry.extra_keys)))
     if unread:
         raise ValueError(f"substrate {name!r} does not read {unread[0]!r}")
-    evaluate = entry.evaluate
-    if evaluate is None:
-        evaluate = functools.partial(_oracle_evaluate, oracle=entry.exact, kind=entry.kind)
-    fn = functools.partial(evaluate, **entry.extras(config or {}))
+    return entry, entry.extras(config or {})
+
+
+def _evaluate(entry: _Entry, extras: dict, dataset, params, rng):
+    """One evaluation of entry: its oracle when it has no estimator or when a
+    stream entry is asked for alpha = 0 (see the module docstring), else its
+    estimator."""
+    if entry.evaluate is None or (params.alpha == 0.0 and entry.kind == "stream"):
+        value = entry.exact(dataset, **extras)
+        return (value, {"items": dataset.length}) if entry.kind == "stream" else value
+    return entry.evaluate(dataset, params, rng, **extras)
+
+
+def make_substrate(name: str, config: dict = None) -> TunableSubstrate:
+    """Build a registered substrate; config supplies extras (e.g. window),
+    which _bind checks and binds here."""
+    entry, extras = _bind(name, config)
+    fn = functools.partial(_evaluate, entry, extras)
     return TunableSubstrate(fn, is_deterministic=entry.is_deterministic, label=name)
 
 
@@ -280,9 +290,10 @@ def audit_neighbor(name: str, dataset, toggle, rng):
 
 
 def exact_value(name: str, dataset, config: dict = None) -> float:
-    """Ground-truth value of the quantity the named substrate estimates."""
-    entry = _entry(name)
-    return float(entry.exact(dataset, **entry.extras(config or {})))
+    """Ground-truth value of the quantity the named substrate estimates;
+    config is read as make_substrate reads it."""
+    entry, extras = _bind(name, config)
+    return float(entry.exact(dataset, **extras))
 
 
 def default_delta_f(name: str, dataset) -> Optional[float]:

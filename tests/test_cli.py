@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpbox import streams
+from dpbox import cli, streams
 from dpbox.audit import audit_samples
 from dpbox.cli import main
 from dpbox.graphs import load_graph, toggle_edge
@@ -338,17 +338,16 @@ def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, caps
 
 def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
         tmp_path, capsys):
-    # The unweighted demo graph declares no weight bound, which only the
-    # estimator needs (the oracle completes it with weight-1 edges), so every
-    # command, coverage too, gets the estimator's own refusal.
+    # sw_de reads insertion-only streams, and its oracle and its estimator
+    # share that rule, so every command, coverage too, gets one refusal.
     cfg = write_config(tmp_path, {
-        "substrate": "mst_estimate", "input": "data/demo_cc.graph", "epsilon": 1.0,
-        "delta": 0.01, "alpha": 0.2, "delta_f": 3, "trials": 5,
+        "substrate": "sw_de", "input": "data/demo_stream_turnstile.txt", "epsilon": 1.0,
+        "delta": 0.01, "alpha": 0.2, "window": 5, "trials": 5,
     })
     for command in ("wrap", "bench", "coverage"):
         assert main([command, "--config", cfg]) == 2, command
         assert capsys.readouterr().err == (
-            "dpb: mst_weight_estimate needs a weighted graph with a declared bound\n"), command
+            "dpb: sliding-window distinct count needs an insertion-only stream\n"), command
 
 
 def test_bench_reports_query_budget(tmp_path):
@@ -466,6 +465,37 @@ def test_graph_presets_on_empty_graph_exit_2(tmp_path, capsys, preset):
     assert main(["wrap", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dpb:") and "vertex" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("preset", ["cc", "mst"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_graph_presets_need_more_than_one_vertex(tmp_path, capsys, preset, n):
+    # The preset's delta = 1/n lies below 1 only from n = 2 on; a smaller
+    # graph gets the preset's own refusal, not one about a delta never set.
+    graph = tmp_path / "small.graph"
+    graph.write_text({0: "0 0\n", 1: "1 0\n", 2: "2 1\n0 1\n"}[n], encoding="utf-8")
+    cfg = write_config(tmp_path, {"preset": preset, "input": str(graph), "epsilon": 1.0})
+    if n < 2:
+        assert main(["wrap", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"dpb: preset {preset!r} needs a graph with more than one vertex, got {n}\n")
+    else:
+        assert main(["wrap", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("trial,output\n0,")
+
+
+def test_the_trials_cap_counts_one_chunk_then_the_held_outputs(tmp_path, monkeypatch):
+    # 3,000,000 audit trials at the in-chunk 520 bytes each would pass the
+    # 1 GiB cap, but past the first chunk a trial holds 44 bytes: about
+    # 160 MB in all. The run itself is replaced, so nothing is drawn.
+    assert 3_000_000 * 520 > streams._MAX_BYTES
+    ran = []
+    run, *rest = cli._COMMANDS["audit"]
+    monkeypatch.setitem(cli._COMMANDS, "audit",
+                        (lambda config, trials, seed: ran.append(trials) or 0, *rest))
+    cfg = write_config(tmp_path, dict(AUDIT_GRAPH, trials=3_000_000))
+    assert main(["audit", "--config", cfg]) == 0
+    assert ran == [3_000_000]
 
 
 def test_stream_item_beyond_int64_exits_2_with_one_line(tmp_path, capsys):

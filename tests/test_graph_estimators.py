@@ -253,9 +253,10 @@ def test_mst_estimate_accuracy_seeded():
 
 def test_mst_estimate_rejections():
     rng = make_rng(40)
-    unweighted = random_connected_graph(10, 5, rng)
-    with pytest.raises(ValueError):
-        mst_weight_estimate(unweighted, 0.2, 0.1, rng)
+    # An unweighted graph has weight bound 1: no level, no query, n - 1.
+    unweighted = QueryGraph(random_connected_graph(10, 5, rng))
+    assert mst_weight_estimate(unweighted, 0.2, 0.1, rng) == 9.0
+    assert unweighted.queries == 0
     g = random_connected_graph(10, 5, rng, max_weight=2)
     with pytest.raises(ValueError):
         mst_weight_estimate(g, 0.0, 0.1, rng)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,26 +434,59 @@ def test_kmv_rejects_non_integer_items(monkeypatch):
 
 
 def test_kmv_refuses_oversized_merge_before_hashing(monkeypatch):
-    # 200 new items into 8 empty rows: 200 minima and a 200-item step per
-    # row, 8 * 8 * 400 = 25,600 bytes.
+    # 200 new items into 8 empty rows, one step: W = 200 minima and S = 200
+    # items a row, 8 * (8 * (2W + 3S) + 3S) = 68,800 bytes.
     sk = KmvSketch(k=1000, reps=8, rng=make_rng(24))
-    monkeypatch.setattr(streams, "_MAX_BYTES", 25_599)
+    monkeypatch.setattr(streams, "_MAX_BYTES", 68_799)
     with pytest.raises(ValueError, match="KMV sketch of 8 rows x 200 minima needs"):
         sk.update_bulk(np.arange(200))
     assert sk.minima.shape == (8, 0)
-    monkeypatch.setattr(streams, "_MAX_BYTES", 25_600)
+    monkeypatch.setattr(streams, "_MAX_BYTES", 68_800)
     sk.update_bulk(np.arange(200))
     assert sk.estimate() == 200.0
     # Past k the minima stop growing: 200 more items into full rows of
-    # k = 300 need 8 * 8 * (300 + 200) bytes, not 8 * 8 * (1000 + 200).
+    # k = 300 need 8 * (8 * (600 + 600) + 600) bytes, W being 300, not 500.
     monkeypatch.setattr(streams, "_MAX_BYTES", _MAX_BYTES)
     full = KmvSketch(k=300, reps=8, rng=make_rng(24))
     full.update_bulk(np.arange(1000))
-    monkeypatch.setattr(streams, "_MAX_BYTES", 8 * 8 * 500 - 1)
+    monkeypatch.setattr(streams, "_MAX_BYTES", 81_599)
     with pytest.raises(ValueError, match="KMV sketch of 8 rows x 300 minima needs"):
         full.update_bulk(np.arange(1000, 1200))
-    monkeypatch.setattr(streams, "_MAX_BYTES", 8 * 8 * 500)
+    monkeypatch.setattr(streams, "_MAX_BYTES", 81_600)
     full.update_bulk(np.arange(1000, 1200))
+
+
+@pytest.mark.parametrize("k, held, new, repeats, step_words", [
+    (200_000, 150_000, 10_000, 0, None),        # one step, no trimmed copy
+    (200_000, 150_000, 10_000, 5_000, None),    # repeats leave +inf columns to trim
+    (1_000, 5_000, 50_000, 2_000, None),        # rows full at k
+    (50_000, 40_000, 30_000, 0, 2 ** 12),       # 59 steps of 512 items
+])
+def test_kmv_merge_peak_stays_within_what_the_cap_counts(monkeypatch, k, held, new,
+                                                         repeats, step_words):
+    # The held minima are traced too, so the peak above everything else live
+    # before the merge is every array the merge holds at once, held minima
+    # included.
+    counted = []
+    check = sketches._check_bytes
+    monkeypatch.setattr(sketches, "_check_bytes",
+                        lambda need, *args: counted.append(need) or check(need, *args))
+    if step_words:
+        monkeypatch.setattr(sketches, "_KMV_STEP_WORDS", step_words)
+    tracemalloc.start()
+    try:
+        sk = KmvSketch(k=k, reps=8, rng=make_rng(30))
+        sk.update_bulk(np.arange(held))
+        uniq = streams._sorted_distinct(np.arange(held - repeats, held - repeats + new))
+        counted.clear()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0] - sk.minima.nbytes
+        sk._merge(uniq)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    assert peak <= counted[0]
 
 
 def test_stacked_rows_refused_past_the_cap(monkeypatch):

@@ -195,14 +195,17 @@ def test_exact_values_match_demos(demo_cc, demo_mst, demo_knapsack,
     # `dpb coverage` prints as "exact".
     datasets = {"graph": demo_mst, "stream": demo_insert, "knapsack": demo_knapsack}
     for name in SUBSTRATE_NAMES:
-        assert type(exact_value(name, datasets[dataset_kind(name)], {"window": 10})) is float
+        config = {"window": 10} if name == "sw_de" else None
+        assert type(exact_value(name, datasets[dataset_kind(name)], config)) is float
 
 
 def test_default_delta_f(demo_cc, demo_mst, demo_knapsack, demo_insert):
     assert default_delta_f("cc_estimate", demo_cc) == 2.0
     assert default_delta_f("sw_de", demo_insert) == 2.0
     assert default_delta_f("mst_exact", demo_mst) == 3.0
-    assert default_delta_f("mst_exact", demo_cc) is None  # unweighted
+    # An unweighted graph has weight bound 1.
+    assert default_delta_f("mst_exact", demo_cc) == 1.0
+    assert default_delta_f("mst_estimate", demo_cc) == 1.0
     assert default_delta_f("knapsack", demo_knapsack) is None
 
 
@@ -253,6 +256,38 @@ def test_a_window_is_refused_by_every_substrate_that_does_not_read_it(name):
     assert str(err.value) == f"substrate {name!r} does not read 'window'"
 
 
+@pytest.mark.parametrize("name", [n for n in SUBSTRATE_NAMES if n != "sw_de"])
+def test_exact_value_refuses_an_unread_window_as_make_substrate_does(name, demo_insert):
+    with pytest.raises(ValueError) as err:
+        exact_value(name, demo_insert, {"window": 5})
+    assert str(err.value) == f"substrate {name!r} does not read 'window'"
+
+
+@pytest.mark.parametrize("name", ["l2_exact", "l2_ams", "f0_exact", "f0_kmv", "sw_de"])
+def test_stream_entries_answer_alpha_0_with_their_oracle(name, demo_insert, demo_turnstile):
+    # alpha = 0 is the sketches' alpha -> 0 limit: every stream entry answers
+    # it with its exact oracle and meters the updates the recount reads.
+    config = {"window": 5} if name == "sw_de" else None
+    sub = make_substrate(name, config)
+    params = ApproxParams(0.0, 0.0, 0.05)
+    streams = [demo_insert] if name == "sw_de" else [demo_insert, demo_turnstile]
+    for stream in streams:
+        assert sub.evaluate(stream, params, make_rng(0)) == (
+            exact_value(name, stream, config), {"items": stream.length})
+    if name == "sw_de":
+        # The insertion-only rule is one helper: the oracle, the estimator
+        # and exact_value refuse the turnstile demo alike.
+        messages = set()
+        for alpha in (0.0, 0.5):
+            with pytest.raises(ValueError) as err:
+                sub.evaluate(demo_turnstile, ApproxParams(alpha, 0.0, 0.05), make_rng(0))
+            messages.add(str(err.value))
+        with pytest.raises(ValueError) as err:
+            exact_value(name, demo_turnstile, config)
+        messages.add(str(err.value))
+        assert messages == {"sliding-window distinct count needs an insertion-only stream"}
+
+
 def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):
     cfg = WrapConfig(epsilon=1.0, delta=0.01, alpha=0.5, kappa=1.0,
                      delta_f=2.0, gamma=3.0)
@@ -268,8 +303,8 @@ def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):
 
 def test_mst_estimate_query_budget_without_levels():
     params = ApproxParams(alpha=0.1, kappa=0.0, fail_prob=0.01)
-    # No declared weight bound: no query claim.
-    assert query_budget("mst_estimate", load_graph("data/demo_cc.graph"), params) == math.inf
+    # Unweighted, so w = 1: no level is queried.
+    assert query_budget("mst_estimate", load_graph("data/demo_cc.graph"), params) == 0
     # w = 1: the weight is n - 1, and no level is queried.
     unit = parse_graph("3 2 1\n0 1 1\n1 2 1\n")
     assert query_budget("mst_estimate", unit, params) == 0.0
