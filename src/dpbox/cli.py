@@ -279,7 +279,11 @@ def run_bench(config: dict, trials: int, seed: int) -> int:
 # figure, and a trial past it the second. The first is the tracemalloc slope
 # of randomized f0_kmv on the insert demo (epsilon 1, delta 0.05, alpha 0.5)
 # within one chunk, from 1,000 to 4,000 and 2,000 to 6,000 trials, where its
-# per-trial traces and bench cost keys weigh most. The second is the largest
+# per-trial traces and bench cost keys weigh most. That config now counts in
+# the exact regime (sketches.kmv_dims), whose cost has no sketch words, so
+# there the first figure is an upper bound; at epsilon 20, delta 0.5, alpha
+# 0.9, where the sketch hashes every item, the same slopes read at most 2%
+# above the first figures, and audit's below. The second is the largest
 # slope measured for f0_kmv and deterministic cc_exact across chunks, from
 # 131,072 to 262,144 trials (to 524,288 for audit). All are rounded up.
 # coverage counts each chunk as it is drawn and holds none.

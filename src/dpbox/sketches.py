@@ -31,7 +31,9 @@ marked +inf as a duplicate. A merge is refused before hashing when the
 arrays one step holds at once (see _merge) would pass 1 GiB. space_words
 counts the words held, not the reps*k capacity. Insertion-only: a deletion
 cannot be undone once a hash is retained, so turnstile streams are rejected.
-Below k distinct items the sketch is exact.
+Below k distinct items the sketch is exact; kmv_dims states the exact
+regime, a stream of fewer than k updates, which a caller can read from
+public sizes and count exactly instead of hashing.
 
 Both sketches keep their rows in arrays that can be stacked: append_rows
 puts another sketch's rows below, take_rows keeps a subset, and row_values
@@ -44,6 +46,7 @@ rows of a block are bit for bit those of the instance's own sketch.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from .streams import UpdateStream, _check_bytes, _sorted_distinct
 __all__ = [
     "AmsSketch",
     "KmvSketch",
+    "kmv_dims",
 ]
 
 # Bucket hashes and signs are polynomials over the Mersenne prime 2^31 - 1,
@@ -232,6 +236,23 @@ def _width(minima: np.ndarray) -> int:
     return int(np.count_nonzero(minima.min(axis=0, initial=np.inf) < np.inf))
 
 
+def kmv_dims(alpha: float, fail_prob: float) -> Tuple[int, int]:
+    """(k, reps) of a KMV sketch for a (1 +/- alpha) estimate at failure <=
+    fail_prob: k = ceil(16/alpha^2) minima a row and reps =
+    ceil(12*ln(2/fail_prob)) rows medianed.
+
+    A stream of fewer than k updates is in the exact regime: no row can
+    reach k minima, so each row's value is its held count, the stream's
+    distinct count, and so is the median. The choice reads the stream's
+    length and k, both public sizes, never the data. One caveat: _to_unit
+    can round two distinct uint64 hashes to one float, which lowers that
+    row's count by one; the median moves only if half the rows tie, which
+    is negligible. At k updates a row can hold k minima and estimate
+    (k-1)/(k-th minimum) instead of its count."""
+    _check_accuracy(alpha, fail_prob)
+    return int(math.ceil(16.0 / alpha ** 2)), int(math.ceil(12.0 * math.log(2.0 / fail_prob)))
+
+
 class KmvSketch:
     """k minimum distinct hash values, replicated for a median."""
 
@@ -248,10 +269,9 @@ class KmvSketch:
 
     @classmethod
     def from_accuracy(cls, alpha: float, fail_prob: float, rng):
-        _check_accuracy(alpha, fail_prob)
-        k = int(math.ceil(16.0 / alpha ** 2))
-        reps = int(math.ceil(12.0 * math.log(2.0 / fail_prob)))
-        return cls(k, reps, rng)
+        """Size the sketch for a (1 +/- alpha) estimate at failure <= fail_prob
+        (see kmv_dims)."""
+        return cls(*kmv_dims(alpha, fail_prob), rng)
 
     @property
     def rows(self) -> int:
@@ -360,10 +380,15 @@ class KmvSketch:
             band.sort(axis=1, kind="stable")
         return _width(band[:, held:])
 
-    def consume(self, stream: UpdateStream):
+    @staticmethod
+    def insertion_only(stream: UpdateStream) -> UpdateStream:
+        """stream, refused unless it is insertion-only."""
         if stream.mode != "insert":
             raise ValueError("KMV is insertion-only; turnstile streams are not supported")
-        self.update_bulk(stream.items)
+        return stream
+
+    def consume(self, stream: UpdateStream):
+        self.update_bulk(self.insertion_only(stream).items)
 
     def row_values(self) -> np.ndarray:
         """Each row's estimate: its held count below k, else (k-1)/(k-th minimum)."""

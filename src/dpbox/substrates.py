@@ -42,7 +42,7 @@ from .graph_estimators import (QueryGraph, cc_exact, cc_knobs, cc_median, mst_le
 from .graphs import load_graph, toggle_edge
 from .knapsack import knapsack_exact, knapsack_fptas, load_knapsack
 from .mechanisms import ApproxParams, TunableSubstrate
-from .sketches import AmsSketch, KmvSketch
+from .sketches import AmsSketch, KmvSketch, kmv_dims
 from .streams import _sorted_distinct, exact_distinct, exact_l2, load_stream, stream_neighbor
 from .windows import smooth_histogram_distinct
 
@@ -151,8 +151,15 @@ def _l2_ams(stream, params, rng):
 
 
 def _f0_kmv(stream, params, rng):
-    """Distinct count via KMV; insertion-only streams."""
+    """Distinct count via KMV; insertion-only streams. The sketch is built in
+    either regime, so its salts are drawn from rng; a stream shorter than k
+    (the exact regime, see kmv_dims) is then counted exactly, at the cost of
+    an oracle answer. The count sorts the items, as the sketch would, and
+    keeps no universe-sized vector."""
     sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
+    if stream.length < sk.k:
+        return float(_sorted_distinct(sk.insertion_only(stream).items).size), \
+            {"items": stream.length}
     sk.consume(stream)
     return sk.estimate(), {"space_words": sk.space_words, "items": stream.length}
 
@@ -163,12 +170,20 @@ def _sw_de(stream, params, rng, window):
     The end-to-end relative target params.alpha is split three ways:
     histogram rho = sketch alpha = alpha/3, leaving
     rho + alpha + rho*alpha <= 7*alpha/9 of slack used.
+
+    A stream shorter than the sketches' k (the exact regime, see kmv_dims)
+    runs the histogram over exact per-instance counts, which equal the
+    sketches' estimates, so the prune, the starts and the query are the
+    same. It spawns no child rng; spawning never advances rng's bit stream.
     """
     items = _insertion_only(stream).items
-    third = params.alpha / 3.0
-    hist = smooth_histogram_distinct(window, third, third, _clamped_fail(params), rng)
+    third, fail = params.alpha / 3.0, _clamped_fail(params)
+    exact = stream.length < kmv_dims(third, fail)[0]
+    hist = smooth_histogram_distinct(window, third, third, fail, rng, exact=exact)
     for item in items.tolist():
         hist.update(item)
+    if exact:
+        return hist.query(), {"items": stream.length}
     return hist.query(), {"space_words": hist.family.space_words, "items": stream.length}
 
 

@@ -238,8 +238,9 @@ def smooth_histogram_distinct(window: int, rho: float, sketch_alpha: float,
                               sketch_fail: float, rng,
                               exact: bool = False) -> SmoothHistogram:
     """Sliding-window distinct count: KMV instances, xi from the distinct-count
-    smoothness. exact=True swaps in exact per-instance counts (the alpha -> 0
-    limit), for calibration runs."""
+    smoothness. exact=True swaps in exact per-instance counts: the alpha -> 0
+    limit, and what the sketches would return on a stream of fewer than k
+    updates (see sketches.kmv_dims)."""
     params = SmoothnessParams(rho=rho, xi=smoothness_check_de(rho))
     if exact:
         return SmoothHistogram(window, params, DistinctExactFamily())

@@ -2,7 +2,8 @@
 
 RUNS lists fixed runs of wrap, wrap --debug-trace, bench, coverage and audit
 over the ten substrates on the demo files (both routes where the substrate
-is deterministic, one refused Cauchy run where it is not), the presets on
+is deterministic, one refused Cauchy run where it is not), f0_kmv and sw_de
+once more at configs whose sketches hash the insert demo, the presets on
 their matching demo files (the mst preset on the unweighted one only) and
 with substrates of another dataset kind, both
 MST substrates on an edge-neighbour pair whose second graph is disconnected,
@@ -16,8 +17,10 @@ tests/test_golden_cli.py replays the runs in-process and compares.
 
 Left out, for tier-1 time: the mst preset on data/demo_mst.graph (14-20 s
 a trial; on the unweighted data/demo_cc.graph, weight bound 1, it makes no
-query), and the audits of sw_de and mst_estimate (1,000 trials a side at
-about 40 ms and 3 ms an evaluation).
+query), and the audits of mst_estimate and of the sketch-regime sw_de
+(1,000 trials a side at about 2 ms and 32 ms an evaluation). sw_de at its
+_SUBSTRATES config, in the exact regime, takes about 1.6 ms an evaluation,
+and its audit runs in about 4 s.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ _SUBSTRATES = {
                                 "window": 10}),
 }
 
+# The configs above tune k = 11,061 (f0_kmv) and 1,730 (sw_de) minima, more
+# than the insert demo's 200 updates, so both answer in the exact regime
+# (sketches.kmv_dims). These tune k = 31 and 176, so the sketches hash every
+# item.
+_SKETCH_REGIME = {
+    "f0_kmv": {"epsilon": 20.0, "delta": 0.5, "alpha": 0.9, "gamma": 3.0},
+    "sw_de": {"epsilon": 18.0, "delta": 0.9, "alpha": 0.9, "gamma": 3.0, "window": 10},
+}
+
 # command -> the flags every run of it gets besides --config and --seed 7.
 _COMMANDS = {
     "wrap": ["--trials", "3"],
@@ -71,8 +83,8 @@ _COMMANDS = {
     "audit": ["--trials", "1000"],
 }
 
-# Their 1,000-trial audits would take most of the matrix's time.
-_NO_AUDIT = ("mst_estimate", "sw_de")
+# Its 1,000-trial audit would take most of the matrix's time.
+_NO_AUDIT = ("mst_estimate",)
 
 _KNAPSACK_PRIME = "tests/golden/knapsack_prime.txt"
 
@@ -90,6 +102,18 @@ def _file_runs():
                         continue
                     name = f"{command}/{substrate}/{os.path.basename(path)}/{route}"
                     yield name, command, config
+
+
+def _sketch_regime_runs():
+    """Both KMV substrates at _SKETCH_REGIME on the insert demo, every command
+    but sw_de's audit (see the module docstring)."""
+    path = _FILES["stream"][0]
+    for substrate, keys in _SKETCH_REGIME.items():
+        config = {"substrate": substrate, "input": path, "route": "laplace", **keys}
+        for command in _COMMANDS:
+            if not (substrate == "sw_de" and command == "audit"):
+                name = f"{command}/{substrate}-sketch/{os.path.basename(path)}/laplace"
+                yield name, command, config
 
 
 def _preset_runs():
@@ -166,7 +190,8 @@ def _refusal_runs():
         yield f"{command}/refusal/{label}", command, config
 
 
-RUNS = [*_file_runs(), *_preset_runs(), *_neighbour_pair_runs(), *_refusal_runs()]
+RUNS = [*_file_runs(), *_sketch_regime_runs(), *_preset_runs(), *_neighbour_pair_runs(),
+        *_refusal_runs()]
 
 
 def replay(command: str, config: dict) -> dict:

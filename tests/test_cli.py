@@ -174,19 +174,43 @@ def test_non_finite_config_values_exit_2_naming_the_field(tmp_path, capsys, key,
         assert err == f"dpb: {key} must be finite, got {value!r}\n"
 
 
-@pytest.mark.parametrize("preset, minima", [("f0", 30), ("sw-de", 1)])
-def test_kmv_over_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, preset, minima):
-    # With the cap cut to 1,000 bytes, the f0 preset's bulk insert of the
-    # demo stream's 30 distinct items and the sw-de preset's first update
-    # are refused before any hashing, with one line.
+# Configs whose sketches hash the 200-update insert demo: they tune k = 31
+# (f0_kmv, 25 rows) and 176 (sw_de, 18 rows a sketch) minima.
+_KMV_SKETCH_REGIME = {
+    "f0_kmv": {"epsilon": 20.0, "delta": 0.5, "alpha": 0.9},
+    "sw_de": {"epsilon": 18.0, "delta": 0.9, "alpha": 0.9, "window": 10},
+}
+
+
+@pytest.mark.parametrize("substrate, rows, minima", [("f0_kmv", 25, 30), ("sw_de", 36, 2)])
+def test_kmv_over_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, substrate, rows, minima):
+    # With the cap cut to 1,000 bytes, f0_kmv's bulk insert of the demo
+    # stream's 30 distinct items and sw_de's update into its first two
+    # instances are refused before any hashing, with one line.
     monkeypatch.setattr(streams, "_MAX_BYTES", 1000)
+    cfg = write_config(tmp_path, {"substrate": substrate,
+                                  "input": "data/demo_stream_insert.txt",
+                                  **_KMV_SKETCH_REGIME[substrate]})
+    assert main(["wrap", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dpb: KMV sketch of %d rows x %d minima needs" % (rows, minima))
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("preset", ["f0", "sw-de"])
+def test_kmv_exact_regime_holds_no_sketch_under_the_byte_cap(tmp_path, capsys, monkeypatch,
+                                                             preset):
+    # The presets tune k = 2,067,705 (f0) and 18.6 million (sw-de) minima,
+    # more than the demo stream's 200 updates, so both count exactly: with
+    # the cap cut to 1,000 bytes they release what they release uncapped.
     window = {"window": 10} if preset == "sw-de" else {}
     cfg = write_config(tmp_path, {"preset": preset, "input": "data/demo_stream_insert.txt",
                                   "epsilon": 1.0, **window})
-    assert main(["wrap", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("dpb: KMV sketch of 72 rows x %d minima needs" % minima)
-    assert err.count("\n") == 1
+    assert main(["wrap", "--config", cfg]) == 0
+    uncapped = capsys.readouterr().out
+    monkeypatch.setattr(streams, "_MAX_BYTES", 1000)
+    assert main(["wrap", "--config", cfg]) == 0
+    assert capsys.readouterr().out == uncapped
 
 
 def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys):

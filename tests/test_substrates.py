@@ -2,13 +2,16 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpbox.graph_estimators import CcEstimateParams, QueryGraph, cc_estimate
 from dpbox.graphs import load_graph, parse_graph
 from dpbox.knapsack import knapsack_exact, load_knapsack
 from dpbox.mechanisms import ApproxParams, WrapConfig, wrap_cauchy
 from dpbox.noise import make_rng
-from dpbox.streams import exact_distinct, exact_l2, load_stream
+from dpbox.sketches import KmvSketch, kmv_dims
+from dpbox.streams import UpdateStream, exact_distinct, exact_l2, load_stream
 from dpbox.substrates import (
     SUBSTRATE_NAMES,
     dataset_kind,
@@ -17,6 +20,7 @@ from dpbox.substrates import (
     make_substrate,
     query_budget,
 )
+from dpbox.windows import smooth_histogram_distinct
 from helpers import replay_memo_bfs
 
 PARAMS = ApproxParams(alpha=0.3, kappa=0.0, fail_prob=1 / 3)
@@ -286,6 +290,69 @@ def test_stream_entries_answer_alpha_0_with_their_oracle(name, demo_insert, demo
             exact_value(name, demo_turnstile, config)
         messages.add(str(err.value))
         assert messages == {"sliding-window distinct count needs an insertion-only stream"}
+
+
+# Each KMV entry at a large alpha, so that k is small: f0_kmv sizes its
+# sketch at alpha, sw_de its sketches at alpha/3.
+_KMV_EDGE = {"f0_kmv": ApproxParams(0.9, 0.0, 0.3), "sw_de": ApproxParams(0.99, 0.0, 0.9)}
+
+
+def _kmv_k(name: str) -> int:
+    params = _KMV_EDGE[name]
+    return kmv_dims(params.alpha / (3.0 if name == "sw_de" else 1.0), params.fail_prob)[0]
+
+
+def _kmv_hashed(name, stream, params, window, rng):
+    """What f0_kmv or sw_de releases with sketches that hash every item."""
+    if name == "f0_kmv":
+        sk = KmvSketch.from_accuracy(params.alpha, params.fail_prob, rng)
+        sk.consume(stream)
+        return sk.estimate()
+    third = params.alpha / 3.0
+    hist = smooth_histogram_distinct(window, third, third, params.fail_prob, rng)
+    for item in stream.items.tolist():
+        hist.update(item)
+    return hist.query()
+
+
+@pytest.mark.parametrize("edge", ["below", "at", "above"])
+@pytest.mark.parametrize("name", sorted(_KMV_EDGE))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_kmv_exact_regime_equals_the_hashed_sketches(name, edge, data, seed):
+    # A stream of fewer than k updates is counted exactly (sketches.kmv_dims):
+    # the release is bit for bit the hashing sketches', the rng ends in the
+    # same state, and only the cost differs. At k updates and more the
+    # entries hash. A universe of 2^62 shows the count keeps no
+    # universe-sized vector.
+    params, k = _KMV_EDGE[name], _kmv_k(name)
+    length = {"below": data.draw(st.integers(1, k - 1)), "at": k, "above": k + 1}[edge]
+    universe = data.draw(st.sampled_from((2 * k, 2 ** 62)))
+    items = data.draw(st.lists(st.integers(0, min(universe, 4 * k) - 1),
+                               min_size=length, max_size=length))
+    stream = UpdateStream(universe_size=universe, updates=[(i, 1) for i in items])
+    window = data.draw(st.integers(1, 2 * k))
+    config = {"window": window} if name == "sw_de" else None
+    rng, hashed_rng = make_rng(seed), make_rng(seed)
+    value, cost = make_substrate(name, config).evaluate(stream, params, rng)
+    hashed = _kmv_hashed(name, stream, params, window, hashed_rng)
+    assert value.hex() == hashed.hex()
+    assert rng.bit_generator.state == hashed_rng.bit_generator.state
+    if edge == "below":
+        assert cost == {"items": length}
+    else:
+        assert cost["items"] == length and cost["space_words"] > 0
+
+
+def test_f0_kmv_refuses_a_turnstile_stream_in_either_regime(demo_turnstile):
+    # The turnstile demo has fewer updates than k = 400 at alpha 0.2 and
+    # more than k = 20 at alpha 0.9: one refusal in both regimes.
+    assert kmv_dims(0.9, 0.05)[0] < demo_turnstile.length < kmv_dims(0.2, 0.05)[0]
+    for alpha in (0.2, 0.9):
+        with pytest.raises(ValueError) as err:
+            make_substrate("f0_kmv").evaluate(demo_turnstile, ApproxParams(alpha, 0.0, 0.05),
+                                              make_rng(0))
+        assert str(err.value) == "KMV is insertion-only; turnstile streams are not supported"
 
 
 def test_cauchy_route_rejects_randomized_substrates(demo_cc, demo_turnstile):

@@ -93,7 +93,18 @@ def test_traced_graph_round_records_spans_and_the_same_queries(tmp_path):
     assert tracer.calls == calls
 
 
+# f0_kmv and sw_de at configs that tune k = 31 and 176 minima, fewer than
+# the insert demo's 200 updates, so their sketches hash every item.
 _STREAM_RUNS = (
+    ("wrap", {"substrate": "f0_kmv", "input": "data/demo_stream_insert.txt", "epsilon": 20.0,
+              "delta": 0.5, "alpha": 0.9, "debug_trace": True}),
+    ("wrap", {"substrate": "sw_de", "input": "data/demo_stream_insert.txt", "window": 10,
+              "epsilon": 18.0, "delta": 0.9, "alpha": 0.9, "debug_trace": True}),
+)
+
+# The f0 and sw-de presets tune millions of minima: on the demo stream they
+# are in the exact regime (sketches.kmv_dims) and hash nothing.
+_EXACT_REGIME_RUNS = (
     ("wrap", {"preset": "f0", "input": "data/demo_stream_insert.txt", "epsilon": 1.0,
               "debug_trace": True}),
     ("wrap", {"preset": "sw-de", "input": "data/demo_stream_insert.txt", "window": 10,
@@ -101,21 +112,34 @@ _STREAM_RUNS = (
 )
 
 
-def test_traced_stream_round_sees_kmv_updates_and_the_same_outputs(tmp_path):
+def _traced(tmp_path, runs):
+    """The CLI outputs of runs, untraced and traced, and the tracer."""
     spans = _load_spans()
-    plain = [_cli(tmp_path, i, *run) for i, run in enumerate(_STREAM_RUNS)]
+    plain = [_cli(tmp_path, i, *run) for i, run in enumerate(runs)]
     tracer = spans.Tracer()
     patches = spans.install(tracer, dpbox)
     try:
-        traced = [_cli(tmp_path, i, *run) for i, run in enumerate(_STREAM_RUNS)]
+        traced = [_cli(tmp_path, i, *run) for i, run in enumerate(runs)]
     finally:
         patches.off()
+    return plain, traced, tracer
+
+
+def test_traced_stream_round_sees_kmv_updates_and_the_same_outputs(tmp_path):
+    plain, traced, tracer = _traced(tmp_path, _STREAM_RUNS)
     assert traced == plain
     assert tracer.calls["sketches.kmv"] > 0
     assert tracer.calls["windows.update"] == 200
     # One bulk insert of the 200-item demo stream for f0, and one update per
     # stream item for sw_de, whatever the number of live instances.
     assert tracer.counters["sketches.kmv_updates"] == 200 + 200
+
+
+def test_traced_exact_regime_round_hashes_nothing(tmp_path):
+    plain, traced, tracer = _traced(tmp_path, _EXACT_REGIME_RUNS)
+    assert traced == plain
+    assert tracer.calls["windows.update"] == 200
+    assert "sketches.kmv_updates" not in tracer.counters
 
 
 def test_traced_knapsack_coverage_records_the_exact_oracle(tmp_path):

@@ -395,24 +395,43 @@ def test_stacked_ams_family_equals_lone_sketches(rows, cols, window, items, seed
                                 window, 0.6, 0.18, seed, lambda v: float(np.median(v)))
 
 
-def test_sw_de_space_words_counts_each_instance_at_its_own_width():
-    # The sw-de preset on the demo stream: instances hold different numbers
-    # of minima, so the stack is padded, but the cost counts each one as a
-    # lone sketch would hold it.
+def _sw_de_and_lone(alpha):
+    """sw_de's (value, cost) on the demo stream at alpha, and the query of a
+    smooth histogram of lone KMV sketches at alpha/3 on the same seed, with
+    that histogram's sketches."""
     stream = load_stream("data/demo_stream_insert.txt")
-    params = ApproxParams(alpha=0.2, kappa=0.0, fail_prob=0.01)
+    params = ApproxParams(alpha=alpha, kappa=0.0, fail_prob=0.01)
     value, cost = make_substrate("sw_de", {"window": 10}).evaluate(stream, params, make_rng(9))
     third = params.alpha / 3.0
     lone = SmoothHistogram(10, SmoothnessParams(third, third), _LoneSketchFamily(
         lambda child: KmvSketch.from_accuracy(third, params.fail_prob, child), make_rng(9)))
     for item in stream.items.tolist():
         lone.update(item)
-    assert value.hex() == lone.query().hex()
-    sketches = lone.family.sketches
+    return value, cost, lone.query(), lone.family.sketches
+
+
+def test_sw_de_space_words_counts_each_instance_at_its_own_width():
+    # At alpha 0.9 the sketches keep k = 178 minima, fewer than the demo
+    # stream's 200 updates, so they hash every item. Instances hold
+    # different numbers of minima, so the stack is padded, but the cost
+    # counts each one as a lone sketch would hold it.
+    value, cost, lone, sketches = _sw_de_and_lone(0.9)
+    assert sketches[0].k == 178
+    assert value.hex() == lone.hex()
     assert cost["space_words"] == sum(sk.minima.size + sk.reps for sk in sketches)
     widths = [sk.minima.shape[1] for sk in sketches]
     assert min(widths) < max(widths)
     assert cost["space_words"] < len(sketches) * sketches[0].reps * (max(widths) + 1)
+
+
+def test_sw_de_exact_regime_releases_what_the_sketches_would():
+    # At alpha 0.2 the sketches would keep k = 3,600 minima, more than the
+    # demo stream's 200 updates: sw_de counts exactly, releases the lone
+    # sketches' value and costs the items read, with no sketch words.
+    value, cost, lone, sketches = _sw_de_and_lone(0.2)
+    assert sketches[0].k == 3600
+    assert value.hex() == lone.hex()
+    assert cost == {"items": 200}
 
 
 def test_sketch_family_tracks_instances():
