@@ -11,10 +11,10 @@ meaning. Unknown keys, keys the run would not read (a "kappa_frac" without
 a preset and a graph substrate, an extra key such as "window" that the
 substrate's registry entry does not read), non-string names and paths, a
 "debug_trace" other than true or false, and bad counts ("trials" >= 1, >=
-1000 for audit; 2 <= "bins" <= trials; "seed" >= 0; all JSON integers) exit
-2 before any file is read, as does a "trials" whose outputs
-would pass the 1 GiB cap while wrap, audit or bench hold them (see
-_COMMANDS). Both "input" and "input_prime" are read by
+1000 for audit; 2 <= "bins" <= trials; "seed" >= 0; all JSON integers) and a
+non-finite "epsilon_limit" exit 2 before any file is read, as does a
+"trials" whose outputs would pass the 1 GiB cap while wrap, audit or bench
+hold them (see _COMMANDS). Both "input" and "input_prime" are read by
 substrates.load_dataset.
 
 Every run is reproducible byte-for-byte from (config, seed). wrap, coverage
@@ -221,6 +221,9 @@ def run_audit(config: dict, trials: int, seed: int) -> int:
         raise CliError(f"'delta_slack' must lie in [0, 1), got {delta_slack!r}")
     limit = (None if config.get("epsilon_limit") is None
              else _real(config, "epsilon_limit", None))
+    # JSON's NaN would turn the limit off, since no comparison with it holds.
+    if limit is not None and not math.isfinite(limit):
+        raise CliError(f"'epsilon_limit' must be a finite number, got {limit!r}")
     toggle = _toggle(config)
     run = _build_run(config)
     name = config["substrate"]

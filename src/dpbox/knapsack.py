@@ -3,11 +3,13 @@
 knapsack_fptas is the deterministic tunable substrate for the Cauchy route:
 for any alpha in (0, 1) it returns a feasible selection's total value inside
 [(1-alpha)*OPT, OPT] in time polynomial in (n, 1/alpha), and alpha = 0 runs
-the exact value-axis DP (integer values required). Instances live in a small
-text format: a header "n B" followed by n lines "size value", read by the
-line walker the stream and graph formats share, with int sizes and float
-values; the first line that cannot be read raises, and KnapsackInstance
-checks the items once all are read.
+the exact value-axis DP on the items that fit (integer values required).
+The knapsack substrate answers alpha = 0 with its oracle, knapsack_exact,
+which reads every item's value. Instances live in a small text format: a
+header "n B" followed by n lines "size value", read by the line walker the
+stream and graph formats share, with int sizes and float values; the first
+line that cannot be read raises, and KnapsackInstance checks the items once
+all are read.
 """
 
 from __future__ import annotations

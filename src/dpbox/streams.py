@@ -347,13 +347,22 @@ def exact_frequencies(s: UpdateStream) -> np.ndarray:
     return freq
 
 
+def _net_frequencies(s: UpdateStream) -> np.ndarray:
+    """Final frequencies whose nonzero entries are those of s: the dense
+    vector of exact_frequencies while it fits under _MAX_BYTES, above that
+    the net of each item s touches, from one netted sort."""
+    if 8 * s.universe_size > _MAX_BYTES:
+        return _sorted_distinct(s.items, s.deltas)[1]
+    return exact_frequencies(s)
+
+
 def exact_distinct(s: UpdateStream) -> int:
     """Number of items with nonzero final frequency."""
-    return int(np.count_nonzero(exact_frequencies(s)))
+    return int(np.count_nonzero(_net_frequencies(s)))
 
 
 def exact_f2(s: UpdateStream) -> float:
-    freq = exact_frequencies(s)
+    freq = _net_frequencies(s)
     return float(np.dot(freq, freq))
 
 

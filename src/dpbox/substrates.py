@@ -3,23 +3,27 @@
 Each substrate is described once, by its entry in the registry at the
 bottom: the dataset kind its loader reads, the exact oracle of the quantity
 it estimates, its default global sensitivity delta_f, its estimator, if it
-has one, and whether it is deterministic, and, for the sublinear graph
-estimators, the worst-case query count of one evaluation. An entry names
-its oracle itself (cc_exact, mst_weight_exact, exact_l2, exact_distinct),
-and exact_value returns the oracle's value as a float. Only the knapsack
-entry names a wrapper, _knapsack_optimum: the benchmark's span tracer
-(perfbench/spans.py) patches knapsack_exact only where it is a module
-global, while the other oracles call patched globals of their own modules.
+has one, whether it is deterministic and which ApproxParams knob holds its
+error, and, for the sublinear graph estimators, the worst-case query count
+of one evaluation. An entry names its oracle itself (cc_exact,
+mst_weight_exact, exact_l2, exact_distinct), and exact_value returns the
+oracle's value as a float. Only the knapsack entry names a wrapper,
+_knapsack_optimum: the benchmark's span tracer (perfbench/spans.py) patches
+knapsack_exact only where it is a module global, while the other oracles
+call patched globals of their own modules.
 
 make_substrate binds one evaluation, evaluate(dataset, params, rng), which
 returns (estimate, cost), cost counting what that one call used. An exact
-answer meets every (alpha, kappa, fail_prob) contract, so one rule, in
-_evaluate, says when the entry's oracle answers: when the entry has no
-estimator, and when a stream entry is asked for alpha = 0, the sketches'
-alpha -> 0 limit. A stream answer then costs {"items": m}, the m updates
-the recount reads. Every other call runs the estimator, which translates
-the wrapper's ApproxParams into its own knobs. Additive targets
-(ApproxParams.kappa) are in absolute output units throughout; the
+answer meets every (alpha, kappa, fail_prob) contract, so one rule,
+_oracle_answers, says when the entry's oracle answers, for _evaluate and
+query_budget alike: when the entry has no estimator, when its error knob
+(_Entry.error: alpha, or kappa for the additive-only cc_estimate) is 0, and
+when a randomized estimator is asked for fail_prob 0. Only an exact answer
+meets the last two. A stream answer then costs {"items": m}, the m updates
+the recount reads, any other answer costs nothing, and the query budget is
+inf. Every other call runs the estimator, which translates the wrapper's
+ApproxParams into its own knobs, at the fail_prob asked for. Additive
+targets (ApproxParams.kappa) are in absolute output units throughout; the
 component-count substrate divides by n internally to reach the estimator's
 fractional knob. Both MST entries read the graph's weight bound w
 (Graph.weight_bound, 1 on an unweighted graph) as their default delta_f.
@@ -85,10 +89,6 @@ def _distinct_in_window(stream, window) -> int:
     return _sorted_distinct(_insertion_only(stream).items[-window:]).size
 
 
-def _clamped_fail(params: ApproxParams, ceiling: float = 1.0 - 1e-12) -> float:
-    return min(max(params.fail_prob, 1e-12), ceiling)
-
-
 # Estimators: (dataset, params, rng, **extras) -> estimate or (estimate, cost).
 
 def _cc_estimate(graph, params, rng):
@@ -96,8 +96,6 @@ def _cc_estimate(graph, params, rng):
     params.kappa/n of the vertices. Its replicas share one QueryGraph, hence
     one memo of sized vertices: cost["queries"] counts the probes actually
     made, and a start an earlier BFS has sized costs none."""
-    if params.kappa <= 0.0:
-        raise ValueError("cc_estimate needs a positive additive budget kappa")
     if graph.n == 0:
         return 0.0, {"queries": 0}
     qg = QueryGraph(graph)
@@ -106,8 +104,6 @@ def _cc_estimate(graph, params, rng):
 
 
 def _cc_estimate_queries(graph, params) -> float:
-    if params.kappa <= 0.0:
-        return math.inf
     if graph.n == 0:
         return 0.0
     cc_params, replicas = cc_knobs(params.kappa / graph.n, params.fail_prob)
@@ -116,18 +112,14 @@ def _cc_estimate_queries(graph, params) -> float:
 
 def _mst_estimate(graph, params, rng):
     """Multiplicative only, so params.kappa is slack."""
-    if params.alpha <= 0.0:
-        raise ValueError("mst_weight_estimate needs a positive alpha")
     qg = QueryGraph(graph)
-    value = mst_weight_estimate(qg, params.alpha, _clamped_fail(params, 1.0 / 3.0), rng)
+    value = mst_weight_estimate(qg, params.alpha, min(params.fail_prob, 1.0 / 3.0), rng)
     return value, {"queries": qg.queries}
 
 
 def _mst_estimate_queries(graph, params) -> float:
-    if params.alpha <= 0.0:
-        return math.inf
     w = graph.weight_bound
-    level_params, replicas = mst_level_knobs(params.alpha, _clamped_fail(params, 1.0 / 3.0), w)
+    level_params, replicas = mst_level_knobs(params.alpha, min(params.fail_prob, 1.0 / 3.0), w)
     return (w - 1) * replicas * level_params.max_queries
 
 
@@ -144,7 +136,7 @@ def _l2_ams(stream, params, rng):
     sketch is sized at that widened target.
     """
     alpha_f2 = 2.0 * params.alpha - params.alpha ** 2
-    sk = AmsSketch.from_accuracy(alpha_f2, _clamped_fail(params), stream.universe_size, rng)
+    sk = AmsSketch.from_accuracy(alpha_f2, params.fail_prob, stream.universe_size, rng)
     sk.consume(stream)
     return math.sqrt(max(sk.estimate(), 0.0)), \
         {"space_words": sk.space_words, "items": stream.length}
@@ -156,7 +148,7 @@ def _f0_kmv(stream, params, rng):
     (the exact regime, see kmv_dims) is then counted exactly, at the cost of
     an oracle answer. The count sorts the items, as the sketch would, and
     keeps no universe-sized vector."""
-    sk = KmvSketch.from_accuracy(params.alpha, _clamped_fail(params), rng)
+    sk = KmvSketch.from_accuracy(params.alpha, params.fail_prob, rng)
     if stream.length < sk.k:
         return float(_sorted_distinct(sk.insertion_only(stream).items).size), \
             {"items": stream.length}
@@ -177,7 +169,7 @@ def _sw_de(stream, params, rng, window):
     same. It spawns no child rng; spawning never advances rng's bit stream.
     """
     items = _insertion_only(stream).items
-    third, fail = params.alpha / 3.0, _clamped_fail(params)
+    third, fail = params.alpha / 3.0, params.fail_prob
     exact = stream.length < kmv_dims(third, fail)[0]
     hist = smooth_histogram_distinct(window, third, third, fail, rng, exact=exact)
     for item in items.tolist():
@@ -201,10 +193,11 @@ class _Entry:
     exact: Callable             # (dataset, **extras) -> the true value, a number
     delta_f: Optional[Callable]  # dataset -> default global sensitivity or None
     # The estimator, (dataset, params, rng, **extras) -> estimate[, cost]; None
-    # for an exact substrate (see _evaluate).
+    # for an exact substrate (see _oracle_answers).
     evaluate: Optional[Callable] = None
     is_deterministic: bool = True
     max_queries: Optional[Callable] = None  # (dataset, params) -> worst-case queries
+    error: str = "alpha"        # the ApproxParams knob that holds the estimator's error
     # config -> the extras that _bind reads for make_substrate and exact_value;
     # raises ValueError on a bad extra key, so the CLI refuses it before
     # reading a file.
@@ -214,7 +207,8 @@ class _Entry:
 
 _REGISTRY = {
     "cc_exact": _Entry("graph", cc_exact, _two),
-    "cc_estimate": _Entry("graph", cc_exact, _two, _cc_estimate, False, _cc_estimate_queries),
+    "cc_estimate": _Entry("graph", cc_exact, _two, _cc_estimate, False, _cc_estimate_queries,
+                          error="kappa"),
     "mst_exact": _Entry("graph", mst_weight_exact, _weight_bound),
     "mst_estimate": _Entry("graph", mst_weight_exact, _weight_bound, _mst_estimate, False,
                            _mst_estimate_queries),
@@ -250,11 +244,18 @@ def _bind(name: str, config) -> tuple:
     return entry, entry.extras(config or {})
 
 
+def _oracle_answers(entry: _Entry, params: ApproxParams) -> bool:
+    """Whether entry answers params with its exact oracle (see the module
+    docstring): it has no estimator, its error knob is 0, or its estimator
+    is randomized and params.fail_prob is 0."""
+    return (entry.evaluate is None or getattr(params, entry.error) == 0.0
+            or (params.fail_prob == 0.0 and not entry.is_deterministic))
+
+
 def _evaluate(entry: _Entry, extras: dict, dataset, params, rng):
-    """One evaluation of entry: its oracle when it has no estimator or when a
-    stream entry is asked for alpha = 0 (see the module docstring), else its
+    """One evaluation of entry: its oracle when _oracle_answers, else its
     estimator."""
-    if entry.evaluate is None or (params.alpha == 0.0 and entry.kind == "stream"):
+    if _oracle_answers(entry, params):
         value = entry.exact(dataset, **extras)
         return (value, {"items": dataset.length}) if entry.kind == "stream" else value
     return entry.evaluate(dataset, params, rng, **extras)
@@ -320,6 +321,8 @@ def default_delta_f(name: str, dataset) -> Optional[float]:
 def query_budget(name: str, dataset, params: ApproxParams) -> float:
     """Worst-case query count of one evaluation at params, computed by the
     same knob translation the evaluation uses; math.inf for substrates
-    without a query-count claim."""
-    max_queries = _entry(name).max_queries
-    return math.inf if max_queries is None else max_queries(dataset, params)
+    without a query-count claim and for requests the oracle answers."""
+    entry = _entry(name)
+    if entry.max_queries is None or _oracle_answers(entry, params):
+        return math.inf
+    return entry.max_queries(dataset, params)

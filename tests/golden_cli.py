@@ -5,11 +5,12 @@ over the ten substrates on the demo files (both routes where the substrate
 is deterministic, one refused Cauchy run where it is not), f0_kmv and sw_de
 once more at configs whose sketches hash the insert demo, the presets on
 their matching demo files (the mst preset on the unweighted one only) and
-with substrates of another dataset kind, both
-MST substrates on an edge-neighbour pair whose second graph is disconnected,
-and refusals: bad configs, keys the run would not read, and the small
-malformed inputs under tests/golden/. golden_cli.json, beside this file,
-keeps each run's exit code and the sha256 of its stdout and stderr;
+with substrates of another dataset kind, both MST substrates on an
+edge-neighbour pair whose second graph is disconnected, requests that only
+an exact answer meets (cc_estimate at kappa 0, mst_estimate and knapsack at
+alpha 0), and refusals: bad configs, keys the run would not read, and the
+small malformed inputs under tests/golden/. golden_cli.json, beside this
+file, keeps each run's exit code and the sha256 of its stdout and stderr;
 tests/test_golden_cli.py replays the runs in-process and compares.
 
     python tests/golden_cli.py          # rewrite golden_cli.json
@@ -152,6 +153,25 @@ def _neighbour_pair_runs():
         **_SUBSTRATES["mst_exact"][2], "toggle": [1, 2], "toggle_weight": 2}
 
 
+def _exact_request_runs():
+    """Requests that only an exact answer meets, which the entry's oracle
+    answers (substrates._oracle_answers): cc_estimate at kappa 0 and
+    mst_estimate at alpha 0 on the graph demos, and knapsack at alpha 0 on an
+    instance whose item too large to fit has the value 2.5, which the exact
+    DP refuses under every command."""
+    for substrate, knob in (("cc_estimate", "kappa"), ("mst_estimate", "alpha")):
+        for path in _FILES["graph"]:
+            config = {"substrate": substrate, "input": path, **_SUBSTRATES[substrate][2],
+                      knob: 0.0}
+            for command in ("wrap", "wrap-debug", "bench", "coverage"):
+                yield (f"{command}/{substrate}-{knob}-0/{os.path.basename(path)}/laplace",
+                       command, config)
+    config = {"substrate": "knapsack", "input": "tests/golden/knapsack_unfit_fraction.txt",
+              **_SUBSTRATES["knapsack"][2], "alpha": 0.0}
+    for command in ("wrap", "bench", "coverage"):
+        yield f"{command}/knapsack-alpha-0/knapsack_unfit_fraction.txt/laplace", command, config
+
+
 def _refusal_runs():
     cc = {"substrate": "cc_exact", **_SUBSTRATES["cc_exact"][2]}
     mst = {"substrate": "mst_exact", **_SUBSTRATES["mst_exact"][2]}
@@ -184,14 +204,16 @@ def _refusal_runs():
         "kappa_frac-on-a-stream-substrate": {"preset": "cc", "substrate": "f0_exact",
                                              "input": "data/demo_stream_insert.txt",
                                              "epsilon": 1.0, "kappa_frac": 0.3},
+        "audit-epsilon_limit-nan": {**cc, "input": "data/demo_cc.graph",
+                                    "epsilon_limit": float("nan")},
     }
     for label, config in configs.items():
-        command = "audit" if label.startswith("knapsack-audit") else "wrap"
+        command = "audit" if label.startswith(("knapsack-audit", "audit-")) else "wrap"
         yield f"{command}/refusal/{label}", command, config
 
 
 RUNS = [*_file_runs(), *_sketch_regime_runs(), *_preset_runs(), *_neighbour_pair_runs(),
-        *_refusal_runs()]
+        *_exact_request_runs(), *_refusal_runs()]
 
 
 def replay(command: str, config: dict) -> dict:

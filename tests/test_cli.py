@@ -276,6 +276,18 @@ def test_audit_stream_substrate_report_and_limit(tmp_path, capsys):
     assert "exceeds limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
+def test_audit_refuses_a_non_finite_epsilon_limit(tmp_path, capsys, limit):
+    # JSON's NaN would turn the limit off, as no comparison with it holds.
+    # Checked before any file is read: the input path does not exist.
+    cfg = write_config(tmp_path, {
+        "substrate": "cc_exact", "input": str(tmp_path / "missing.graph"),
+        "epsilon": 1.0, "epsilon_limit": limit})
+    assert main(["audit", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"dpb: 'epsilon_limit' must be a finite number, got {limit!r}\n")
+
+
 def test_audit_graph_substrate_uses_edge_toggle(tmp_path):
     cfg = write_config(tmp_path, {
         "substrate": "cc_exact", "input": "data/demo_cc.graph",
@@ -360,18 +372,25 @@ def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, caps
     assert "delta" in err and "gamma" in err and "math domain" not in err
 
 
-def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
-        tmp_path, capsys):
+@pytest.mark.parametrize("config,message", [
     # sw_de reads insertion-only streams, and its oracle and its estimator
-    # share that rule, so every command, coverage too, gets one refusal.
-    cfg = write_config(tmp_path, {
-        "substrate": "sw_de", "input": "data/demo_stream_turnstile.txt", "epsilon": 1.0,
-        "delta": 0.01, "alpha": 0.2, "window": 5, "trials": 5,
-    })
+    # share that rule.
+    ({"substrate": "sw_de", "input": "data/demo_stream_turnstile.txt", "delta": 0.01,
+      "alpha": 0.2, "window": 5},
+     "sliding-window distinct count needs an insertion-only stream"),
+    # At alpha 0 the knapsack oracle answers under every command, and the
+    # exact DP reads every value, that of the item too large to fit too.
+    ({"substrate": "knapsack", "input": "tests/golden/knapsack_unfit_fraction.txt",
+      "alpha": 0.0, "delta_f": 50.0},
+     "exact knapsack DP needs integer values, got 2.5"),
+], ids=["sw_de-turnstile", "knapsack-alpha-0"])
+def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
+        tmp_path, capsys, config, message):
+    # Every command, coverage too, which reads the oracle, gets one refusal.
+    cfg = write_config(tmp_path, dict(config, epsilon=1.0, trials=5))
     for command in ("wrap", "bench", "coverage"):
         assert main([command, "--config", cfg]) == 2, command
-        assert capsys.readouterr().err == (
-            "dpb: sliding-window distinct count needs an insertion-only stream\n"), command
+        assert capsys.readouterr().err == f"dpb: {message}\n", command
 
 
 def test_bench_reports_query_budget(tmp_path):
@@ -559,12 +578,6 @@ _HUGE = 10 ** 13
     ("wrap", "cc_exact", 0.0, f"{_HUGE} 0\n",
      f"graph on n={_HUGE} vertices needs 149011.6 GiB for its row offsets and degree "
      "counts, above the 1 GiB cap"),
-    ("wrap", "l2_exact", 0.0, f"{_HUGE} 1 insert\n5 1\n",
-     f"exact recount over universe n={_HUGE} needs 74505.8 GiB for its frequency vector, "
-     "above the 1 GiB cap"),
-    ("wrap", "f0_exact", 0.0, f"{_HUGE} 1 insert\n5 1\n",
-     f"exact recount over universe n={_HUGE} needs 74505.8 GiB for its frequency vector, "
-     "above the 1 GiB cap"),
     ("wrap", "knapsack", 0.0, "1 10\n3 1000000000000\n",
      "knapsack DP over 1000000000001 scaled values needs 14901.2 GiB for its size and "
      "value tables, above the 1 GiB cap"),
@@ -585,6 +598,21 @@ def test_oversized_exact_array_exits_2_before_allocating(
         "delta_f": 1.0, "trials": 1})
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err == f"dpb: {message}\n"
+
+
+@pytest.mark.parametrize("substrate", ["l2_exact", "f0_exact", "l2_ams", "f0_kmv"])
+def test_exact_stream_recount_past_the_byte_cap_runs(tmp_path, substrate):
+    # A frequency vector over 10^13 items would pass the cap, so the oracle
+    # counts from one netted sort of the updates: the exact entries, and the
+    # sketch entries at alpha 0, which their oracles answer, release 1.
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{_HUGE} 1 insert\n5 1\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, {
+        "substrate": substrate, "input": str(path), "epsilon": 1.0, "alpha": 0.0,
+        "trials": 1})
+    assert main(["wrap", "--config", cfg, "--debug-trace", "--out", str(out)]) == 0
+    assert _debug_rows(out.read_text())[0][1] == 1.0
 
 
 # A 60-vertex path whose first edge weighs w = 50 and the rest 1.

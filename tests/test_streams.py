@@ -305,6 +305,21 @@ def test_format_parse_round_trip(s):
     assert _same_stream(walked, t)
 
 
+@settings(max_examples=100, deadline=None)
+@given(s=_streams())
+def test_exact_counts_past_the_byte_cap_match_the_dense_vector(s):
+    # A universe of 2^40 would need an 8 TiB frequency vector: exact_distinct
+    # and exact_f2 count the same updates from one netted sort instead, and
+    # give the dense vector's answers, F2 bit for bit. Only
+    # exact_frequencies, which hands out the vector, still refuses.
+    huge = UpdateStream(2 ** 40, np.column_stack((s.items, s.deltas)), s.mode)
+    assert exact_distinct(huge) == exact_distinct(s)
+    assert exact_f2(huge).hex() == exact_f2(s).hex()
+    assert exact_l2(huge).hex() == exact_l2(s).hex()
+    with pytest.raises(ValueError, match="exact recount over universe n=1099511627776"):
+        exact_frequencies(huge)
+
+
 # The line boundaries of str.splitlines, and whitespace that ends no line.
 _LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]

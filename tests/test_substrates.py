@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -93,8 +94,8 @@ def test_cc_estimate_substrate_uses_kappa(demo_cc):
     value, cost = sub.evaluate(demo_cc, params, make_rng(3))
     assert 0.0 < value <= demo_cc.n
     assert cost["queries"] > 0
-    with pytest.raises(ValueError):
-        sub.evaluate(demo_cc, ApproxParams(0.0, 0.0, 1 / 3), make_rng(0))
+    # kappa is cc_estimate's error knob: at kappa 0 the oracle answers.
+    assert sub.evaluate(demo_cc, ApproxParams(0.0, 0.0, 1 / 3), make_rng(0)) == (3.0, {})
 
 
 def test_cc_estimate_boosts_on_small_fail_prob(demo_cc):
@@ -125,8 +126,8 @@ def test_mst_substrates(demo_mst):
     value, cost = est.evaluate(demo_mst, ApproxParams(0.5, 0.0, 0.7), make_rng(2))
     assert abs(value - truth) <= 0.5 * truth
     assert cost["queries"] > 0
-    with pytest.raises(ValueError):
-        est.evaluate(demo_mst, ApproxParams(0.0, 0.0, 0.7), make_rng(0))
+    # At alpha 0 the oracle answers.
+    assert est.evaluate(demo_mst, ApproxParams(0.0, 0.0, 0.7), make_rng(0)) == (truth, {})
 
 
 def test_knapsack_substrate(demo_knapsack):
@@ -179,9 +180,19 @@ def test_sw_de_substrate(demo_insert):
 
 
 def test_sw_de_rejects_turnstile(demo_turnstile):
-    sub = make_substrate("sw_de", {"window": 10})
-    with pytest.raises(ValueError):
-        sub.evaluate(demo_turnstile, PARAMS, make_rng(0))
+    # The insertion-only rule is one helper: the oracle, the estimator and
+    # exact_value refuse the turnstile demo alike.
+    config = {"window": 10}
+    sub = make_substrate("sw_de", config)
+    messages = set()
+    for params in (PARAMS, ApproxParams(0.0, 0.0, 0.05)):
+        with pytest.raises(ValueError) as err:
+            sub.evaluate(demo_turnstile, params, make_rng(0))
+        messages.add(str(err.value))
+    with pytest.raises(ValueError) as err:
+        exact_value("sw_de", demo_turnstile, config)
+    messages.add(str(err.value))
+    assert messages == {"sliding-window distinct count needs an insertion-only stream"}
 
 
 def test_exact_values_match_demos(demo_cc, demo_mst, demo_knapsack,
@@ -267,29 +278,49 @@ def test_exact_value_refuses_an_unread_window_as_make_substrate_does(name, demo_
     assert str(err.value) == f"substrate {name!r} does not read 'window'"
 
 
-@pytest.mark.parametrize("name", ["l2_exact", "l2_ams", "f0_exact", "f0_kmv", "sw_de"])
-def test_stream_entries_answer_alpha_0_with_their_oracle(name, demo_insert, demo_turnstile):
-    # alpha = 0 is the sketches' alpha -> 0 limit: every stream entry answers
-    # it with its exact oracle and meters the updates the recount reads.
+def _exact_requests(name):
+    """(label, params) of the requests only an exact answer meets: the error
+    knob at 0 (kappa for the additive-only cc_estimate, alpha for the rest),
+    and, for a randomized estimator, fail_prob 0 at an error it takes."""
+    knob = "kappa" if name == "cc_estimate" else "alpha"
+    yield "error-0", dataclasses.replace(ApproxParams(0.5, 1.0, 0.05), **{knob: 0.0})
+    if not make_substrate(name, {"window": 5} if name == "sw_de" else None).is_deterministic:
+        yield "fail-0", ApproxParams(0.5, 6.0, 0.0)
+
+
+@pytest.mark.parametrize("name", [n for n in SUBSTRATE_NAMES if not n.endswith("_exact")])
+def test_entries_answer_an_exact_request_with_their_oracle(
+        name, demo_cc, demo_mst, demo_knapsack, demo_insert, demo_turnstile):
+    # An exact answer meets every contract, and only an exact answer meets
+    # one at error 0 or, from a randomized estimator, at fail_prob 0: the
+    # oracle answers it, draws nothing, and claims no query budget. A stream
+    # answer meters the updates the recount reads; any other costs nothing.
     config = {"window": 5} if name == "sw_de" else None
     sub = make_substrate(name, config)
-    params = ApproxParams(0.0, 0.0, 0.05)
-    streams = [demo_insert] if name == "sw_de" else [demo_insert, demo_turnstile]
-    for stream in streams:
-        assert sub.evaluate(stream, params, make_rng(0)) == (
-            exact_value(name, stream, config), {"items": stream.length})
-    if name == "sw_de":
-        # The insertion-only rule is one helper: the oracle, the estimator
-        # and exact_value refuse the turnstile demo alike.
-        messages = set()
-        for alpha in (0.0, 0.5):
-            with pytest.raises(ValueError) as err:
-                sub.evaluate(demo_turnstile, ApproxParams(alpha, 0.0, 0.05), make_rng(0))
-            messages.add(str(err.value))
-        with pytest.raises(ValueError) as err:
-            exact_value(name, demo_turnstile, config)
-        messages.add(str(err.value))
-        assert messages == {"sliding-window distinct count needs an insertion-only stream"}
+    kind = dataset_kind(name)
+    datasets = {"graph": [demo_cc, demo_mst], "knapsack": [demo_knapsack],
+                "stream": [demo_insert] if name == "sw_de" else [demo_insert, demo_turnstile]}
+    for label, params in _exact_requests(name):
+        for dataset in datasets[kind]:
+            rng = make_rng(0)
+            state = rng.bit_generator.state
+            cost = {"items": dataset.length} if kind == "stream" else {}
+            assert sub.evaluate(dataset, params, rng) == (
+                exact_value(name, dataset, config), cost), label
+            assert rng.bit_generator.state == state, label
+            assert query_budget(name, dataset, params) == math.inf, label
+
+
+def test_sketches_are_sized_for_a_failure_below_1e_12(demo_insert, demo_turnstile):
+    # fail_prob is handed to the sketches as asked: at 1e-15 KMV keeps
+    # ceil(12 ln(2e15)) = 423 rows of k + 1 = 21 words and AMS
+    # ceil(48 ln(2e15)) = 1,692 rows of 23 words, not the 340 and 1,360 rows
+    # of 1e-12.
+    params = ApproxParams(0.9, 0.0, 1e-15)
+    assert make_substrate("f0_kmv").evaluate(
+        demo_insert, params, make_rng(0))[1]["space_words"] == 8_883
+    assert make_substrate("l2_ams").evaluate(
+        demo_turnstile, params, make_rng(0))[1]["space_words"] == 38_916
 
 
 # Each KMV entry at a large alpha, so that k is small: f0_kmv sizes its
