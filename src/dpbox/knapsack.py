@@ -5,7 +5,7 @@ for any alpha in (0, 1) it returns a feasible selection's total value inside
 [(1-alpha)*OPT, OPT] in time polynomial in (n, 1/alpha), and alpha = 0 runs
 the exact value-axis DP on the items that fit (integer values required).
 The knapsack substrate answers alpha = 0 with its oracle, knapsack_exact,
-which reads every item's value. Instances live in a small text format: a
+which runs the same DP. Instances live in a small text format: a
 header "n B" followed by n lines "size value", read by the line walker the
 stream and graph formats share, with int sizes and float values; the first
 line that cannot be read raises, and KnapsackInstance checks the items once
@@ -142,9 +142,8 @@ def _fitting(inst: KnapsackInstance):
 
 
 def knapsack_exact(inst: KnapsackInstance) -> float:
-    """Exact optimum via DP over the value axis; every item's value must be
-    an integer, even that of an item too large to fit."""
-    _integers(inst.values)
+    """Exact optimum via DP over the value axis on the items that fit, whose
+    values must be integers; no feasible selection holds any other item."""
     sizes, values = _fitting(inst)
     return _value_axis_dp(sizes, values, _integers(values), inst.capacity)
 

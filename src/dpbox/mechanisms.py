@@ -391,7 +391,13 @@ def boost_replicas(target_fail: float) -> int:
     """
     if not (0.0 < target_fail < 1.0):
         raise ValueError(f"target_fail must lie in (0, 1), got {target_fail!r}")
-    return int(math.ceil(18.0 * math.log(2.0 / target_fail)))
+    return int(math.ceil(18.0 * _log_two_over(target_fail)))
+
+
+def _log_two_over(fail_prob: float) -> float:
+    """ln(2/fail_prob), which every replica and sketch row count reads, as
+    ln 2 - ln fail_prob: 2/fail_prob overflows below about 1.1e-308."""
+    return math.log(2.0) - math.log(fail_prob)
 
 
 def median_replicas(fail_prob: float) -> int:

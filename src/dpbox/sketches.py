@@ -50,7 +50,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .mechanisms import _check_accuracy, block_medians
+from .mechanisms import _check_accuracy, _log_two_over, block_medians
 from .streams import UpdateStream, _check_bytes, _sorted_distinct
 
 __all__ = [
@@ -68,7 +68,7 @@ _AMS_PASS_CELLS = 2 ** 18
 
 
 def _ams_rows(fail_prob: float) -> int:
-    return int(math.ceil(48.0 * math.log(2.0 / fail_prob)))
+    return int(math.ceil(48.0 * _log_two_over(fail_prob)))
 
 
 def _ams_cols(alpha: float) -> int:
@@ -250,7 +250,7 @@ def kmv_dims(alpha: float, fail_prob: float) -> Tuple[int, int]:
     is negligible. At k updates a row can hold k minima and estimate
     (k-1)/(k-th minimum) instead of its count."""
     _check_accuracy(alpha, fail_prob)
-    return int(math.ceil(16.0 / alpha ** 2)), int(math.ceil(12.0 * math.log(2.0 / fail_prob)))
+    return int(math.ceil(16.0 / alpha ** 2)), int(math.ceil(12.0 * _log_two_over(fail_prob)))
 
 
 class KmvSketch:

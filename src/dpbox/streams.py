@@ -10,7 +10,10 @@ each move by at most 2).
 An UpdateStream holds its updates as two read-only int64 arrays, `items` and
 `deltas`, checked once at construction by one vectorised validation,
 _check_columns (item range and the delta rule of the mode). Consumers read
-the arrays directly.
+the arrays directly. exact_distinct and exact_f2 net the updates with one
+sort, _sorted_distinct, so no universe is too large for them;
+exact_frequencies builds the universe-sized vector and refuses it above the
+cap.
 
 Every dataset row, of a stream or of a graph, from a file or from Python, is
 read before it is checked, and checked only by its dataset's vectorised
@@ -347,23 +350,16 @@ def exact_frequencies(s: UpdateStream) -> np.ndarray:
     return freq
 
 
-def _net_frequencies(s: UpdateStream) -> np.ndarray:
-    """Final frequencies whose nonzero entries are those of s: the dense
-    vector of exact_frequencies while it fits under _MAX_BYTES, above that
-    the net of each item s touches, from one netted sort."""
-    if 8 * s.universe_size > _MAX_BYTES:
-        return _sorted_distinct(s.items, s.deltas)[1]
-    return exact_frequencies(s)
-
-
 def exact_distinct(s: UpdateStream) -> int:
-    """Number of items with nonzero final frequency."""
-    return int(np.count_nonzero(_net_frequencies(s)))
+    """Number of items with nonzero final frequency, from one netted sort of
+    the updates, so the universe size costs nothing."""
+    return int(np.count_nonzero(_sorted_distinct(s.items, s.deltas)[1]))
 
 
 def exact_f2(s: UpdateStream) -> float:
-    freq = _net_frequencies(s)
-    return float(np.dot(freq, freq))
+    """Sum of the squared final frequencies, from the same netted sort."""
+    net = _sorted_distinct(s.items, s.deltas)[1]
+    return float(np.dot(net, net))
 
 
 def exact_l2(s: UpdateStream) -> float:

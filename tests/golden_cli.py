@@ -157,19 +157,17 @@ def _exact_request_runs():
     """Requests that only an exact answer meets, which the entry's oracle
     answers (substrates._oracle_answers): cc_estimate at kappa 0 and
     mst_estimate at alpha 0 on the graph demos, and knapsack at alpha 0 on an
-    instance whose item too large to fit has the value 2.5, which the exact
-    DP refuses under every command."""
-    for substrate, knob in (("cc_estimate", "kappa"), ("mst_estimate", "alpha")):
-        for path in _FILES["graph"]:
+    instance whose item too large to fit has the non-integer value 2.5,
+    which the exact DP never reads."""
+    for substrate, knob, paths in (
+            ("cc_estimate", "kappa", _FILES["graph"]), ("mst_estimate", "alpha", _FILES["graph"]),
+            ("knapsack", "alpha", ["tests/golden/knapsack_unfit_fraction.txt"])):
+        for path in paths:
             config = {"substrate": substrate, "input": path, **_SUBSTRATES[substrate][2],
                       knob: 0.0}
             for command in ("wrap", "wrap-debug", "bench", "coverage"):
                 yield (f"{command}/{substrate}-{knob}-0/{os.path.basename(path)}/laplace",
                        command, config)
-    config = {"substrate": "knapsack", "input": "tests/golden/knapsack_unfit_fraction.txt",
-              **_SUBSTRATES["knapsack"][2], "alpha": 0.0}
-    for command in ("wrap", "bench", "coverage"):
-        yield f"{command}/knapsack-alpha-0/knapsack_unfit_fraction.txt/laplace", command, config
 
 
 def _refusal_runs():

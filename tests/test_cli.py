@@ -378,12 +378,7 @@ def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, caps
     ({"substrate": "sw_de", "input": "data/demo_stream_turnstile.txt", "delta": 0.01,
       "alpha": 0.2, "window": 5},
      "sliding-window distinct count needs an insertion-only stream"),
-    # At alpha 0 the knapsack oracle answers under every command, and the
-    # exact DP reads every value, that of the item too large to fit too.
-    ({"substrate": "knapsack", "input": "tests/golden/knapsack_unfit_fraction.txt",
-      "alpha": 0.0, "delta_f": 50.0},
-     "exact knapsack DP needs integer values, got 2.5"),
-], ids=["sw_de-turnstile", "knapsack-alpha-0"])
+], ids=["sw_de-turnstile"])
 def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
         tmp_path, capsys, config, message):
     # Every command, coverage too, which reads the oracle, gets one refusal.
@@ -391,6 +386,22 @@ def test_an_unfit_estimator_input_gets_one_refusal_under_every_release_command(
     for command in ("wrap", "bench", "coverage"):
         assert main([command, "--config", cfg]) == 2, command
         assert capsys.readouterr().err == f"dpb: {message}\n", command
+
+
+def test_knapsack_at_alpha_0_ignores_the_value_of_an_item_too_large_to_fit(tmp_path):
+    # At alpha 0 the knapsack oracle answers under every command. No feasible
+    # selection holds the item of size 10 > capacity 5, so its value 2.5 is
+    # never read and the optimum is 3.
+    cfg = write_config(tmp_path, {
+        "substrate": "knapsack", "input": "tests/golden/knapsack_unfit_fraction.txt",
+        "epsilon": 1.0, "alpha": 0.0, "delta_f": 50.0, "trials": 5})
+    out = tmp_path / "out.csv"
+    assert main(["wrap", "--config", cfg, "--debug-trace", "--out", str(out)]) == 0
+    assert {row[1] for row in _debug_rows(out.read_text())} == {3.0}
+    assert main(["bench", "--config", cfg]) == 0
+    report = tmp_path / "coverage.json"
+    assert main(["coverage", "--config", cfg, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["exact"] == 3.0
 
 
 def test_bench_reports_query_budget(tmp_path):

@@ -89,12 +89,10 @@ def test_exact_requires_integer_values():
     inst = KnapsackInstance(capacity=5, sizes=[1], values=[1.5])
     with pytest.raises(ValueError):
         knapsack_exact(inst)
-    # The exact oracle checks every item; the FPTAS at alpha 0 only those
-    # that fit.
+    # The exact DP and the FPTAS at alpha 0 read only the items that fit: no
+    # feasible selection holds the size-9 item, so its value is never read.
     oversized = KnapsackInstance(capacity=5, sizes=[2, 9], values=[4.0, 1.5])
-    with pytest.raises(ValueError, match="got 1.5"):
-        knapsack_exact(oversized)
-    assert knapsack_fptas(oversized, 0.0) == 4.0
+    assert knapsack_exact(oversized) == knapsack_fptas(oversized, 0.0) == 4.0
 
 
 def test_exact_matches_brute_force():

@@ -323,6 +323,22 @@ def test_sketches_are_sized_for_a_failure_below_1e_12(demo_insert, demo_turnstil
         demo_turnstile, params, make_rng(0))[1]["space_words"] == 38_916
 
 
+@pytest.mark.parametrize("name", ["l2_ams", "f0_kmv", "sw_de", "mst_estimate", "cc_estimate"])
+def test_a_subnormal_failure_probability_sizes_without_overflow(
+        name, demo_insert, demo_turnstile, demo_mst, demo_cc):
+    # 2/1e-310 overflows to inf; ln(2/fail_prob) is formed as ln 2 - ln
+    # fail_prob, so a KMV sketch keeps ceil(12 ln(2e310)) = 8,574 rows.
+    dataset = {"l2_ams": demo_turnstile, "mst_estimate": demo_mst,
+               "cc_estimate": demo_cc}.get(name, demo_insert)
+    params = ApproxParams(0.9, 1.0, 1e-310)
+    config = {"window": 5} if name == "sw_de" else None
+    value, cost = make_substrate(name, config).evaluate(dataset, params, make_rng(0))
+    assert math.isfinite(value)
+    budget = query_budget(name, dataset, params)
+    assert math.isfinite(budget) == (dataset_kind(name) == "graph")
+    assert kmv_dims(0.9, 1e-310)[1] == 8_574
+
+
 # Each KMV entry at a large alpha, so that k is small: f0_kmv sizes its
 # sketch at alpha, sw_de its sketches at alpha/3.
 _KMV_EDGE = {"f0_kmv": ApproxParams(0.9, 0.0, 0.3), "sw_de": ApproxParams(0.99, 0.0, 0.9)}
