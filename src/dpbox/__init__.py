@@ -4,7 +4,9 @@ The core idea: an approximation algorithm whose multiplicative and additive
 error knobs can be tuned is one noise draw away from a private mechanism.
 wrap_laplace and wrap_cauchy retune those knobs from the privacy budget, run
 the algorithm once, and add noise scaled to a smooth upper bound on local
-sensitivity computed from the algorithm's own output. The rest of the
+sensitivity computed from the algorithm's own output. Each of the two noise
+routes, Laplace and Cauchy, is one entry of mechanisms._ROUTES, and both
+draw through one inverse-CDF kernel in noise. The rest of the
 package supplies substrates to wrap (sublinear graph estimators, streaming
 sketches, a knapsack FPTAS, sliding-window adapters), exact oracles to test
 them against, and an empirical privacy auditor.

@@ -49,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .audit import SIDE_STREAMS, audit_samples
-from .mechanisms import (TRIAL_CHUNK, ApproxParams, WrapConfig, accuracy_interval, route_params,
-                         wrap_trials)
+from .mechanisms import (TRIAL_CHUNK, ApproxParams, WrapConfig, _route, accuracy_interval,
+                         route_params, wrap_trials)
 from .noise import make_rng
 from .streams import _check_bytes
 from .substrates import (EXTRA_KEYS, audit_neighbor, dataset_kind, default_delta_f,
@@ -158,6 +158,10 @@ def _build_run(config: dict) -> _Run:
         raise CliError("config needs a 'substrate' (or a 'preset' that sets one)")
     name = config["substrate"]
     substrate = make_substrate(name, config)
+    # The route and its rule on randomized substrates read no data: an unfit
+    # route is refused before the input is read.
+    route = config.get("route", "laplace")
+    _route(route, substrate)
     if "input" not in config:
         raise CliError("config needs an 'input' dataset path")
     dataset = load_dataset(name, config["input"])
@@ -174,7 +178,6 @@ def _build_run(config: dict) -> _Run:
         delta_f=delta_f, gamma=_real(config, "gamma", 1.0),
         tau_override=(None if config.get("tau_override") is None
                       else _real(config, "tau_override", None)))
-    route = config.get("route", "laplace")
     return _Run(substrate, dataset, wrap_cfg, route, route_params(substrate, wrap_cfg, route))
 
 
@@ -242,8 +245,11 @@ def run_audit(config: dict, trials: int, seed: int) -> int:
 
 def run_coverage(config: dict, trials: int, seed: int) -> int:
     run = _build_run(config)
-    # The first chunk comes before the oracle, which draws nothing, so the
-    # estimator checks its input first, as under wrap and bench.
+    # The route's accuracy statement reads only the config, so a config it
+    # promises nothing for is refused before any trial is drawn. The first
+    # chunk comes before the oracle, which draws nothing, so the estimator
+    # checks its input first, as under wrap and bench.
+    _route(run.route).statement(run.wrap_cfg)
     chunks = run.trials(run.dataset, trials, seed)
     first = next(chunks)
     exact = exact_value(config["substrate"], run.dataset, config)

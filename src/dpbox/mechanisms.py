@@ -11,7 +11,11 @@ computed from the substrate's own output:
 
 wrap_laplace adds Laplace(2*bound/epsilon) and tolerates randomized
 substrates at an additive delta cost; wrap_cauchy adds Cauchy(6*bound/epsilon)
-and is pure epsilon-DP but requires a deterministic substrate. A
+and is pure epsilon-DP but requires a deterministic substrate. Everything a
+route decides (sampler, scale factor, failure share of delta, refusal of
+randomized substrates, rho tuning, accuracy statement, stated privacy) is
+one entry of _ROUTES; route_params, the calibration, wrap_trials and
+accuracy_interval read it, and nothing else branches on a route's name. A
 TunableSubstrate handle keeps the last value of a deterministic substrate
 and recalls it while the trials stay on that (dataset, params); the noise
 draws are the same either way, since deterministic substrates draw nothing
@@ -33,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .noise import sample_cauchy, sample_laplace
+from . import noise
 
 __all__ = [
     "ApproxParams",
@@ -242,9 +246,62 @@ def smooth_bound(x: float, rho: float, tau: float, delta_f: float) -> float:
     return 4.0 * rho * x + 4.0 * tau + delta_f
 
 
-# Per route: the noise sampler, and the multiple of bound/epsilon that is its scale.
-_SAMPLERS = {"laplace": sample_laplace, "cauchy": sample_cauchy}
-_SCALE_FACTORS = {"laplace": 2.0, "cauchy": 6.0}
+class _Laplace:
+    """The Laplace route: a release is (epsilon, delta*(1 + e^(epsilon/2)) +
+    delta/2)-DP for any substrate that honors its contract, randomized ones
+    included, which may fail with probability delta/2. Its accuracy
+    statement is theorem_main_bounds, with target 1 - delta - e^-gamma."""
+
+    sampler, scale_factor, fail_share, randomized_refusal = "sample_laplace", 2.0, 0.5, None
+    formula = "epsilon*alpha/(12*ln(4/delta)) at epsilon {0!r}, alpha {1!r}, delta {2!r}"
+
+    def tune(cfg):
+        return tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta)
+
+    def statement(cfg):
+        target = 1.0 - cfg.delta - math.exp(-cfg.gamma)
+        if target <= 0.0:
+            raise ValueError(
+                f"the accuracy statement needs delta + e^-gamma < 1, got delta {cfg.delta!r}"
+                f" and gamma {cfg.gamma!r}")
+        return (*theorem_main_bounds(cfg), target)
+
+
+class _Cauchy:
+    """The Cauchy route: a release is pure epsilon-DP, which needs a
+    deterministic substrate (fail_prob 0). Its accuracy statement is
+    lemma_fptas_bounds at the tuned rho and tau, with target 9/10."""
+
+    sampler, scale_factor, fail_share = "sample_cauchy", 6.0, 0.0
+    randomized_refusal = "wrap_cauchy requires a deterministic substrate; {0!r} is randomized"
+    formula = "epsilon*alpha/36 at epsilon {0!r}, alpha {1!r}"
+
+    def tune(cfg):
+        return tune_rho_cauchy(cfg.alpha, cfg.epsilon)
+
+    def statement(cfg):
+        return (*lemma_fptas_bounds(_Cauchy.tune(cfg), cfg.tau(), cfg.delta_f, cfg.epsilon,
+                                    cfg.gamma), 0.9)
+
+
+# Route name -> everything the route decides: the noise module's sampler, by
+# name, so a sampler patched in noise (as perfbench's tracer does) is the one
+# that draws; the multiple of
+# bound/epsilon that is the noise scale; the share of delta the substrate may
+# fail with; the refusal of a randomized substrate, if any; the rho tuning and
+# its formula; and the accuracy statement (mult, add_kappa, additive, target).
+_ROUTES = {"laplace": _Laplace, "cauchy": _Cauchy}
+
+
+def _route(route: str, substrate: Optional[TunableSubstrate] = None):
+    """The _ROUTES entry of route. ValueError for an unknown route, and for a
+    substrate, when given, that the route refuses."""
+    entry = _ROUTES.get(route) if isinstance(route, str) else None
+    if entry is None:
+        raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    if substrate is not None and entry.randomized_refusal and not substrate.is_deterministic:
+        raise ValueError(entry.randomized_refusal.format(substrate))
+    return entry
 
 
 def route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> ApproxParams:
@@ -254,24 +311,15 @@ def route_params(substrate: TunableSubstrate, cfg: WrapConfig, route: str) -> Ap
     substrate and tunes rho = tune_rho_cauchy(cfg.alpha, cfg.epsilon) with
     fail_prob 0. A tuned rho of 1 or more, which no substrate accepts,
     raises ValueError naming the route's formula and the config's values."""
-    if route == "laplace":
-        rho, fail_prob = tune_rho_laplace(cfg.alpha, cfg.epsilon, cfg.delta), cfg.delta / 2.0
-        formula = "epsilon*alpha/(12*ln(4/delta)) at epsilon {0!r}, alpha {1!r}, delta {2!r}"
-    elif route == "cauchy":
-        if not substrate.is_deterministic:
-            raise ValueError(
-                f"wrap_cauchy requires a deterministic substrate; {substrate!r} is randomized")
-        rho, fail_prob = tune_rho_cauchy(cfg.alpha, cfg.epsilon), 0.0
-        formula = "epsilon*alpha/36 at epsilon {0!r}, alpha {1!r}"
-    else:
-        raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    entry = _route(route, substrate)
+    rho = entry.tune(cfg)
     if rho >= 1.0:
-        raise ValueError(f"the tuned rho = {formula.format(cfg.epsilon, cfg.alpha, cfg.delta)}"
-                         f" is {rho!r}; it must be below 1")
-    return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=fail_prob)
+        formula = entry.formula.format(cfg.epsilon, cfg.alpha, cfg.delta)
+        raise ValueError(f"the tuned rho = {formula} is {rho!r}; it must be below 1")
+    return ApproxParams(alpha=rho, kappa=cfg.tau(), fail_prob=cfg.delta * entry.fail_share)
 
 
-def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, route: str):
+def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, entry):
     """(x, clamped, scale): the value that gets noised and the noise scale."""
     if not math.isfinite(value):
         raise ValueError(f"substrate returned a non-finite value: {value!r}")
@@ -280,18 +328,20 @@ def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, route: str):
     clamped = value < 0.0
     x = 0.0 if clamped else float(value)
     bound = smooth_bound(x, params.alpha, params.kappa, cfg.delta_f)
-    return x, clamped, _SCALE_FACTORS[route] * bound / cfg.epsilon
+    return x, clamped, entry.scale_factor * bound / cfg.epsilon
 
 
-def _release(substrate: TunableSubstrate, dataset, params: ApproxParams, cfg: WrapConfig,
-             rng, route: str) -> MechanismTrace:
-    """One trial of the route's wrapper: evaluate, calibrate, draw."""
+def _wrap(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng, route: str):
+    """(output, trace) of one release of the route's wrapper: tune, evaluate,
+    calibrate, draw."""
+    params, entry = route_params(substrate, cfg, route), _ROUTES[route]
     value, cost = substrate.evaluate(dataset, params, rng)
-    x, clamped, scale = _calibrate(value, params, cfg, route)
-    draw = _SAMPLERS[route](scale, rng)
-    return MechanismTrace(substrate_value=x, rho=params.alpha, tau=params.kappa,
-                          noise_scale=scale, noise_draw=draw, output=x + draw,
-                          clamped=clamped, cost=cost)
+    x, clamped, scale = _calibrate(value, params, cfg, entry)
+    draw = getattr(noise, entry.sampler)(scale, rng)
+    trace = MechanismTrace(substrate_value=x, rho=params.alpha, tau=params.kappa,
+                           noise_scale=scale, noise_draw=draw, output=x + draw,
+                           clamped=clamped, cost=cost)
+    return trace.output, trace
 
 
 def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -306,9 +356,7 @@ def wrap_laplace(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     released output is (epsilon, delta*(1 + e^(epsilon/2)) + delta/2)-DP; the
     trace is for testing only and must not be released.
     """
-    trace = _release(substrate, dataset, route_params(substrate, cfg, "laplace"), cfg, rng,
-                     "laplace")
-    return trace.output, trace
+    return _wrap(substrate, dataset, cfg, rng, "laplace")
 
 
 def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
@@ -320,9 +368,7 @@ def wrap_cauchy(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng):
     returns x + Cauchy(6 * (4*rho*x + 4*tau + delta_f) / epsilon) with a
     trace. The released output is epsilon-DP when the contract holds.
     """
-    trace = _release(substrate, dataset, route_params(substrate, cfg, "cauchy"), cfg, rng,
-                     "cauchy")
-    return trace.output, trace
+    return _wrap(substrate, dataset, cfg, rng, "cauchy")
 
 
 # Trials per TrialChunk: bounds the memory of a run whatever its trial count.
@@ -363,17 +409,17 @@ def wrap_trials(substrate: TunableSubstrate, dataset, cfg: WrapConfig, route: st
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials!r}")
-    params = route_params(substrate, cfg, route)
+    params, entry = route_params(substrate, cfg, route), _ROUTES[route]
     for start in range(0, trials, TRIAL_CHUNK):
         n = min(TRIAL_CHUNK, trials - start)
         if substrate.is_deterministic:
             value, first = substrate.evaluate(dataset, params, rng)
-            x, _, scale = _calibrate(value, params, cfg, route)
-            draw = _SAMPLERS[route](scale, rng, size=n)
+            x, _, scale = _calibrate(value, params, cfg, entry)
+            draw = getattr(noise, entry.sampler)(scale, rng, size=n)
             values, scales = np.full(n, x), np.full(n, scale)
             cost = [first] + [_CACHED_COST] * (n - 1)
         else:
-            runs = [_release(substrate, dataset, params, cfg, rng, route) for _ in range(n)]
+            runs = [_wrap(substrate, dataset, cfg, rng, route)[1] for _ in range(n)]
             values = np.array([t.substrate_value for t in runs])
             scales = np.array([t.noise_scale for t in runs])
             draw = np.array([t.noise_draw for t in runs])
@@ -555,20 +601,7 @@ def accuracy_interval(exact: float, cfg: WrapConfig, route: str):
     ValueError. "cauchy" uses lemma_fptas_bounds at the rho and tau the route
     tunes, with target 9/10.
     """
-    if route == "laplace":
-        target = 1.0 - cfg.delta - math.exp(-cfg.gamma)
-        if target <= 0.0:
-            raise ValueError(
-                f"the accuracy statement needs delta + e^-gamma < 1, got delta {cfg.delta!r}"
-                f" and gamma {cfg.gamma!r}")
-        mult, add_kappa, additive = theorem_main_bounds(cfg)
-    elif route == "cauchy":
-        mult, add_kappa, additive = lemma_fptas_bounds(
-            tune_rho_cauchy(cfg.alpha, cfg.epsilon), cfg.tau(), cfg.delta_f, cfg.epsilon,
-            cfg.gamma)
-        target = 0.9
-    else:
-        raise ValueError(f"route must be 'laplace' or 'cauchy', got {route!r}")
+    mult, add_kappa, additive, target = _route(route).statement(cfg)
     lo = (1.0 - mult) * exact - add_kappa - additive
     hi = (1.0 + mult) * exact + add_kappa + additive
     return lo, hi, target

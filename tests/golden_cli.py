@@ -8,8 +8,9 @@ their matching demo files (the mst preset on the unweighted one only) and
 with substrates of another dataset kind, both MST substrates on an
 edge-neighbour pair whose second graph is disconnected, requests that only
 an exact answer meets (cc_estimate at kappa 0, mst_estimate and knapsack at
-alpha 0), and refusals: bad configs, keys the run would not read, and the
-small malformed inputs under tests/golden/. golden_cli.json, beside this
+alpha 0), and refusals: bad configs, keys the run would not read, an
+unknown route on an input that does not exist, and the small malformed
+inputs under tests/golden/. golden_cli.json, beside this
 file, keeps each run's exit code and the sha256 of its stdout and stderr;
 tests/test_golden_cli.py replays the runs in-process and compares.
 
@@ -196,6 +197,9 @@ def _refusal_runs():
         "missing-epsilon": {"substrate": "cc_exact", "input": "data/demo_cc.graph"},
         "missing-input": {"substrate": "cc_exact", "input": "tests/golden/absent.graph",
                           "epsilon": 1.0},
+        "unknown-route-absent-input": {"substrate": "cc_exact",
+                                       "input": "tests/golden/absent.graph", "epsilon": 1.0,
+                                       "route": "bogus"},
         "kappa_frac-without-preset": {**cc, "input": "data/demo_cc.graph", "kappa_frac": 0.5},
         "window-under-f0-preset": {"preset": "f0", "input": "data/demo_stream_insert.txt",
                                    "epsilon": 1.0, "window": 3},

@@ -14,7 +14,8 @@ from dpbox import cli, streams
 from dpbox.audit import audit_samples
 from dpbox.cli import main
 from dpbox.graphs import load_graph, toggle_edge
-from dpbox.mechanisms import TRIAL_CHUNK, WrapConfig, tune_rho_laplace, wrap_trials
+from dpbox.mechanisms import (TRIAL_CHUNK, TunableSubstrate, WrapConfig, tune_rho_laplace,
+                              wrap_trials)
 from dpbox.noise import make_rng
 from dpbox.streams import load_stream, stream_neighbor
 from dpbox.substrates import make_substrate
@@ -360,16 +361,44 @@ def test_coverage_cauchy_route_passes(tmp_path):
     assert payload["target"] == 0.9
 
 
-def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("config,words", [
     # 1 - delta - e^-gamma = 1 - 0.9 - 0.37 < 0: the theorem promises nothing.
-    cfg = write_config(tmp_path, {
-        "substrate": "cc_exact", "input": "data/demo_cc.graph",
-        "epsilon": 10.0, "delta": 0.9, "alpha": 0.9, "gamma": 1.0,
-    })
+    ({"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 10.0, "delta": 0.9,
+      "alpha": 0.9, "gamma": 1.0}, ("delta", "gamma")),
+    # The same for a randomized substrate: 1 - 0.5 - e^-0.05 < 0.
+    ({"substrate": "mst_estimate", "input": "data/demo_mst.graph", "epsilon": 20.0,
+      "delta": 0.5, "alpha": 0.9, "gamma": 0.05}, ("delta", "gamma")),
+    # The Cauchy route's lemma needs gamma >= 6.5.
+    ({"substrate": "knapsack", "input": "data/demo_knapsack.txt", "route": "cauchy",
+      "delta_f": 50.0, "epsilon": 1.0, "alpha": 0.5, "gamma": 6.0}, ("gamma", "6.5")),
+], ids=["cc_exact", "mst_estimate", "knapsack-cauchy"])
+def test_coverage_without_a_positive_target_exits_2_with_one_line(tmp_path, capsys,
+                                                                  monkeypatch, config, words):
+    # The statement reads only the config, so it refuses before any trial.
+    def evaluate(self, dataset, params, rng):
+        raise AssertionError(f"{self!r} was evaluated")
+
+    monkeypatch.setattr(TunableSubstrate, "evaluate", evaluate)
+    cfg = write_config(tmp_path, config)
     assert main(["coverage", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dpb: ") and err.count("\n") == 1
-    assert "delta" in err and "gamma" in err and "math domain" not in err
+    assert all(word in err for word in words) and "math domain" not in err
+
+
+@pytest.mark.parametrize("substrate,route,message", [
+    ("cc_exact", "bogus", "route must be 'laplace' or 'cauchy', got 'bogus'"),
+    ("cc_estimate", "cauchy", "wrap_cauchy requires a deterministic substrate; "
+                              "TunableSubstrate(cc_estimate, randomized) is randomized"),
+], ids=["unknown", "cauchy-randomized"])
+def test_a_route_is_refused_before_the_input_is_read(tmp_path, capsys, substrate, route,
+                                                     message):
+    # The input does not exist, so a refusal after reading it would name the file.
+    cfg = write_config(tmp_path, {"substrate": substrate, "input": str(tmp_path / "absent.graph"),
+                                  "epsilon": 1.0, "route": route})
+    for command in ("wrap", "audit", "coverage", "bench"):
+        assert main([command, "--config", cfg]) == 2, command
+        assert capsys.readouterr().err == f"dpb: {message}\n", command
 
 
 @pytest.mark.parametrize("config,message", [

@@ -47,6 +47,12 @@ def test_laplace_fixed_seed_values():
     # once and must never drift.
     assert sample_laplace(1.0, make_rng(7)) == 0.2879366824746073
     assert sample_cauchy(1.0, make_rng(7)) == 0.4145649808777322
+    # A vector draw runs the same kernel on the same uniforms, so its first
+    # entry is the scalar draw.
+    assert [x.hex() for x in sample_laplace(1.0, make_rng(7), size=3)] == [
+        "0x1.26d8dfaa304e9p-2", "0x1.94fb22608a8c3p+0", "0x1.9a660dde33711p-1"]
+    assert [x.hex() for x in sample_cauchy(1.0, make_rng(7), size=3)] == [
+        "0x1.a883b8ebbf34ep-2", "0x1.7e849e7f94df2p+1", "0x1.2d0c5aae3829ep+0"]
 
 
 def test_laplace_scale_scales_linearly():

@@ -4,7 +4,9 @@ is. A renamed or bypassed hook would otherwise show only in a traced run.
 The CLI's own dataset loads and audit neighbours count too: a loader table
 or neighbour rule the tracer cannot patch would drop them from the spans.
 The stream round does the same for the KMV hooks, which the sliding-window
-family must reach through KmvSketch.update."""
+family must reach through KmvSketch.update, and the mechanism round for the
+wrappers, the samplers, to_pure_dp and the library audit: a route whose
+sampler the tracer cannot patch would drop its draws from the spans."""
 
 import contextlib
 import importlib.util
@@ -13,8 +15,9 @@ import json
 import os
 
 import dpbox
-from dpbox import cli, graph_estimators, graphs
+from dpbox import audit, cli, graph_estimators, graphs, mechanisms
 from dpbox.noise import make_rng
+from dpbox.substrates import make_substrate
 
 _SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -155,3 +158,50 @@ def test_traced_knapsack_coverage_records_the_exact_oracle(tmp_path):
     finally:
         patches.off()
     assert tracer.calls["knapsack.exact"] == 1
+
+
+# A Laplace release of a deterministic graph substrate and a Cauchy release
+# of knapsack: each run draws its five trials' noise as one vector.
+_MECHANISM_RUNS = (
+    ("wrap", {"substrate": "cc_exact", "input": "data/demo_cc.graph", "epsilon": 1.0,
+              "delta": 0.01, "alpha": 0.5, "kappa": 1.0, "trials": 5}),
+    ("wrap", {"substrate": "knapsack", "input": "data/demo_knapsack.txt", "route": "cauchy",
+              "delta_f": 50.0, "epsilon": 1.0, "alpha": 0.5, "trials": 5}),
+)
+
+
+def _mechanism_round(tmp_path):
+    """The outputs of _MECHANISM_RUNS and the report of a library audit, 1,000
+    trials a side, of wrap_laplace on cc_exact rounded by to_pure_dp, with
+    every traced entry point looked up at call time."""
+    outs = [_cli(tmp_path, i, *run) for i, run in enumerate(_MECHANISM_RUNS)]
+    substrate = make_substrate("cc_exact")
+    g = graphs.load_graph("data/demo_cc.graph")
+    cfg = mechanisms.WrapConfig(epsilon=1.0, delta=0.01, alpha=0.5, kappa=1.0, delta_f=1.0,
+                                gamma=3.0)
+    grid = mechanisms.GridSpec(40.0, 0.5)
+
+    def mech(dataset, rng):
+        value = mechanisms.wrap_laplace(substrate, dataset, cfg, rng)[0]
+        return mechanisms.to_pure_dp(value, grid, 1.0, 0.01, rng)
+
+    report = audit.estimate_epsilon(mech, g, graphs.toggle_edge(g, 0, 1, 1), 1000, 20, seed=3)
+    return outs, report.to_json()
+
+
+def test_traced_mechanism_round_counts_every_wrap_draw_and_audit(tmp_path):
+    spans = _load_spans()
+    plain = _mechanism_round(tmp_path)
+    tracer = spans.Tracer()
+    patches = spans.install(tracer, dpbox)
+    try:
+        traced = _mechanism_round(tmp_path)
+    finally:
+        patches.off()
+    assert traced == plain
+    # wrap_trials draws each CLI run's noise as one vector and calls no
+    # wrapper; the audit wraps, draws and rounds once per trial.
+    assert tracer.calls["noise.sample"] == 2 + 2000
+    assert tracer.calls["mechanisms.wrap"] == 2000
+    assert tracer.calls["mechanisms.to_pure_dp"] == 2000
+    assert tracer.calls["audit.estimate"] == 1
