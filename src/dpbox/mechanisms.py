@@ -15,11 +15,14 @@ and is pure epsilon-DP but requires a deterministic substrate. Everything a
 route decides (sampler, scale factor, failure share of delta, refusal of
 randomized substrates, rho tuning, accuracy statement, stated privacy) is
 one entry of _ROUTES; route_params, the calibration, wrap_trials and
-accuracy_interval read it, and nothing else branches on a route's name. A
-TunableSubstrate handle keeps the last value of a deterministic substrate
-and recalls it while the trials stay on that (dataset, params); the noise
-draws are the same either way, since deterministic substrates draw nothing
-from the rng.
+accuracy_interval read it, and nothing else branches on a route's name.
+WrapConfig and ApproxParams are frozen, so a request checked once stays
+checked. A TunableSubstrate handle keeps the last value of a deterministic
+substrate and recalls it while the trials stay on that (dataset, params);
+the noise draws are the same either way, since deterministic substrates
+draw nothing from the rng. It also keeps the last request a wrapper tuned
+for it, per (cfg object, route), so one release only evaluates (or
+recalls), calibrates, draws and records.
 wrap_trials runs many trials of either wrapper on one rng, and draws the
 noise of a deterministic substrate as one vector per chunk of trials.
 median_replicas is the one rule by which randomized substrates shrink their
@@ -64,13 +67,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApproxParams:
     """Accuracy request handed to a substrate.
 
     alpha is the multiplicative error in [0,1), kappa the additive error in
     the substrate's output units (>= 0), and fail_prob the probability the
-    substrate may miss its interval, in [0,1).
+    substrate may miss its interval, in [0,1). Frozen: a request checked at
+    construction stays checked (dataclasses.replace makes another).
     """
 
     alpha: float
@@ -86,7 +90,7 @@ class ApproxParams:
             raise ValueError(f"fail_prob must lie in [0, 1), got {self.fail_prob!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WrapConfig:
     """Privacy and accuracy targets for one wrapped release.
 
@@ -94,7 +98,9 @@ class WrapConfig:
     targets the tuning formulas start from. delta_f: global sensitivity of the
     exact quantity. gamma: tail parameter trading failure probability
     (exp(-gamma)) against noise width. tau_override, when set, replaces the
-    default additive request tau = kappa handed to the substrate.
+    default additive request tau = kappa handed to the substrate. Frozen: a
+    config checked at construction stays checked, and a handle may recall
+    the request it tuned from it (dataclasses.replace makes another).
     """
 
     epsilon: float
@@ -130,7 +136,7 @@ class WrapConfig:
         return self.kappa if self.tau_override is None else self.tau_override
 
 
-@dataclass
+@dataclass(slots=True)
 class MechanismTrace:
     """Diagnostic record of one wrapper invocation.
 
@@ -173,6 +179,11 @@ class TunableSubstrate:
     then all on d' (audit.estimate_epsilon, dpb audit). A hit costs
     {"cached": 1}, one read-only mapping shared by all hits. Randomized
     substrates run on every call.
+
+    The handle also keeps the last request a wrapper tuned for it: the
+    ApproxParams of route_params(self, cfg, route), recalled while the calls
+    pass the very same (frozen) cfg object on the same route, so a run of
+    releases tunes once. A refusal is never kept; it raises on every call.
     """
 
     def __init__(self, fn: Callable, is_deterministic: bool = False,
@@ -181,6 +192,7 @@ class TunableSubstrate:
         self.is_deterministic = bool(is_deterministic)
         self.label = str(label)
         self._last = (None, None, None)  # (dataset, params key, value)
+        self._request = (None, None, None)  # (cfg, route, params)
 
     def evaluate(self, dataset, params: ApproxParams, rng):
         """Run fn once, or recall the last deterministic value; returns
@@ -327,14 +339,20 @@ def _calibrate(value: float, params: ApproxParams, cfg: WrapConfig, entry):
     # quantity is nonnegative, and an abort here would depend on the data.
     clamped = value < 0.0
     x = 0.0 if clamped else float(value)
-    bound = smooth_bound(x, params.alpha, params.kappa, cfg.delta_f)
+    # smooth_bound's expression, in its order, without its checks: params and
+    # cfg were checked when they were made, and x >= 0.
+    bound = 4.0 * params.alpha * x + 4.0 * params.kappa + cfg.delta_f
     return x, clamped, entry.scale_factor * bound / cfg.epsilon
 
 
 def _wrap(substrate: TunableSubstrate, dataset, cfg: WrapConfig, rng, route: str):
-    """(output, trace) of one release of the route's wrapper: tune, evaluate,
-    calibrate, draw."""
-    params, entry = route_params(substrate, cfg, route), _ROUTES[route]
+    """(output, trace) of one release of the route's wrapper: tune (or recall
+    the handle's last request), evaluate, calibrate, draw."""
+    last_cfg, last_route, params = substrate._request
+    if last_cfg is not cfg or last_route != route:
+        params = route_params(substrate, cfg, route)
+        substrate._request = (cfg, route, params)
+    entry = _ROUTES[route]
     value, cost = substrate.evaluate(dataset, params, rng)
     x, clamped, scale = _calibrate(value, params, cfg, entry)
     draw = getattr(noise, entry.sampler)(scale, rng)

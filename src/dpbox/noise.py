@@ -3,7 +3,12 @@
 Both samplers use explicit inverse-CDF transforms through one kernel,
 b * q(u - 1/2), for a scalar and an array draw alike, so that a fixed seed
 yields the same sequence on every run and platform, independent of any
-library internals for these distributions. Scale 0 is the degenerate "no
+library internals for these distributions. The transform stays on numpy's
+ufuncs even for one scalar draw: math.log1p and math.tan round differently
+from numpy's SIMD kernels on some draws, and a scalar draw must equal the
+same draw of a vector. Generator.random() returns u = 0 with probability
+2^-53; Laplace takes that draw at the next grid point, u = 2^-53, instead of
+at -inf, and Cauchy's is finite (-1.6e16*b). Scale 0 is the degenerate "no
 noise" case and returns exactly 0. make_rng builds the generator of one
 (seed, stream) pair. Tail facts used by the tests:
 
@@ -12,6 +17,8 @@ noise" case and returns exactly 0. make_rng builds the generator of one
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,7 +45,7 @@ def _inverse_cdf(q, scale, rng: np.random.Generator, size):
         ValueError: if the scale is negative or not finite.
     """
     b = float(scale)
-    if not np.isfinite(b) or b < 0.0:
+    if not math.isfinite(b) or b < 0.0:
         raise ValueError(f"noise scale must be a finite nonnegative real, got {scale!r}")
     # Scale 0 takes no uniform from the rng, so the draws after it stay put.
     x = b * q(rng.random(size) - 0.5) if b else np.zeros(() if size is None else size)
@@ -46,7 +53,12 @@ def _inverse_cdf(q, scale, rng: np.random.Generator, size):
 
 
 def _laplace_q(v):
-    return -np.sign(v) * np.log1p(-2.0 * abs(v))
+    # u = 0 gives |v| = 1/2 and log1p(-1) = -inf; that draw is taken at the
+    # next grid point, u = 2^-53, where |v| = 1/2 - 2^-53. Any other |v|
+    # stays as it is (minus an exact 0), on a float and an array alike.
+    a = abs(v)
+    a = a - (a == 0.5) * 2.0 ** -53
+    return -np.sign(v) * np.log1p(-2.0 * a)
 
 
 def _cauchy_q(v):

@@ -313,6 +313,67 @@ def test_shared_handle_releases_what_fresh_handles_release(n, edge_bits, items, 
             assert (out, trace.substrate_value) == (fresh_out, fresh_trace.substrate_value)
 
 
+def _trace_hex(trace):
+    """Every field of a trace but its cost, floats by float.hex."""
+    return (trace.substrate_value.hex(), trace.rho.hex(), trace.tau.hex(),
+            trace.noise_scale.hex(), trace.noise_draw.hex(), trace.output.hex(),
+            trace.clamped)
+
+
+def _params_substrate(deterministic):
+    """A handle whose value spells out its request, so a stale request shows."""
+    def fn(dataset, params, rng):
+        value = 1000.0 * params.alpha + params.kappa + 7.0 * params.fail_prob
+        return value if deterministic else value + rng.random()
+    return TunableSubstrate(fn, is_deterministic=deterministic, label="params")
+
+
+def test_handle_recalls_its_request_only_for_the_same_cfg_and_route():
+    cfgs = [_MEMO_CFG] + [dataclasses.replace(_MEMO_CFG, **change) for change in (
+        {"epsilon": 2.0}, {"delta": 1e-2}, {"alpha": 0.25}, {"kappa": 3.0},
+        {"tau_override": 0.5})]
+    calls = [(cfg, wrap) for cfg in cfgs for wrap in (wrap_laplace, wrap_cauchy)]
+    order = make_rng(5).permutation(len(calls)).tolist()
+    shared = {True: _params_substrate(True), False: _params_substrate(False)}
+    for t, i in enumerate(order + order[::-1] + [order[0]] * 3):
+        cfg, wrap = calls[i]
+        for det in ((True, False) if wrap is wrap_laplace else (True,)):
+            out, trace = wrap(shared[det], None, cfg, make_rng(t))
+            fresh_out, fresh_trace = wrap(_params_substrate(det), None, cfg, make_rng(t))
+            assert out.hex() == fresh_out.hex()
+            assert _trace_hex(trace) == _trace_hex(fresh_trace)
+
+
+def test_randomized_handle_is_refused_on_cauchy_on_every_call():
+    sub = _params_substrate(False)
+    for t in range(3):
+        with pytest.raises(ValueError, match="requires a deterministic substrate"):
+            wrap_cauchy(sub, None, _MEMO_CFG, make_rng(t))
+        wrap_laplace(sub, None, _MEMO_CFG, make_rng(t))
+
+
+def test_requests_are_frozen():
+    cfg = WrapConfig(epsilon=1.0, delta=0.1, alpha=0.5, kappa=1.0, delta_f=1.0, gamma=2.0)
+    params = ApproxParams(0.1, 1.0, 0.05)
+    for record in (cfg, params):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 0.2)
+    assert dataclasses.replace(cfg, epsilon=2.0).epsilon == 2.0 and cfg.epsilon == 1.0
+
+
+def test_laplace_release_at_u_zero_is_finite():
+    class ZeroUniform:
+        def random(self, size=None):
+            return 0.0
+
+    out, trace = wrap_laplace(const_substrate(3.0), None, _MEMO_CFG, ZeroUniform())
+    assert math.isfinite(out)
+    # The draw of the next grid point, u = 2^-53: -b * ln(2^52).
+    assert trace.noise_draw == pytest.approx(-trace.noise_scale * 52.0 * math.log(2.0),
+                                             rel=1e-14)
+
+
 # ---------------------------------------------------------------- trial runs
 
 

@@ -121,3 +121,41 @@ def test_cauchy_median_centered():
     x = sample_cauchy(2.0, make_rng(9), size=50_000)
     # The mean does not exist for a Cauchy; the median is the location, 0.
     assert abs(np.median(x)) < 0.1
+
+
+class _FixedUniform:
+    """An rng whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+# float.hex of each sampler at scale 2 for the edge uniforms: u = 0, which
+# Generator.random() returns with probability 2^-53, the center, and the
+# largest u below 1. Laplace takes u = 0 at the next grid point, u = 2^-53,
+# so its two tails are mirror images; Cauchy at u = 0 stays finite.
+@pytest.mark.parametrize("sampler,u,expected", [
+    (sample_laplace, 0.0, "-0x1.205966f2b4f12p+6"),
+    (sample_laplace, 2.0 ** -53, "-0x1.205966f2b4f12p+6"),
+    (sample_laplace, 0.5, "0x0.0p+0"),
+    (sample_laplace, 1.0 - 2.0 ** -53, "0x1.205966f2b4f12p+6"),
+    (sample_cauchy, 0.0, "-0x1.d02967c31cdb5p+54"),
+    (sample_cauchy, 0.5, "0x0.0p+0"),
+    (sample_cauchy, 1.0 - 2.0 ** -53, "0x1.c1f559a01adccp+51"),
+])
+def test_edge_uniforms_give_pinned_finite_draws(sampler, u, expected):
+    assert sampler(2.0, _FixedUniform(u)).hex() == expected
+    assert [x.hex() for x in sampler(2.0, _FixedUniform(u), size=2)] == [expected] * 2
+
+
+@pytest.mark.parametrize("sampler", [sample_laplace, sample_cauchy])
+def test_scalar_draws_equal_one_vector_draw(sampler):
+    # A scalar draw runs the vector draw's numpy ufuncs, whose SIMD kernels
+    # can round differently from math.log1p and math.tan; the two must agree
+    # bit for bit, draw by draw.
+    rng, twin = make_rng(13), make_rng(13)
+    scalar = [sampler(1.5, rng).hex() for _ in range(10 ** 4)]
+    assert scalar == [x.hex() for x in sampler(1.5, twin, size=10 ** 4)]

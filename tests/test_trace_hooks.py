@@ -204,4 +204,7 @@ def test_traced_mechanism_round_counts_every_wrap_draw_and_audit(tmp_path):
     assert tracer.calls["noise.sample"] == 2 + 2000
     assert tracer.calls["mechanisms.wrap"] == 2000
     assert tracer.calls["mechanisms.to_pure_dp"] == 2000
+    # Every release still evaluates through the class attribute, recalled
+    # value or not, as does each CLI run once.
+    assert tracer.calls["substrates.evaluate"] == 2 + 2000
     assert tracer.calls["audit.estimate"] == 1
